@@ -17,9 +17,11 @@ from .counting import (
     TruncatedEGF,
     admissible_partition_count,
     forbidden_sizes,
+    grid_component_codes,
     grid_component_count,
     grid_excluded_count,
     grid_forbidden,
+    line_component_codes,
     line_component_count,
     partition_count_series,
     vector_partitions,

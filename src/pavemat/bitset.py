@@ -7,7 +7,7 @@ size; popcounts use ``int.bit_count``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -49,3 +49,13 @@ def subsets_of_size(mask: int, r: int) -> Iterator[int]:
         for e in combo:
             m |= 1 << e
         yield m
+
+
+def remap(mask: int, table: Sequence[int] | Mapping[int, int]) -> int:
+    """Relabel a mask: bit i becomes bit table[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << table[low.bit_length() - 1]
+    return out

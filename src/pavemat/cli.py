@@ -31,13 +31,32 @@ EXPECTED_LINE_COUNTS: dict[int, int] = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}
 BUDGET_ENV = "PAVEMAT_ENUM_BUDGET"
 
 
+class CliError(Exception):
+    """Bad input met while running a command; exits with the given code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
 def _budget(args: argparse.Namespace, default: int) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CliError(f"{BUDGET_ENV} must be an integer, got {env!r}", 2) from None
     return default
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or bytes that are not text
+            raise CliError(f"{path}: {exc}", 1) from None
 
 
 def _print_json(obj: dict) -> None:
@@ -54,8 +73,7 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         m = paving_to_matroid(paving)
         hyps = paving.hyperplanes
     else:
-        with open(args.file) as fh:
-            rep = io.quasi_from_dict(json.load(fh), n_override=args.n)
+        rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
         m = quasi_matroid(rep)
         hyps = rep.members
     if args.format == "json":
@@ -82,37 +100,39 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.family == "grid":
-        result = decomposition.decompose_grid(
-            args.k, args.l, budget=_budget(args, decomposition.GRID_ENUM_BUDGET)
-        )
+        budget = _budget(args, decomposition.GRID_ENUM_BUDGET)
+        codes = decomposition.grid_listing(args.k, args.l, budget=budget)
     else:
-        result = decomposition.decompose_lines(
-            args.n, budget=_budget(args, decomposition.LINE_ENUM_BUDGET)
-        )
-    if args.list:
-        if args.format == "text":
-            print(f"{len(result.components)} components")
-            for rep in result.components:
-                blocks = [
-                    "{" + ",".join(
-                        next(
-                            lab
-                            for lab, mk in zip(result.hyperplane_labels, result.hyperplane_masks)
-                            if mk == mask
-                        )
-                        for mask in block
-                    ) + "}"
-                    for block in rep.block_masks
-                ]
-                kind = rep.classification.kind
-                if rep.classification.uniform_params:
-                    r, d = rep.classification.uniform_params
-                    kind = f"uniform({r},{d})"
-                print("  " + " ".join(blocks) + f"  ->  {kind}")
-        else:
-            _print_json(io.decomposition_to_dict(result, include_circuits=args.circuits))
+        budget = _budget(args, decomposition.LINE_ENUM_BUDGET)
+        codes = decomposition.line_listing(args.n, budget=budget)
+    if not args.list:
+        print(sum(1 for _ in codes))
+        return 0
+    if args.family == "grid":
+        result = decomposition.decompose_grid(args.k, args.l, budget=budget)
     else:
-        print(len(result.components))
+        result = decomposition.decompose_lines(args.n, budget=budget)
+    if args.format == "text":
+        print(f"{len(result.components)} components")
+        for rep in result.components:
+            blocks = [
+                "{" + ",".join(
+                    next(
+                        lab
+                        for lab, mk in zip(result.hyperplane_labels, result.hyperplane_masks)
+                        if mk == mask
+                    )
+                    for mask in block
+                ) + "}"
+                for block in rep.block_masks
+            ]
+            kind = rep.classification.kind
+            if rep.classification.uniform_params:
+                r, d = rep.classification.uniform_params
+                kind = f"uniform({r},{d})"
+            print("  " + " ".join(blocks) + f"  ->  {kind}")
+    else:
+        _print_json(io.decomposition_to_dict(result, include_circuits=args.circuits))
     return 0
 
 
@@ -160,8 +180,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.file) as fh:
-        obj = json.load(fh)
+    obj = _load_json(args.file)
     try:
         m = io.matroid_from_dict(obj, validate=True)
     except MatroidError as exc:
@@ -184,8 +203,7 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
-    with open(args.file) as fh:
-        rep = io.quasi_from_dict(json.load(fh), n_override=args.n)
+    rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
     dec = decompose_to_tame(rep)
     if args.format == "json":
         _print_json(
@@ -307,6 +325,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, canonical_masks, sort_key, subsets_of_size
+from .bitset import as_mask, bits_tuple, canonical_masks, remap, sort_key, subsets_of_size
 from .errors import (
     AxiomViolation,
     BadParams,
@@ -194,31 +194,13 @@ class Matroid:
         pos = {old: new for new, old in enumerate(kept)}
         nd = len(kept)
 
-        def compress(mask: int) -> int:
-            out = 0
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                out |= 1 << pos[low.bit_length() - 1]
-            return out
-
         if self._circuits is not None:
-            new_circuits = tuple(compress(c) for c in self._circuits if c & z == 0)
+            new_circuits = tuple(remap(c, pos) for c in self._circuits if c & z == 0)
             m = Matroid(nd, 0, circuits=new_circuits, origin=self.origin)
             m.rank_value = m.rank()
             return m, kept
 
-        def expand(mask: int) -> int:
-            out = 0
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                out |= 1 << kept[low.bit_length() - 1]
-            return out
-
-        wrapped = Matroid(nd, 0, oracle=lambda s: self.is_independent(expand(s)), origin=self.origin)
+        wrapped = Matroid(nd, 0, oracle=lambda s: self.is_independent(remap(s, kept)), origin=self.origin)
         wrapped.rank_value = wrapped.rank()
         return wrapped, kept
 
@@ -227,46 +209,28 @@ class Matroid:
         if sorted(perm) != list(range(self.d)):
             raise BadParams("relabel needs a permutation of the ground set")
 
-        def remap(mask: int) -> int:
-            out = 0
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                out |= 1 << perm[low.bit_length() - 1]
-            return out
-
         if self._circuits is not None:
             return Matroid(
                 self.d,
                 self.rank_value,
-                circuits=tuple(sorted((remap(c) for c in self._circuits), key=sort_key)),
+                circuits=tuple(sorted((remap(c, perm) for c in self._circuits), key=sort_key)),
                 origin=self.origin,
             )
         if self._bases is not None:
             return Matroid(
                 self.d,
                 self.rank_value,
-                bases=tuple(sorted((remap(b) for b in self._bases), key=sort_key)),
+                bases=tuple(sorted((remap(b, perm) for b in self._bases), key=sort_key)),
                 origin=self.origin,
             )
         inverse = [0] * self.d
         for old, new in enumerate(perm):
             inverse[new] = old
 
-        def unmap(mask: int) -> int:
-            out = 0
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                out |= 1 << inverse[low.bit_length() - 1]
-            return out
-
         return Matroid(
             self.d,
             self.rank_value,
-            oracle=lambda s: self.is_independent(unmap(s)),
+            oracle=lambda s: self.is_independent(remap(s, inverse)),
             origin=self.origin,
         )
 

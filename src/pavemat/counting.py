@@ -1,7 +1,7 @@
 """Component counts by three independent routes.
 
-* enumerate: walk partitions of the hyperplanes and test the closed-form
-  component condition (with sound pruning for grids);
+* enumerate: walk the partitions of the hyperplanes that pass the
+  closed-form component test, pruning every subtree that holds none;
 * formula: multinomial-weighted sums over vector partitions avoiding the
   forbidden block profiles, minus the closed-form count of partitions whose
   one big block swallows all rows or all columns;
@@ -19,7 +19,7 @@ from itertools import groupby
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
-from .errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
+from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 
 # Closed-form counting is enabled from 4 up: agreement with direct enumeration
 # at (4,4) and (4,5) is pinned by the test suite. Below 4 the all-rows block
@@ -125,7 +125,8 @@ def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfile
                 vfact *= factorial(x)
             denom *= vfact**mult * factorial(mult)
         q, r = divmod(numer, denom)
-        assert r == 0
+        if r:
+            raise InvariantViolated(f"multinomial {numer}/{denom} is not an integer")
         total += q
     return total
 
@@ -156,7 +157,8 @@ class TruncatedEGF:
         value = self.coefficient(v)
         for x in v:
             value *= factorial(x)
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise InvariantViolated(f"coefficient at {v} scales to {value}, not an integer")
         return value.numerator
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
@@ -265,96 +267,116 @@ def grid_excluded_series(bounds: Vector) -> TruncatedEGF:
     return TruncatedEGF(bounds, tuple(rows))
 
 
-def _count_grid_components_direct(k: int, l: int) -> int:
-    """Exhaustive search over partitions of the k+l hyperplanes with sound
-    pruning: rows are placed first, so once they are exhausted a block's row
-    side is final. Blocks that can no longer satisfy the component conditions
-    cut their whole subtree.
+def grid_component_codes(k: int, l: int) -> Iterator[tuple[int, ...]]:
+    """RGS codes of the component partitions of the k x l grid (k, l >= 3)
+    over hyperplanes rows 0..k-1 then columns k..k+l-1, in RGS-lex order:
+    the codes `decomposition.grid_component_partitions` keeps, without
+    visiting the partitions it drops.
 
-    Pruning rules (each provably kills every completion):
-    * after the rows, any block with exactly 2 rows is dead;
-    * blocks whose row side needs more columns than exist are dead;
-    * a column may only join a block with >= 3 rows (any other join makes a
-      block of size >= 2 whose row side is final and below 3);
-    * a block holding all k rows tolerates no second block.
+    Rows are placed first, so once they are exhausted a block's row count is
+    final. Each rule below kills every completion of a partial code:
+    * a block with exactly 2 rows is dead once the rows are placed;
+    * a column joins only a block with >= 3 rows (any other join makes a
+      block of two or more hyperplanes with fewer than 3 rows);
+    * a block holding all k rows, or all l columns, tolerates no second block;
+    * summed deficit: a block with r >= 3 rows still owes (4 if r == 3 else
+      3) minus its columns, and the columns left must cover what all blocks
+      owe, since each column joins exactly one block.
     """
-    rows_of: list[int] = []
-    cols_of: list[int] = []
-    total = 0
+    if k < 3 or l < 3:
+        raise RangeUnsupported("enumeration needs k, l >= 3")
+    m = k + l
+    code = [0] * m
+    rows: list[int] = []
+    cols: list[int] = []
 
-    def final_ok() -> bool:
-        many = len(rows_of) > 1
-        for r, c in zip(rows_of, cols_of):
-            if r + c == 1:
-                continue
-            if r < 3 or c < 3 or max(r, c) < 4:
-                return False
-            if many and (r == k or c == l):
-                return False
-        return True
-
-    def place(pos: int) -> None:
-        nonlocal total
-        if pos == k + l:
-            if final_ok():
-                total += 1
-            return
+    def place_row(pos: int) -> Iterator[tuple[int, ...]]:
         if pos == k:
-            for r in rows_of:
-                if r == 2:
-                    return
-            need = sum((4 if r == 3 else 3) for r in rows_of if r >= 3)
-            if need > l:
+            if 2 in rows:
                 return
-        is_col = pos >= k
-        for b in range(len(rows_of)):
-            if is_col:
-                if rows_of[b] < 3:
-                    continue
-                cols_of[b] += 1
-            else:
-                rows_of[b] += 1
-            if not (rows_of[b] == k and len(rows_of) > 1):
-                place(pos + 1)
-            if is_col:
-                cols_of[b] -= 1
-            else:
-                rows_of[b] -= 1
-        rows_of.append(0 if is_col else 1)
-        cols_of.append(1 if is_col else 0)
-        if not any(r == k for r in rows_of[:-1]) or len(rows_of) == 1:
-            place(pos + 1)
-        rows_of.pop()
-        cols_of.pop()
-
-    place(0)
-    return total
-
-
-def _count_line_components_direct(n: int) -> int:
-    """Partition walk over the n lines with a light prune: a block stuck at
-    size 2 or 3 with too few elements left to reach 4 is dead."""
-    sizes: list[int] = []
-    total = 0
-
-    def place(pos: int) -> None:
-        nonlocal total
-        if pos == n:
-            if all(s not in (2, 3, n - 1) for s in sizes):
-                total += 1
+            owed = sum(4 if r == 3 else 3 for r in rows if r >= 3)
+            if owed <= l:
+                yield from place_col(pos, owed)
             return
-        remaining = n - pos - 1
-        for b in range(len(sizes)):
-            sizes[b] += 1
-            if not (2 <= sizes[b] <= 3 and sizes[b] + remaining < 4):
-                place(pos + 1)
-            sizes[b] -= 1
-        sizes.append(1)
-        place(pos + 1)
-        sizes.pop()
+        for b in range(len(rows)):
+            rows[b] += 1
+            code[pos] = b
+            yield from place_row(pos + 1)
+            rows[b] -= 1
+        code[pos] = len(rows)
+        rows.append(1)
+        cols.append(0)
+        yield from place_row(pos + 1)
+        rows.pop()
+        cols.pop()
 
-    place(0)
-    return total
+    def place_col(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
+        # invariant: owed <= m - pos, the columns still to place
+        if pos == m:
+            yield tuple(code)
+            return
+        tight = owed == m - pos
+        single = len(rows) == 1
+        for b in range(len(rows)):
+            r = rows[b]
+            if r < 3:
+                continue
+            c = cols[b]
+            pays = c < (4 if r == 3 else 3)
+            if (tight and not pays) or (c + 1 == l and not single):
+                continue
+            cols[b] = c + 1
+            code[pos] = b
+            yield from place_col(pos + 1, owed - 1 if pays else owed)
+            cols[b] = c
+        if tight or rows[0] == k:
+            return
+        code[pos] = len(rows)
+        rows.append(0)
+        cols.append(1)
+        yield from place_col(pos + 1, owed)
+        rows.pop()
+        cols.pop()
+
+    return place_row(0)
+
+
+def line_component_codes(n: int) -> Iterator[tuple[int, ...]]:
+    """RGS codes of the component partitions of the n lines, in RGS-lex
+    order: the codes `decomposition.line_component_partitions` keeps,
+    without visiting the partitions it drops.
+
+    Summed deficit: a block of size 2 still owes 2 lines and one of size 3
+    owes 1, and the lines left must cover what all blocks owe, since each
+    line joins exactly one block. A block of size n-1 is only visible once
+    every line is placed.
+    """
+    code = [0] * n
+    sizes: list[int] = []
+    owes = [0, 0, 2, 1] + [0] * n  # by block size
+
+    def place(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
+        # invariant: owed <= n - pos, the lines still to place
+        if pos == n:
+            if n - 1 not in sizes:
+                yield tuple(code)
+            return
+        left = n - pos - 1
+        for b in range(len(sizes)):
+            s = sizes[b]
+            after = owed - owes[s] + owes[s + 1]
+            if after <= left:
+                sizes[b] = s + 1
+                code[pos] = b
+                yield from place(pos + 1, after)
+                sizes[b] = s
+        if owed <= left:
+            code[pos] = len(sizes)
+            sizes.append(1)
+            yield from place(pos + 1, owed)
+            sizes.pop()
+
+    return place(0, 0)
 
 
 _METHODS = ("enumerate", "formula", "egf")
@@ -365,11 +387,10 @@ def grid_component_count(k: int, l: int, method: str = "enumerate") -> int:
     if method not in _METHODS:
         raise BadParams(f"method must be one of {_METHODS}")
     if method == "enumerate":
-        if k < 3 or l < 3:
-            raise RangeUnsupported("enumeration needs k, l >= 3")
+        codes = grid_component_codes(k, l)
         if k + l > GRID_COUNT_BUDGET:
             raise EnumerationBudgetExceeded("grid hyperplane count", k + l, GRID_COUNT_BUDGET)
-        return _count_grid_components_direct(k, l)
+        return sum(1 for _ in codes)
     if k < GRID_FORMULA_MIN or l < GRID_FORMULA_MIN:
         raise RangeUnsupported(f"method {method!r} needs k, l >= {GRID_FORMULA_MIN}")
     if method == "formula":
@@ -387,7 +408,7 @@ def line_component_count(n: int, method: str = "enumerate") -> int:
             raise RangeUnsupported("enumeration needs n >= 4")
         if n > LINE_COUNT_BUDGET:
             raise EnumerationBudgetExceeded("line count", n, LINE_COUNT_BUDGET)
-        return _count_line_components_direct(n)
+        return sum(1 for _ in line_component_codes(n))
     if n < LINE_FORMULA_MIN:
         raise RangeUnsupported(f"method {method!r} needs n >= {LINE_FORMULA_MIN}")
     if method == "formula":

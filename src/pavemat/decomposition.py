@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bitset import sort_key
 from .core import Matroid
-from .errors import BadParams, EnumerationBudgetExceeded, NotTame, TooFewLines
+from .counting import grid_component_codes, line_component_codes
+from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from .families import GridLayout, LineArrangement, grid_matroid, line_matroid
 from .partitions import blocks_to_rgs, iter_rgs, rgs_to_blocks
 from .paving import (
@@ -117,23 +118,23 @@ def liftability_oracle(p: PavingMatroid) -> LiftabilityVerdict:
         return LiftabilityVerdict(Liftability.LIFTABLE, "degree-one-collapse")
     if red.core.n != 3:
         # the grid and line verdicts are rank-3 facts
-        return LiftabilityVerdict(Liftability.UNKNOWN, "none")
+        return LiftabilityVerdict(Liftability.UNKNOWN, f"core-rank({red.core.n})")
     shape = _grid_core_shape(red.core)
     if shape is not None:
         a, b = shape
         if a == 3 and b == 3:
             return LiftabilityVerdict(Liftability.LIFTABLE, "grid-core(3,3)")
-        if min(a, b) >= 3:
-            if red.removed_degree0:
-                return LiftabilityVerdict(Liftability.UNKNOWN, "none")
-            return LiftabilityVerdict(Liftability.NOT_LIFTABLE, f"grid-core({a},{b})")
-        return LiftabilityVerdict(Liftability.UNKNOWN, "none")
+        if min(a, b) < 3:
+            return LiftabilityVerdict(Liftability.UNKNOWN, f"small-grid-core({a},{b})")
+        if red.removed_degree0:
+            return LiftabilityVerdict(Liftability.UNKNOWN, f"grid-core({a},{b})-behind-degree-0")
+        return LiftabilityVerdict(Liftability.NOT_LIFTABLE, f"grid-core({a},{b})")
     lines = _line_core_shape(red.core)
     if lines is not None:
         if red.removed_degree0:
-            return LiftabilityVerdict(Liftability.UNKNOWN, "none")
+            return LiftabilityVerdict(Liftability.UNKNOWN, f"line-core({lines})-behind-degree-0")
         return LiftabilityVerdict(Liftability.NOT_LIFTABLE, f"line-core({lines})")
-    return LiftabilityVerdict(Liftability.UNKNOWN, "none")
+    return LiftabilityVerdict(Liftability.UNKNOWN, "unrecognized-core")
 
 
 @dataclass(frozen=True)
@@ -291,17 +292,16 @@ def _decompose(
     hyp_masks: tuple[int, ...],
     d: int,
     level: int,
-    keep: Callable[[list[list[int]]], bool],
+    codes: Iterable[Sequence[int]],
     classify: bool,
 ) -> DecompositionResult:
+    """One report per partition code, in the order given."""
     base_sig = small_circuits(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key))))
     m = len(hyp_masks)
     reports: list[ComponentReport] = []
     seen_signatures: set[frozenset[int]] = set()
-    for code in iter_rgs(m):
+    for code in codes:
         blocks = rgs_to_blocks(code)
-        if not keep(blocks):
-            continue
         block_masks = tuple(tuple(hyp_masks[i] for i in block) for block in blocks)
         members = []
         for bm in block_masks:
@@ -312,7 +312,8 @@ def _decompose(
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
         matroid = quasi_matroid(rep)
         sig = small_circuits(rep)
-        assert sig not in seen_signatures, "distinct partitions merged to the same matroid"
+        if sig in seen_signatures:
+            raise InvariantViolated(f"partition {tuple(code)} merges to a matroid already listed")
         seen_signatures.add(sig)
         reports.append(
             ComponentReport(
@@ -326,15 +327,30 @@ def _decompose(
     return DecompositionResult(family, params, labels, hyp_masks, tuple(reports))
 
 
+def grid_listing(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
+    """The partition codes decompose_grid lists, after its argument checks."""
+    if k < 3 or l < 3:
+        raise BadParams(f"grid decomposition needs k, l >= 3, got {k}, {l}")
+    if k + l > budget:
+        raise EnumerationBudgetExceeded("grid hyperplane count", k + l, budget)
+    return grid_component_codes(k, l)
+
+
+def line_listing(n: int, *, budget: int = LINE_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
+    """The partition codes decompose_lines lists, after its argument checks."""
+    if n < 4:
+        raise TooFewLines(f"need at least 4 lines, got {n}")
+    if n > budget:
+        raise EnumerationBudgetExceeded("line count", n, budget)
+    return line_component_codes(n)
+
+
 def decompose_grid(
     k: int, l: int, *, budget: int = GRID_ENUM_BUDGET, classify: bool = True
 ) -> DecompositionResult:
     """Components of the k x l grid: one merged matroid per partition passing
     the closed-form test, in RGS-lex order."""
-    if k < 3 or l < 3:
-        raise BadParams(f"grid decomposition needs k, l >= 3, got {k}, {l}")
-    if k + l > budget:
-        raise EnumerationBudgetExceeded("grid hyperplane count", k + l, budget)
+    codes = grid_listing(k, l, budget=budget)
     grid_matroid(k, l)  # validates the base exists
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
@@ -346,7 +362,7 @@ def decompose_grid(
         hyp_masks,
         k * l,
         3,
-        lambda blocks: is_grid_component_partition(k, l, blocks),
+        codes,
         classify,
     )
 
@@ -355,10 +371,7 @@ def decompose_lines(
     n: int, *, budget: int = LINE_ENUM_BUDGET, classify: bool = True
 ) -> DecompositionResult:
     """Components of the n-line arrangement, in RGS-lex order."""
-    if n < 4:
-        raise TooFewLines(f"need at least 4 lines, got {n}")
-    if n > budget:
-        raise EnumerationBudgetExceeded("line count", n, budget)
+    codes = line_listing(n, budget=budget)
     line_matroid(n)  # validates the base exists
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
@@ -370,7 +383,7 @@ def decompose_lines(
         hyp_masks,
         arr.point_count,
         3,
-        lambda blocks: is_line_component_partition(n, blocks),
+        codes,
         classify,
     )
 

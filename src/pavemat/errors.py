@@ -135,3 +135,7 @@ class EnumerationBudgetExceeded(MatroidError):
 
 class RangeUnsupported(MatroidError):
     pass
+
+
+class InvariantViolated(MatroidError):
+    """An internal invariant failed: a bug in this library, not bad input."""

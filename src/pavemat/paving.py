@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, canonical_masks, sort_key
+from .bitset import as_mask, bits_tuple, canonical_masks, remap, sort_key, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import (
     DegenerateGround,
@@ -152,18 +152,9 @@ def hyperplane_submatroid(
     elements = bits_tuple(union)
     pos = {old: new for new, old in enumerate(elements)}
 
-    def compress(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            out |= 1 << pos[low.bit_length() - 1]
-        return out
-
     # validation cannot fail: sizes and pairwise bounds are inherited, and two
     # hyperplanes alone already span at least n+2 elements
-    sub = paving_from_hyperplanes(len(elements), p.n, [compress(l) for l in chosen])
+    sub = paving_from_hyperplanes(len(elements), p.n, [remap(l, pos) for l in chosen])
     return sub, elements
 
 
@@ -185,7 +176,7 @@ def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matr
     def materialize() -> tuple[int, ...]:
         small = []
         for l in hyps:
-            small.extend(_size_subsets(l, n))
+            small.extend(subsets_of_size(l, n))
         big = []
         for combo in combinations(range(p.d), n + 1):
             mask = 0
@@ -200,17 +191,6 @@ def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matr
     if estimate <= budget:
         return Matroid(p.d, rank, circuits=materialize(), origin="paving")
     return Matroid(p.d, rank, oracle=oracle, circuit_fn=None, origin="paving")
-
-
-def _size_subsets(mask: int, r: int) -> list[int]:
-    elems = bits_tuple(mask)
-    out = []
-    for combo in combinations(elems, r):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        out.append(m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -261,14 +241,5 @@ def degree_one_core(p: PavingMatroid) -> CoreReduction:
     elements = bits_tuple(alive)
     pos = {old: new for new, old in enumerate(elements)}
 
-    def compress(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            out |= 1 << pos[low.bit_length() - 1]
-        return out
-
-    core = _paving_relaxed(len(elements), p.n, tuple(compress(l) for l in hyps))
+    core = _paving_relaxed(len(elements), p.n, tuple(remap(l, pos) for l in hyps))
     return CoreReduction(core, elements, tuple(removed1), tuple(removed0))

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, sort_key
+from .bitset import as_mask, bits_tuple, remap, sort_key
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import (
     LevelTooSmall,
@@ -190,16 +190,7 @@ def quasi_deletion(rep: QuasiRep, z: int | Iterable[int]) -> tuple[QuasiRep, tup
     kept = tuple(e for e in range(rep.d) if not (z >> e) & 1)
     pos = {old: new for new, old in enumerate(kept)}
 
-    def compress(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            out |= 1 << pos[low.bit_length() - 1]
-        return out
-
-    new_members = tuple(sorted((compress(h & ~z) for h in rep.members), key=sort_key))
+    new_members = tuple(sorted((remap(h & ~z, pos) for h in rep.members), key=sort_key))
     return QuasiRep(len(kept), rep.n, new_members), kept
 
 
@@ -312,16 +303,7 @@ def decompose_to_tame(
     elements = bits_tuple(alive)
     pos = {old: new for new, old in enumerate(elements)}
 
-    def compress(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            out |= 1 << pos[low.bit_length() - 1]
-        return out
-
-    hyps = tuple(compress(h) for h in members if h.bit_count() >= n)
+    hyps = tuple(remap(h, pos) for h in members if h.bit_count() >= n)
     core = _paving_relaxed(len(elements), n, hyps)
     return TameDecomposition(core, elements, tuple(steps))
 
@@ -334,13 +316,7 @@ def replay_extensions(dec: TameDecomposition, d: int) -> Matroid:
     labels = list(dec.core_elements)
     for step in reversed(dec.steps):
         pos = {old: new for new, old in enumerate(labels)}
-        local_flat = 0
-        m = step.flat
-        while m:
-            low = m & -m
-            m ^= low
-            local_flat |= 1 << pos[low.bit_length() - 1]
-        current = principal_extension(current, local_flat)
+        current = principal_extension(current, remap(step.flat, pos))
         labels.append(step.element)
     if len(labels) != d:
         raise OutOfRange("replay did not restore the full ground set")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pavemat import grid_matroid, paving_to_matroid, quasi_rep, uniform
 from pavemat.cli import main
 from pavemat.io import (
@@ -214,3 +216,21 @@ def test_matroid_quasi_level_override(tmp_path, capsys):
     assert code == 0 and "rank: 3" in out
     code, out, _ = run(capsys, "matroid", "quasi", "--file", str(path), "--n", "4")
     assert code == 0 and "rank: 4" in out
+
+
+def test_budget_env_not_an_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("PAVEMAT_ENUM_BUDGET", "abc")
+    code, out, err = run(capsys, "decompose", "lines", "--n", "6")
+    assert code == 2 and out == ""
+    assert err == "error: PAVEMAT_ENUM_BUDGET must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("validate",), ("matroid", "quasi"), ("decompose-to-tame",)]
+)
+def test_malformed_json_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "broken.json"
+    path.write_text('{"d": 4,')
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)\n"

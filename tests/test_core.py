@@ -14,6 +14,7 @@ from pavemat import (
     quasi_matroid,
     uniform,
 )
+from pavemat.bitset import remap
 from pavemat.errors import (
     AxiomViolation,
     BadRank,
@@ -218,6 +219,12 @@ def test_brute_force_agreement():
             s = rng.randrange(1 << rep.d)
             assert m.rank(s) == brute_rank(circuits, s)
             assert m.closure(s) == brute_closure(circuits, s, rep.d)
+
+
+def test_remap_takes_a_sequence_or_a_dict():
+    assert remap(0, (3, 1)) == 0
+    assert remap(mask_of([0, 2]), (5, 0, 1)) == mask_of([5, 1])
+    assert remap(mask_of([70, 4]), {4: 0, 70: 130}) == mask_of([0, 130])
 
 
 def test_relabel_roundtrip():

@@ -14,10 +14,15 @@ from pavemat import (
     partition_count_series,
     vector_partitions,
 )
-from pavemat.counting import _exp_1d, grid_excluded_series
+from pavemat.counting import (
+    _exp_1d,
+    grid_component_codes,
+    grid_excluded_series,
+    line_component_codes,
+)
 from pavemat.decomposition import grid_component_partitions, line_component_partitions
-from pavemat.errors import RangeUnsupported
-from pavemat.partitions import iter_set_partitions
+from pavemat.errors import InvariantViolated, RangeUnsupported
+from pavemat.partitions import blocks_to_rgs, iter_set_partitions
 
 from helpers import set_partitions
 
@@ -188,8 +193,9 @@ def test_grid_count_enumerate_matches_plain_filter():
         for l in range(3, 7):
             if k + l > 10:
                 continue
-            plain = sum(1 for _ in grid_component_partitions(k, l))
-            assert grid_component_count(k, l, "enumerate") == plain
+            plain = [blocks_to_rgs(k + l, b) for b in grid_component_partitions(k, l)]
+            assert list(grid_component_codes(k, l)) == plain
+            assert grid_component_count(k, l, "enumerate") == len(plain)
 
 
 def test_grid_count_small_cases():
@@ -222,12 +228,19 @@ def test_line_count_formula_bound():
 
 
 def test_line_count_enumerate_matches_plain_filter():
-    for n in range(4, 10):
-        plain = sum(1 for _ in line_component_partitions(n))
-        assert line_component_count(n, "enumerate") == plain
+    for n in range(4, 11):
+        plain = [blocks_to_rgs(n, b) for b in line_component_partitions(n)]
+        assert list(line_component_codes(n)) == plain
+        assert line_component_count(n, "enumerate") == len(plain)
 
 
 def test_line_count_formula_identity():
     for n in range(5, 10):
         q = admissible_partition_count(n, forbidden_sizes({2, 3}))
         assert line_component_count(n, "formula") == q - n
+
+
+def test_egf_count_rejects_a_fractional_coefficient():
+    series = TruncatedEGF((1,), (Fraction(0), Fraction(1, 3)))
+    with pytest.raises(InvariantViolated):
+        series.count(1)

@@ -21,8 +21,13 @@ from pavemat import (
     paving_from_hyperplanes,
     paving_to_matroid,
 )
-from pavemat.errors import EnumerationBudgetExceeded, NotTame, TooFewLines
-from pavemat.partitions import iter_set_partitions
+from pavemat.decomposition import (
+    _decompose,
+    grid_component_partitions,
+    line_component_partitions,
+)
+from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
+from pavemat.partitions import blocks_to_rgs, iter_set_partitions
 
 from helpers import m1
 
@@ -104,7 +109,8 @@ def test_liftability_unknown_on_unrecognized_core():
     # core is neither a grid nor a single line arrangement
     qs2 = [l << 6 for l in QS]
     p = paving_from_hyperplanes(12, 3, QS + qs2)
-    assert liftability_oracle(p).status is Liftability.UNKNOWN
+    v = liftability_oracle(p)
+    assert v.status is Liftability.UNKNOWN and v.reason == "unrecognized-core"
 
 
 def test_grid_partition_conditions():
@@ -223,13 +229,24 @@ def test_signatures_pairwise_distinct():
 
 def test_component_counts_match_counting():
     for k, l in ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (3, 6), (4, 6), (3, 7), (5, 5), (4, 7), (3, 8), (5, 6)):
-        assert len(decompose_grid(k, l, classify=False).components) == grid_component_count(
-            k, l, "enumerate"
-        )
+        components = decompose_grid(k, l, classify=False).components
+        assert len(components) == grid_component_count(k, l, "enumerate")
+        plain = [blocks_to_rgs(k + l, b) for b in grid_component_partitions(k, l)]
+        assert [c.partition.rgs for c in components] == plain
     for n in (4, 5, 6, 7, 8):
-        assert len(decompose_lines(n, classify=False).components) == line_component_count(
-            n, "enumerate"
-        )
+        components = decompose_lines(n, classify=False).components
+        assert len(components) == line_component_count(n, "enumerate")
+        plain = [blocks_to_rgs(n, b) for b in line_component_partitions(n)]
+        assert [c.partition.rgs for c in components] == plain
+
+
+def test_repeated_partition_raises_instead_of_listing_twice():
+    layout = GridLayout(3, 4)
+    hyp_masks = layout.row_masks() + layout.col_masks()
+    labels = tuple(f"H{i}" for i in range(7))
+    code = (0, 1, 2, 3, 4, 5, 6)
+    with pytest.raises(InvariantViolated):
+        _decompose("grid", {}, labels, hyp_masks, 12, 3, [code, code], False)
 
 
 def test_order_and_rank_invariants():
