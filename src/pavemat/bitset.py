@@ -44,11 +44,28 @@ def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def subsets_of_size(mask: int, r: int) -> Iterator[int]:
-    for combo in combinations(bits_tuple(mask), r):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        yield m
+    """The r-subsets of mask in lexicographic order of their elements."""
+    return map(sum, combinations([1 << e for e in bits(mask)], r))
+
+
+def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list[int]:
+    """The r-subsets of ground holding fewer than t elements of each capped
+    mask, for every (mask, t) in caps, in lexicographic order.
+
+    Each cap's violators are generated directly, by fixing how many elements
+    they take from the mask, and dropped from one sweep over all r-subsets. A
+    set is generated at most once per cap it breaks, so the cost stays below
+    that of testing every cap on every r-subset.
+    """
+    violators: set[int] = set()
+    for mask, t in caps:
+        inside = mask & ground
+        outside = ground & ~mask
+        for size in range(t, min(inside.bit_count(), r) + 1):
+            rest = tuple(subsets_of_size(outside, r - size))
+            for part in subsets_of_size(inside, size):
+                violators.update(part | other for other in rest)
+    return [s for s in subsets_of_size(ground, r) if s not in violators]
 
 
 def remap(mask: int, table: Sequence[int] | Mapping[int, int]) -> int:

@@ -14,7 +14,6 @@ All objects are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Optional
 
@@ -142,14 +141,7 @@ class Matroid:
         r = self.rank_value
         if comb(self.d, r) > CIRCUIT_BUDGET:
             raise TooLarge("bases enumeration", f"C({self.d},{r}) too large")
-        out = []
-        for combo in combinations(range(self.d), r):
-            m = 0
-            for e in combo:
-                m |= 1 << e
-            if self.is_independent(m):
-                out.append(m)
-        return tuple(out)
+        return tuple(m for m in subsets_of_size((1 << self.d) - 1, r) if self.is_independent(m))
 
     def circuits(self, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
         if self._circuits is None:
@@ -166,10 +158,7 @@ class Matroid:
             raise TooLarge("circuit search", f"{total} candidate subsets")
         found: list[int] = []
         for r in range(1, self.rank_value + 2):
-            for combo in combinations(range(self.d), r):
-                m = 0
-                for e in combo:
-                    m |= 1 << e
+            for m in subsets_of_size((1 << self.d) - 1, r):
                 if self.is_independent(m):
                     continue
                 if any(c & m == c for c in found):
@@ -366,13 +355,7 @@ def uniform(n: int, d: int) -> Matroid:
     count = comb(d, n + 1)
     if count > CIRCUIT_BUDGET:
         return Matroid(d, n, oracle=lambda s: s.bit_count() <= n, origin="explicit")
-    circuits = []
-    for combo in combinations(range(d), n + 1):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        circuits.append(m)
-    return Matroid(d, n, circuits=tuple(circuits), origin="explicit")
+    return Matroid(d, n, circuits=tuple(subsets_of_size((1 << d) - 1, n + 1)), origin="explicit")
 
 
 def is_uniform(m: Matroid) -> Optional[tuple[int, int]]:
@@ -388,18 +371,11 @@ def is_uniform(m: Matroid) -> Optional[tuple[int, int]]:
     total = comb(d, r) + comb(d, r + 1)
     if total > CIRCUIT_BUDGET:
         raise TooLarge("uniformity check", f"{total} subsets")
-    for combo in combinations(range(d), r):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        if not m.is_independent(mask):
-            return None
-    for combo in combinations(range(d), r + 1):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        if m.is_independent(mask):
-            return None
+    ground = (1 << d) - 1
+    if not all(m.is_independent(s) for s in subsets_of_size(ground, r)):
+        return None
+    if any(m.is_independent(s) for s in subsets_of_size(ground, r + 1)):
+        return None
     return (r, d)
 
 

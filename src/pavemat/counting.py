@@ -33,6 +33,11 @@ LINE_FORMULA_MIN = 5
 GRID_COUNT_BUDGET = 16  # max k+l for the enumerate route
 LINE_COUNT_BUDGET = 12  # max n for the enumerate route
 
+# The formula route walks vector partitions, whose number grows like the
+# partition numbers; the egf route is polynomial and has no budget.
+GRID_FORMULA_BUDGET = 40  # max k+l for the formula route
+LINE_FORMULA_BUDGET = 60  # max n for the formula route
+
 Vector = tuple[int, ...]
 
 
@@ -394,6 +399,8 @@ def grid_component_count(k: int, l: int, method: str = "enumerate") -> int:
     if k < GRID_FORMULA_MIN or l < GRID_FORMULA_MIN:
         raise RangeUnsupported(f"method {method!r} needs k, l >= {GRID_FORMULA_MIN}")
     if method == "formula":
+        if k + l > GRID_FORMULA_BUDGET:
+            raise EnumerationBudgetExceeded("grid formula", k + l, GRID_FORMULA_BUDGET)
         return admissible_partition_count((k, l), grid_forbidden()) - grid_excluded_count(k, l)
     series = partition_count_series(grid_forbidden(), (k, l)) - grid_excluded_series((k, l))
     return series.count((k, l))
@@ -412,6 +419,8 @@ def line_component_count(n: int, method: str = "enumerate") -> int:
     if n < LINE_FORMULA_MIN:
         raise RangeUnsupported(f"method {method!r} needs n >= {LINE_FORMULA_MIN}")
     if method == "formula":
+        if n > LINE_FORMULA_BUDGET:
+            raise EnumerationBudgetExceeded("line formula", n, LINE_FORMULA_BUDGET)
         return admissible_partition_count(n, forbidden_sizes({2, 3})) - n
     series = partition_count_series(forbidden_sizes({2, 3}), n)
     # subtract the series of the n partitions with an (n-1)-block: x e^x

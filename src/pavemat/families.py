@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import canonical_masks, sort_key
+from .bitset import canonical_masks, sort_key, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import BadParams, DegenerateGround, HypothesisViolated, TooFewLines
 from .paving import PavingMatroid, paving_from_hyperplanes
@@ -53,18 +53,10 @@ def ci_hypergraph(k: int, l: int, s: int, t: int) -> tuple[int, ...]:
         raise BadParams(f"need 1 <= s <= k and 1 <= t <= l, got s={s}, k={k}, t={t}, l={l}")
     grid = GridLayout(k, l)
     out: set[int] = set()
-    for i in range(k):
-        for combo in combinations(range(l), t):
-            m = 0
-            for j in combo:
-                m |= 1 << grid.cell(i, j)
-            out.add(m)
-    for j in range(l):
-        for combo in combinations(range(k), s):
-            m = 0
-            for i in combo:
-                m |= 1 << grid.cell(i, j)
-            out.add(m)
+    for row in grid.row_masks():
+        out.update(subsets_of_size(row, t))
+    for col in grid.col_masks():
+        out.update(subsets_of_size(col, s))
     return canonical_masks(out)
 
 
@@ -99,18 +91,8 @@ def ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
                 return False
             members = by_size[b]
             if comb(size, b) <= len(members):
-                elems = []
-                m = mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    elems.append(low.bit_length() - 1)
-                for combo in combinations(elems, b):
-                    sub = 0
-                    for e in combo:
-                        sub |= 1 << e
-                    if sub in members:
-                        return True
+                if any(sub in members for sub in subsets_of_size(mask, b)):
+                    return True
             else:
                 if any(e & mask == e for e in members):
                     return True
@@ -126,14 +108,8 @@ def ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
     def materialize() -> tuple[int, ...]:
         if comb(d, n + 1) > CIRCUIT_BUDGET:
             raise BadParams(f"too many circuits to materialize for d={d}, n={n}")
-        big = []
-        for combo in combinations(range(d), n + 1):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if not contains_edge(mask):
-                big.append(mask)
-        return tuple(sorted(minimal, key=sort_key) + sorted(big, key=sort_key))
+        big = [mask for mask in subsets_of_size((1 << d) - 1, n + 1) if not contains_edge(mask)]
+        return tuple(sorted(minimal, key=sort_key) + big)
 
     m = Matroid(d, 0, oracle=oracle, circuit_fn=materialize, origin="explicit")
     m.rank_value = m.rank()

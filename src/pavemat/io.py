@@ -21,12 +21,21 @@ def mask_to_labels(mask: int) -> list[int]:
 
 
 def labels_to_mask(labels: Iterable[int], d: int) -> int:
+    if not isinstance(labels, (list, tuple)):
+        raise BadParams(f"expected a list of labels, got {labels!r}")
     out = []
     for x in labels:
         if not isinstance(x, int) or x < 1 or x > d:
             raise OutOfRange(f"label {x!r} outside 1..{d}")
         out.append(x - 1)
     return mask_of(out)
+
+
+def _label_lists(key: str, lists, d: int) -> list[int]:
+    """The masks of a file's list of label lists, stored under key."""
+    if not isinstance(lists, (list, tuple)):
+        raise BadParams(f"{key} must be a list of label lists, got {lists!r}")
+    return [labels_to_mask(labels, d) for labels in lists]
 
 
 def matroid_to_dict(m: Matroid, *, include_circuits: bool = True) -> dict:
@@ -47,7 +56,7 @@ def matroid_from_dict(obj: dict, *, validate: bool = True) -> Matroid:
         circuits = obj["circuits"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"matroid file needs d, rank, circuits: {exc}")
-    masks = [labels_to_mask(c, d) for c in circuits]
+    masks = _label_lists("circuits", circuits, d)
     return matroid_from_circuits(
         d, int(declared) if declared is not None else None, masks, validate=validate
     )
@@ -68,7 +77,7 @@ def paving_from_dict(obj: dict) -> PavingMatroid:
         hyps = obj["hyperplanes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"paving file needs d, n, hyperplanes: {exc}")
-    return paving_from_hyperplanes(d, n, [labels_to_mask(l, d) for l in hyps])
+    return paving_from_hyperplanes(d, n, _label_lists("hyperplanes", hyps, d))
 
 
 def quasi_to_dict(rep: QuasiRep) -> dict:
@@ -82,7 +91,7 @@ def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:
         members = obj["H"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"hypergraph file needs d, n, H: {exc}")
-    return quasi_rep(d, n, [labels_to_mask(h, d) for h in members])
+    return quasi_rep(d, n, _label_lists("H", members, d))
 
 
 def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool = False) -> dict:

@@ -9,11 +9,18 @@ containing none of those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, canonical_masks, remap, sort_key, subsets_of_size
+from .bitset import (
+    as_mask,
+    bits_tuple,
+    canonical_masks,
+    capped_subsets,
+    remap,
+    sort_key,
+    subsets_of_size,
+)
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import (
     DegenerateGround,
@@ -177,14 +184,8 @@ def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matr
         small = []
         for l in hyps:
             small.extend(subsets_of_size(l, n))
-        big = []
-        for combo in combinations(range(p.d), n + 1):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if all((mask & l).bit_count() <= n - 1 for l in hyps):
-                big.append(mask)
-        return tuple(sorted(small, key=sort_key) + sorted(big, key=sort_key))
+        big = capped_subsets(p.ground_mask, n + 1, [(l, n) for l in hyps])
+        return tuple(sorted(small, key=sort_key) + big)
 
     estimate = sum(comb(l.bit_count(), n) for l in hyps) + comb(p.d, n + 1)
     rank = min(n, p.d)

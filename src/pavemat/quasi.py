@@ -16,11 +16,10 @@ construction, the reduction to that core, and its replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, remap, sort_key
+from .bitset import as_mask, bits_tuple, capped_subsets, remap, sort_key, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import (
     LevelTooSmall,
@@ -103,6 +102,40 @@ def _independence_oracle(members: tuple[int, ...], n: int) -> Callable[[int], bo
     return oracle
 
 
+def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The cells of a tame representation as (size, cap, owners): the elements
+    in no member, each member's private part, and each nonempty pairwise
+    intersection, with the indices of the members holding the cell. No element
+    lies in three members, so the cells partition the ground set. A type-3
+    circuit takes at most cap elements from a cell: an intersection holds no
+    type-1 circuit, so at most n-2 of its elements."""
+    n, members = rep.n, rep.members
+    seen = twice = 0
+    for h in members:
+        twice |= seen & h
+        seen |= h
+    cells = [(rep.d - seen.bit_count(), n + 1, ())]
+    for i, h in enumerate(members):
+        cells.append(((h & ~twice).bit_count(), n + 1, (i,)))
+        for j in range(i + 1, len(members)):
+            size = (h & members[j]).bit_count()
+            if size:
+                cells.append((size, n - 2, (i, j)))
+    return cells
+
+
+def _truncated_product(polys: Iterable[list[int]], top: int) -> list[int]:
+    """Coefficients 0..top of the product of the polynomials."""
+    out = [1] + [0] * top
+    for p in polys:
+        new = [0] * (top + 1)
+        for t, a in enumerate(p):
+            for s in range(top + 1 - t):
+                new[s + t] += a * out[s]
+        out = new
+    return out
+
+
 def small_circuits(rep: QuasiRep) -> frozenset[int]:
     """The circuits of size <= n (types 1 and 2). Together with the level these
     determine the whole dependence predicate, since type 3 is definitionally
@@ -110,40 +143,41 @@ def small_circuits(rep: QuasiRep) -> frozenset[int]:
     exactly when these sets (and d, n) agree."""
     n = rep.n
     pairs = _qualifying_pairs(rep.members, n)
+    caps = [(pm, n - 1) for pm in pairs]
     out: set[int] = set()
     for pm in pairs:
-        for combo in combinations(bits_tuple(pm), n - 1):
-            m = 0
-            for e in combo:
-                m |= 1 << e
-            out.add(m)
+        out.update(subsets_of_size(pm, n - 1))
     for h in rep.members:
-        if h.bit_count() < n:
-            continue
-        for combo in combinations(bits_tuple(h), n):
-            m = 0
-            for e in combo:
-                m |= 1 << e
-            if not any((m & pm).bit_count() >= n - 1 for pm in pairs):
-                out.add(m)
+        out.update(capped_subsets(h, n, caps))
     return frozenset(out)
 
 
 def type3_count(rep: QuasiRep) -> int:
-    """Number of (n+1)-circuits, counted without materializing them all."""
+    """Number of (n+1)-circuits, in closed form over the cells.
+
+    An (n+1)-set within every cell's cap is a type-3 circuit unless it holds n
+    or more elements of some member. Counting sets by how many elements they
+    take from each cell is a product of truncated binomial polynomials
+    (Flajolet-Sedgewick, Analytic Combinatorics, ch. II), so the sets within
+    the caps are a coefficient of the product over all cells, and those with
+    n or n+1 elements in member H a sum of products of coefficients over the
+    cells inside and outside H. Two members holding n elements each would
+    share n-1 of them, above the cap of their intersection, so these member
+    events are disjoint and are subtracted one by one.
+    """
     n = rep.n
-    pairs = _qualifying_pairs(rep.members, n)
-    big = tuple(h for h in rep.members if h.bit_count() >= n)
-    count = 0
-    for combo in combinations(range(rep.d), n + 1):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        if any((mask & pm).bit_count() >= n - 1 for pm in pairs):
+    top = n + 1
+    cells = [
+        (owners, [comb(size, t) for t in range(min(size, cap) + 1)])
+        for size, cap, owners in _cells(rep)
+    ]
+    count = _truncated_product((p for _, p in cells), top)[top]
+    for i, h in enumerate(rep.members):
+        if h.bit_count() < n:
             continue
-        if any((mask & h).bit_count() >= n for h in big):
-            continue
-        count += 1
+        inside = _truncated_product((p for owners, p in cells if i in owners), top)
+        outside = _truncated_product((p for owners, p in cells if i not in owners), top)
+        count -= inside[n] * outside[1] + inside[n + 1] * outside[0]
     return count
 
 
@@ -163,18 +197,8 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
         if estimate > budget:
             raise TooLarge("circuit materialization", f"about {estimate} candidates")
         small = sorted(small_circuits(rep), key=sort_key)
-        big_members = tuple(h for h in rep.members if h.bit_count() >= n)
-        big = []
-        for combo in combinations(range(rep.d), n + 1):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if any((mask & pm).bit_count() >= n - 1 for pm in pairs):
-                continue
-            if any((mask & h).bit_count() >= n for h in big_members):
-                continue
-            big.append(mask)
-        return tuple(small + big)
+        caps = [(pm, n - 1) for pm in pairs] + [(h, n) for h in rep.members]
+        return tuple(small + capped_subsets((1 << rep.d) - 1, n + 1, caps))
 
     m = Matroid(rep.d, 0, oracle=oracle, circuit_fn=materialize, origin="quasi-rep")
     m.rank_value = m.rank()

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator
 
 from pavemat import QuasiRep, quasi_rep
-from pavemat.bitset import mask_of
+from pavemat.bitset import mask_of, sort_key
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 
 
@@ -55,6 +55,64 @@ def brute_closure(circuits: tuple[int, ...], s: int, d: int) -> int:
     return out
 
 
+def _qualifying_pairs(rep: QuasiRep) -> list[int]:
+    return [a & b for a, b in combinations(rep.members, 2) if (a & b).bit_count() >= rep.n - 1]
+
+
+def brute_small_circuits(rep: QuasiRep) -> frozenset[int]:
+    """Types 1 and 2 by testing every (n-1)-subset of each qualifying pair and
+    every n-subset of each member against the type-1 sets."""
+    n = rep.n
+    pairs = _qualifying_pairs(rep)
+    out: set[int] = set()
+    for pm in pairs:
+        elems = [e for e in range(rep.d) if (pm >> e) & 1]
+        out.update(mask_of(c) for c in combinations(elems, n - 1))
+    for h in rep.members:
+        elems = [e for e in range(rep.d) if (h >> e) & 1]
+        for combo in combinations(elems, n):
+            m = mask_of(combo)
+            if not any((m & pm).bit_count() >= n - 1 for pm in pairs):
+                out.add(m)
+    return frozenset(out)
+
+
+def brute_type3_circuits(rep: QuasiRep) -> list[int]:
+    """Type 3 by testing every (n+1)-subset of the ground set, in
+    lexicographic order."""
+    n = rep.n
+    pairs = _qualifying_pairs(rep)
+    out = []
+    for combo in combinations(range(rep.d), n + 1):
+        m = mask_of(combo)
+        if any((m & pm).bit_count() >= n - 1 for pm in pairs):
+            continue
+        if any((m & h).bit_count() >= n for h in rep.members):
+            continue
+        out.append(m)
+    return out
+
+
+def brute_quasi_circuits(rep: QuasiRep) -> tuple[int, ...]:
+    return tuple(sorted(brute_small_circuits(rep), key=sort_key)) + tuple(brute_type3_circuits(rep))
+
+
+def brute_paving_circuits(p: PavingMatroid) -> tuple[int, ...]:
+    """n-subsets of the hyperplanes, then every (n+1)-subset holding at most
+    n-1 elements of each hyperplane."""
+    n = p.n
+    small = set()
+    for l in p.hyperplanes:
+        elems = [e for e in range(p.d) if (l >> e) & 1]
+        small.update(mask_of(c) for c in combinations(elems, n))
+    big = [
+        mask_of(c)
+        for c in combinations(range(p.d), n + 1)
+        if all((mask_of(c) & l).bit_count() <= n - 1 for l in p.hyperplanes)
+    ]
+    return tuple(sorted(small, key=sort_key)) + tuple(big)
+
+
 def random_quasi_rep(rng: random.Random, max_d: int = 12) -> QuasiRep:
     """A valid representation built constructively: each element is dealt into
     at most two member slots, so no triple intersection can appear."""
@@ -67,6 +125,26 @@ def random_quasi_rep(rng: random.Random, max_d: int = 12) -> QuasiRep:
         for i in picks:
             members[i] |= 1 << e
     return quasi_rep(d, n, [m for m in members if m])
+
+
+def random_tame_rep(rng: random.Random, max_d: int = 12) -> QuasiRep:
+    """Like random_quasi_rep, but also with levels up to 5, levels above d,
+    ground sets down to 0, empty members, no members at all, and a member
+    repeated (the copy takes the original's private elements only, so it
+    stays tame)."""
+    d = rng.randint(0, max_d)
+    n = rng.randint(2, 5)
+    members = [0] * rng.randint(0, 4)
+    for e in range(d):
+        for i in rng.sample(range(len(members)), min(len(members), rng.choice((0, 1, 1, 2, 2)))):
+            members[i] |= 1 << e
+    if members and rng.random() < 0.3:
+        h = members[0]
+        for other in members[1:]:
+            h &= ~other
+        members[0] = h
+        members.append(h)
+    return quasi_rep(d, n, members)
 
 
 def random_full_rank_rep(rng: random.Random, max_d: int = 10) -> QuasiRep:

@@ -234,3 +234,27 @@ def test_malformed_json_exit_1(tmp_path, capsys, command):
     code, out, err = run(capsys, *command, "--file", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {path}: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)\n"
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        (("decompose-to-tame",), {"d": 4, "n": 3, "H": 5}, "error: H must be a list of label lists, got 5\n"),
+        (("matroid", "quasi"), {"d": 4, "n": 3, "H": [5]}, "error: expected a list of labels, got 5\n"),
+        (("validate",), {"d": 4, "rank": 2, "circuits": [3]}, "INVALID: expected a list of labels, got 3\n"),
+    ],
+)
+def test_badly_shaped_lists_exit_1(tmp_path, capsys, command, obj, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == message
+
+
+def test_formula_budget_exit_1(capsys):
+    code, out, err = run(capsys, "count", "lines", "--n", "90", "--method", "formula")
+    assert code == 1 and out == ""
+    assert err == "error: budget 'line formula': requested 90 exceeds limit 60 (override to proceed)\n"
+    code, out, _ = run(capsys, "count", "lines", "--n", "90", "--method", "egf")
+    assert code == 0 and int(out) > 0

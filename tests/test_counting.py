@@ -14,6 +14,7 @@ from pavemat import (
     partition_count_series,
     vector_partitions,
 )
+from pavemat import counting
 from pavemat.counting import (
     _exp_1d,
     grid_component_codes,
@@ -21,7 +22,7 @@ from pavemat.counting import (
     line_component_codes,
 )
 from pavemat.decomposition import grid_component_partitions, line_component_partitions
-from pavemat.errors import InvariantViolated, RangeUnsupported
+from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 from pavemat.partitions import blocks_to_rgs, iter_set_partitions
 
 from helpers import set_partitions
@@ -244,3 +245,25 @@ def test_egf_count_rejects_a_fractional_coefficient():
     series = TruncatedEGF((1,), (Fraction(0), Fraction(1, 3)))
     with pytest.raises(InvariantViolated):
         series.count(1)
+
+
+def test_formula_budgets(monkeypatch):
+    for count, args, name, value, limit in (
+        (grid_component_count, (21, 20), "grid formula", 41, 40),
+        (line_component_count, (61,), "line formula", 61, 60),
+    ):
+        with pytest.raises(EnumerationBudgetExceeded) as err:
+            count(*args, "formula")
+        assert (err.value.budget_name, err.value.value, err.value.limit) == (name, value, limit)
+    # the limits are inclusive; lowered here so the runs at the limit stay quick
+    monkeypatch.setattr(counting, "GRID_FORMULA_BUDGET", 9)
+    monkeypatch.setattr(counting, "LINE_FORMULA_BUDGET", 6)
+    assert grid_component_count(4, 5, "formula") == 22
+    assert line_component_count(6, "formula") == 17
+    with pytest.raises(EnumerationBudgetExceeded):
+        grid_component_count(5, 5, "formula")
+    with pytest.raises(EnumerationBudgetExceeded):
+        line_component_count(7, "formula")
+    # the egf route is polynomial and stays unbudgeted
+    assert grid_component_count(5, 5, "egf") == 127
+    assert line_component_count(7, "egf") == 58

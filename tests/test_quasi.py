@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -10,6 +12,7 @@ from pavemat import (
     mask_of,
     matroid_from_circuits,
     pairwise_intersection_flats,
+    paving_to_matroid,
     principal_extension,
     quasi_deletion,
     quasi_matroid,
@@ -19,8 +22,19 @@ from pavemat import (
 )
 from pavemat.bitset import bits_tuple
 from pavemat.errors import LevelTooSmall, NotAFlat, RankDeficient, TripleIntersection
+from pavemat.quasi import type3_count
 
-from helpers import m1, random_full_rank_rep, random_quasi_rep
+from helpers import (
+    brute_paving_circuits,
+    brute_quasi_circuits,
+    brute_small_circuits,
+    brute_type3_circuits,
+    m1,
+    random_full_rank_rep,
+    random_paving,
+    random_quasi_rep,
+    random_tame_rep,
+)
 
 # the two worked examples: hypergraphs on [9] and [7] at level 3
 REP_A = lambda: quasi_rep(9, 3, [m1(1, 2, 3, 7, 8), m1(1, 5, 6, 7, 9), m1(2, 4, 6, 9), m1(3, 4, 5, 8)])
@@ -272,3 +286,52 @@ def test_principal_extension_preserves_rank_and_basis_count():
     assert old <= new
     swaps = {(lam ^ (1 << e)) | (1 << 5) for lam in old for e in bits_tuple(lam & flat)}
     assert new == old | swaps
+
+
+def _family_component_reps():
+    """The merged representation of every component of the small grids and
+    line arrangements."""
+    from pavemat import decompose_grid, decompose_lines
+
+    results = [decompose_grid(k, l, classify=False) for k, l in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
+    results += [decompose_lines(n, classify=False) for n in range(4, 8)]
+    for res in results:
+        for report in res.components:
+            members = [reduce(or_, block) for block in report.block_masks]
+            yield quasi_rep(report.matroid.d, 3, members)
+
+
+def _random_tame_reps(seed, count):
+    rng = random.Random(seed)
+    return [random_tame_rep(rng) for _ in range(count)]
+
+
+def test_random_tame_reps_cover_the_edge_cases():
+    reps = _random_tame_reps(67, 400)
+    assert {rep.n for rep in reps} == {2, 3, 4, 5}
+    assert any(not rep.members for rep in reps)
+    assert any(0 in rep.members for rep in reps)
+    assert any(rep.n > rep.d for rep in reps)
+    assert any(len(set(rep.members)) < len(rep.members) for rep in reps if 0 not in rep.members)
+
+
+def test_type3_count_matches_brute_force():
+    for rep in [*_random_tame_reps(67, 400), *_family_component_reps()]:
+        assert type3_count(rep) == len(brute_type3_circuits(rep)), rep
+
+
+def test_small_circuits_match_brute_force():
+    for rep in [*_random_tame_reps(71, 400), *_family_component_reps()]:
+        assert small_circuits(rep) == brute_small_circuits(rep), rep
+
+
+def test_quasi_circuits_match_brute_force_in_order():
+    for rep in [*_random_tame_reps(73, 300), *_family_component_reps()]:
+        assert quasi_matroid(rep).circuits() == brute_quasi_circuits(rep), rep
+
+
+def test_paving_circuits_match_brute_force_in_order():
+    rng = random.Random(79)
+    for _ in range(150):
+        p = random_paving(rng)
+        assert paving_to_matroid(p).circuits() == brute_paving_circuits(p), p
