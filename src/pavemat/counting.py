@@ -5,19 +5,21 @@
 * formula: multinomial-weighted sums over vector partitions avoiding the
   forbidden block profiles, minus the closed-form count of partitions whose
   one big block swallows all rows or all columns;
-* egf: coefficient extraction from truncated exponential generating functions
-  over exact rationals.
+* egf: coefficient extraction from truncated exponential generating
+  functions, computed as integer counts by the labelled-exp recurrence and
+  turned into exact rationals only where a TruncatedEGF is built.
 
 Everything here is exact: ints and Fractions only, no floats.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
-from math import factorial
-from typing import Callable, Iterable, Iterator
+from math import factorial, prod
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 
@@ -34,9 +36,16 @@ GRID_COUNT_BUDGET = 16  # max k+l for the enumerate route
 LINE_COUNT_BUDGET = 12  # max n for the enumerate route
 
 # The formula route walks vector partitions, whose number grows like the
-# partition numbers; the egf route is polynomial and has no budget.
+# partition numbers.
 GRID_FORMULA_BUDGET = 40  # max k+l for the formula route
 LINE_FORMULA_BUDGET = 60  # max n for the formula route
+
+# The egf route is polynomial: about (k*l)^2 big-int products on the grid,
+# most for k = l at a given k+l, and n^2 on the lines. At either limit
+# (grid 60x60, lines 800) a run takes about a second on a 2-core Xeon VM
+# with Python 3.11.
+GRID_EGF_BUDGET = 120  # max k+l for the egf route
+LINE_EGF_BUDGET = 800  # max n for the egf route
 
 Vector = tuple[int, ...]
 
@@ -48,6 +57,10 @@ class ForbiddenProfiles:
 
     dim: int
     forbids: Callable[[Vector], bool]
+
+    def __post_init__(self) -> None:
+        if self.dim not in (1, 2):
+            raise BadParams(f"profiles have dimension 1 or 2, not {self.dim}")
 
     def allows(self, v: Vector) -> bool:
         return any(v) and not self.forbids(v)
@@ -85,28 +98,60 @@ def _boxed_vectors(bound: Vector) -> list[Vector]:
     return [v for v in out if any(v)]
 
 
+def _weighted_partitions(
+    tgt: Vector, forbidden: ForbiddenProfiles
+) -> Iterator[tuple[tuple | None, int]]:
+    """Each multiset of allowed nonzero vectors summing to tgt, once, as
+    (path, denom). path links the (vector, multiplicity) choices from the
+    smallest part back to the largest, (v, m, rest) down to None; denom is
+    the product of v!^m * m! over them, v! being the product of the
+    factorials of v's coordinates.
+
+    Vectors are taken as (a, b) pairs, b = 0 in dimension 1, in decreasing
+    lexicographic order, each with its whole multiplicity at once. So the
+    parts with a above what remains form a prefix, which bisect skips, and a
+    choice that leaves a coordinate no later part can fill is not followed.
+    """
+    vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
+    pairs = [(v[0], v[1] if forbidden.dim == 2 else 0) for v in vecs]
+    facts = [factorial(a) * factorial(b) for a, b in pairs]
+    neg_a = [-a for a, _ in pairs]  # ascending, for bisect
+    n_a = sum(1 for a, _ in pairs if a)  # the parts with a > 0 come first
+    last_b = max((i for i, (_, b) in enumerate(pairs) if b), default=-1)
+
+    def rec(ra: int, rb: int, start: int, path, denom: int) -> Iterator[tuple[tuple | None, int]]:
+        if not ra and not rb:
+            yield path, denom
+            return
+        for idx in range(max(start, bisect_left(neg_a, -ra)), len(pairs)):
+            a, b = pairs[idx]
+            if b > rb:
+                continue
+            v, f = vecs[idx], facts[idx]
+            fill_a, fill_b = idx + 1 < n_a, idx < last_b
+            m, d, ma, mb = 1, denom * f, ra - a, rb - b
+            while ma >= 0 and mb >= 0:
+                if (fill_a or not ma) and (fill_b or not mb):
+                    yield from rec(ma, mb, idx + 1, (v, m, path), d)
+                m += 1
+                d *= f * m
+                ma -= a
+                mb -= b
+
+    return rec(tgt[0], tgt[1] if forbidden.dim == 2 else 0, 0, None, 1)
+
+
 def vector_partitions(
     target: int | Vector, forbidden: ForbiddenProfiles
 ) -> Iterator[tuple[Vector, ...]]:
     """Multisets of allowed nonzero vectors summing to the target, each yielded
     once with parts in decreasing lexicographic order."""
-    tgt = _as_vector(target, forbidden.dim)
-    parts = sorted(
-        (v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True
-    )
-
-    def rec(remaining: Vector, start: int) -> Iterator[tuple[Vector, ...]]:
-        if not any(remaining):
-            yield ()
-            return
-        for idx in range(start, len(parts)):
-            v = parts[idx]
-            if all(x <= r for x, r in zip(v, remaining)):
-                rest = tuple(r - x for r, x in zip(remaining, v))
-                for tail in rec(rest, idx):
-                    yield (v,) + tail
-
-    return rec(tgt, 0)
+    for path, _ in _weighted_partitions(_as_vector(target, forbidden.dim), forbidden):
+        parts: list[Vector] = []
+        while path:
+            v, m, path = path
+            parts += [v] * m
+        yield tuple(reversed(parts))
 
 
 def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfiles) -> int:
@@ -117,18 +162,9 @@ def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfile
     prod multiplicity!) labeled set partitions.
     """
     tgt = _as_vector(target, forbidden.dim)
-    numer = 1
-    for x in tgt:
-        numer *= factorial(x)
+    numer = prod(factorial(x) for x in tgt)
     total = 0
-    for parts in vector_partitions(tgt, forbidden):
-        denom = 1
-        for v, group in groupby(parts):
-            mult = len(list(group))
-            vfact = 1
-            for x in v:
-                vfact *= factorial(x)
-            denom *= vfact**mult * factorial(mult)
+    for _, denom in _weighted_partitions(tgt, forbidden):
         q, r = divmod(numer, denom)
         if r:
             raise InvariantViolated(f"multinomial {numer}/{denom} is not an integer")
@@ -182,36 +218,49 @@ class TruncatedEGF:
         )
 
 
-def _exp_1d(alpha: list[Fraction], bound: int) -> list[Fraction]:
-    """exp of a truncated series with zero constant term, via the derivative
-    recurrence j e_j = sum_{i<=j} i a_i e_{j-i}."""
-    e = [Fraction(0)] * (bound + 1)
-    e[0] = Fraction(1)
-    for j in range(1, bound + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            if alpha[i]:
-                acc += i * alpha[i] * e[j - i]
-        e[j] = acc / j
-    return e
+def _binomials(top: int) -> list[list[int]]:
+    """Rows 0..top of Pascal's triangle."""
+    rows = [[1]]
+    for _ in range(top):
+        prev = rows[-1]
+        rows.append([1, *map(add, prev, prev[1:]), 1])
+    return rows
 
 
-def _exp_2d(alpha: dict[Vector, Fraction], bounds: Vector) -> list[list[Fraction]]:
-    """2-D analogue: the x-derivative recurrence fills columns a >= 1, and the
-    a = 0 line is a 1-D exp in y."""
+def _exp_1d(weights: Sequence[int], bound: int) -> list[int]:
+    """c_n = n! [x^n] exp(sum_{i>=1} weights[i] x^i / i!) for n <= bound.
+    Splitting off the block that holds the first element gives
+    c_n = sum_i C(n-1, i-1) weights[i] c_(n-i)."""
+    binom = _binomials(bound)
+    terms = [(i, w) for i, w in enumerate(weights[1 : bound + 1], 1) if w]
+    sizes = [i for i, _ in terms]
+    c = [1] + [0] * bound
+    for n in range(1, bound + 1):
+        row = binom[n - 1]
+        c[n] = sum(row[i - 1] * w * c[n - i] for i, w in terms[: bisect_right(sizes, n)])
+    return c
+
+
+def _exp_2d(weights: Mapping[Vector, int], bounds: Vector) -> list[list[int]]:
+    """c(a, b) = a! b! [x^a y^b] exp(sum w_(i,j) x^i y^j / (i! j!)) within the
+    bounds. The a = 0 line is the 1-D exp in y. For a >= 1 the block that
+    holds the first x-element takes i-1 of the other a-1 and j of the b
+    y-elements: c(a, b) = sum C(a-1, i-1) C(b, j) w_(i,j) c(a-i, b-j)."""
     b1, b2 = bounds
-    e = [[Fraction(0)] * (b2 + 1) for _ in range(b1 + 1)]
-    col0 = [alpha.get((0, j), Fraction(0)) for j in range(b2 + 1)]
-    e[0] = _exp_1d(col0, b2)
-    terms = [(i, j, c) for (i, j), c in alpha.items() if i >= 1 and c]
+    binom = _binomials(max(b1, b2))
+    c = [_exp_1d([weights.get((0, j), 0) for j in range(b2 + 1)], b2)]
+    terms = sorted((j, i, w) for (i, j), w in weights.items() if 1 <= i <= b1 and j <= b2 and w)
     for a in range(1, b1 + 1):
+        # the parts with at most a x-elements, by y-count, with their x-binomial
+        choose = binom[a - 1]
+        fit = [(j, choose[i - 1] * w, c[a - i]) for j, i, w in terms if i <= a]
+        cols = [j for j, _, _ in fit]
+        row = []
         for b in range(b2 + 1):
-            acc = Fraction(0)
-            for i, j, c in terms:
-                if i <= a and j <= b:
-                    acc += i * c * e[a - i][b - j]
-            e[a][b] = acc / a
-    return e
+            cb = binom[b]
+            row.append(sum(t * cb[j] * prev[b - j] for j, t, prev in fit[: bisect_right(cols, b)]))
+        c.append(row)
+    return c
 
 
 def partition_count_series(forbidden: ForbiddenProfiles, bounds: int | Vector) -> TruncatedEGF:
@@ -219,19 +268,18 @@ def partition_count_series(forbidden: ForbiddenProfiles, bounds: int | Vector) -
     exp of sum x^m / m! over the allowed profiles m within the bounds."""
     bnd = _as_vector(bounds, forbidden.dim)
     if forbidden.dim == 1:
-        alpha = [Fraction(0)] * (bnd[0] + 1)
-        for m in range(1, bnd[0] + 1):
-            if forbidden.allows((m,)):
-                alpha[m] = Fraction(1, factorial(m))
-        return TruncatedEGF(bnd, tuple(_exp_1d(alpha, bnd[0])))
-    alpha2: dict[Vector, Fraction] = {}
-    for v in _boxed_vectors(bnd):
-        if forbidden.allows(v):
-            f = 1
-            for x in v:
-                f *= factorial(x)
-            alpha2[v] = Fraction(1, f)
-    return TruncatedEGF(bnd, tuple(tuple(row) for row in _exp_2d(alpha2, bnd)))
+        (top,) = bnd
+        counts = _exp_1d([int(forbidden.allows((m,))) for m in range(top + 1)], top)
+        return TruncatedEGF(bnd, tuple(Fraction(c, factorial(m)) for m, c in enumerate(counts)))
+    allowed = {v: 1 for v in _boxed_vectors(bnd) if forbidden.allows(v)}
+    fact = [factorial(x) for x in range(max(bnd) + 1)]
+    return TruncatedEGF(
+        bnd,
+        tuple(
+            tuple(Fraction(c, fact[a] * fact[b]) for b, c in enumerate(row))
+            for a, row in enumerate(_exp_2d(allowed, bnd))
+        ),
+    )
 
 
 def grid_excluded_count(k: int, l: int) -> int:
@@ -248,28 +296,24 @@ def grid_excluded_count(k: int, l: int) -> int:
 
 def grid_excluded_series(bounds: Vector) -> TruncatedEGF:
     """The generating function matching grid_excluded_count on all of its
-    domain: e^(2x+y) + e^(x+2y) - (x^2+y^2+2x+2y+8)/2 * e^(x+y)."""
+    domain: e^(2x+y) + e^(x+2y) - (x^2+y^2+2x+2y+8)/2 * e^(x+y). Scaled by
+    a! b!, its coefficient at (a, b) is 2^a + 2^b minus half of
+    a(a-1) + b(b-1) + 2a + 2b + 8, because x^p y^q e^(x+y) contributes the
+    falling factorials a!/(a-p)! * b!/(b-q)!."""
     b1, b2 = bounds
-    rows = []
-    for a in range(b1 + 1):
-        row = []
-        for b in range(b2 + 1):
-            base = Fraction(1, factorial(a) * factorial(b))
-            val = Fraction(2**a + 2**b, factorial(a) * factorial(b))
-            # polynomial shifts of e^(x+y): x^p y^q e^(x+y) has coefficient
-            # 1/((a-p)!(b-q)!) at (a,b)
-            poly = Fraction(8) * base
-            if a >= 2:
-                poly += Fraction(1, factorial(a - 2) * factorial(b))
-            if b >= 2:
-                poly += Fraction(1, factorial(a) * factorial(b - 2))
-            if a >= 1:
-                poly += Fraction(2, factorial(a - 1) * factorial(b))
-            if b >= 1:
-                poly += Fraction(2, factorial(a) * factorial(b - 1))
-            row.append(val - poly / 2)
-        rows.append(tuple(row))
-    return TruncatedEGF(bounds, tuple(rows))
+    return TruncatedEGF(
+        bounds,
+        tuple(
+            tuple(
+                Fraction(
+                    2**a + 2**b - (a * (a - 1) + b * (b - 1) + 2 * a + 2 * b + 8) // 2,
+                    factorial(a) * factorial(b),
+                )
+                for b in range(b2 + 1)
+            )
+            for a in range(b1 + 1)
+        ),
+    )
 
 
 def grid_component_codes(k: int, l: int) -> Iterator[tuple[int, ...]]:
@@ -402,6 +446,8 @@ def grid_component_count(k: int, l: int, method: str = "enumerate") -> int:
         if k + l > GRID_FORMULA_BUDGET:
             raise EnumerationBudgetExceeded("grid formula", k + l, GRID_FORMULA_BUDGET)
         return admissible_partition_count((k, l), grid_forbidden()) - grid_excluded_count(k, l)
+    if k + l > GRID_EGF_BUDGET:
+        raise EnumerationBudgetExceeded("grid egf", k + l, GRID_EGF_BUDGET)
     series = partition_count_series(grid_forbidden(), (k, l)) - grid_excluded_series((k, l))
     return series.count((k, l))
 
@@ -422,6 +468,8 @@ def line_component_count(n: int, method: str = "enumerate") -> int:
         if n > LINE_FORMULA_BUDGET:
             raise EnumerationBudgetExceeded("line formula", n, LINE_FORMULA_BUDGET)
         return admissible_partition_count(n, forbidden_sizes({2, 3})) - n
+    if n > LINE_EGF_BUDGET:
+        raise EnumerationBudgetExceeded("line egf", n, LINE_EGF_BUDGET)
     series = partition_count_series(forbidden_sizes({2, 3}), n)
     # subtract the series of the n partitions with an (n-1)-block: x e^x
     shifted = TruncatedEGF(

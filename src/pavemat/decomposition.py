@@ -9,6 +9,7 @@ liftability oracle covers the generic case and says so when it cannot decide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -278,9 +279,7 @@ def _classify(
         return Classification("equals-base")
     hist = None
     if with_histogram:
-        hist = {}
-        for c in sig:
-            hist[c.bit_count()] = hist.get(c.bit_count(), 0) + 1
+        hist = dict(Counter(map(int.bit_count, sig)))
         hist[rep.n + 1] = type3_count(rep)
     return Classification("other", histogram=hist)
 

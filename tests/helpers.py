@@ -8,11 +8,14 @@ subset scan, rank and closure from exhaustive search.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, groupby
+from math import factorial
 from typing import Iterator
 
 from pavemat import QuasiRep, quasi_rep
 from pavemat.bitset import mask_of, sort_key
+from pavemat.counting import ForbiddenProfiles, Vector, _boxed_vectors
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 
 
@@ -166,3 +169,75 @@ def random_paving(rng: random.Random, max_d: int = 12) -> PavingMatroid:
         if all((cand & h).bit_count() <= 1 for h in hyps) and cand not in hyps:
             hyps.append(cand)
     return paving_from_hyperplanes(d, 3, hyps)
+
+
+def brute_vector_partitions(tgt: Vector, forbidden: ForbiddenProfiles) -> Iterator[tuple[Vector, ...]]:
+    """Multisets of allowed vectors summing to tgt, one part at a time in
+    decreasing order, every part tested for fit at every node."""
+    parts = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
+
+    def rec(remaining: Vector, start: int) -> Iterator[tuple[Vector, ...]]:
+        if not any(remaining):
+            yield ()
+            return
+        for idx in range(start, len(parts)):
+            v = parts[idx]
+            if all(x <= r for x, r in zip(v, remaining)):
+                rest = tuple(r - x for r, x in zip(remaining, v))
+                for tail in rec(rest, idx):
+                    yield (v,) + tail
+
+    return rec(tgt, 0)
+
+
+def brute_admissible_count(tgt: Vector, forbidden: ForbiddenProfiles) -> int:
+    """Sum of tgt!/(prod part! * prod multiplicity!) over
+    brute_vector_partitions, multiplicities regrouped from each multiset."""
+    numer = 1
+    for x in tgt:
+        numer *= factorial(x)
+    total = 0
+    for parts in brute_vector_partitions(tgt, forbidden):
+        denom = 1
+        for v, group in groupby(parts):
+            mult = len(list(group))
+            vfact = 1
+            for x in v:
+                vfact *= factorial(x)
+            denom *= vfact**mult * factorial(mult)
+        q, r = divmod(numer, denom)
+        assert r == 0
+        total += q
+    return total
+
+
+def fraction_exp_1d(alpha: list[Fraction], bound: int) -> list[Fraction]:
+    """exp of a truncated series with zero constant term, via the derivative
+    recurrence j e_j = sum_{i<=j} i a_i e_{j-i}."""
+    e = [Fraction(0)] * (bound + 1)
+    e[0] = Fraction(1)
+    for j in range(1, bound + 1):
+        acc = Fraction(0)
+        for i in range(1, j + 1):
+            if alpha[i]:
+                acc += i * alpha[i] * e[j - i]
+        e[j] = acc / j
+    return e
+
+
+def fraction_exp_2d(alpha: dict[Vector, Fraction], bounds: Vector) -> list[list[Fraction]]:
+    """2-D analogue: the x-derivative recurrence fills columns a >= 1, and the
+    a = 0 line is a 1-D exp in y."""
+    b1, b2 = bounds
+    e = [[Fraction(0)] * (b2 + 1) for _ in range(b1 + 1)]
+    col0 = [alpha.get((0, j), Fraction(0)) for j in range(b2 + 1)]
+    e[0] = fraction_exp_1d(col0, b2)
+    terms = [(i, j, c) for (i, j), c in alpha.items() if i >= 1 and c]
+    for a in range(1, b1 + 1):
+        for b in range(b2 + 1):
+            acc = Fraction(0)
+            for i, j, c in terms:
+                if i <= a and j <= b:
+                    acc += i * c * e[a - i][b - j]
+            e[a][b] = acc / a
+    return e

@@ -258,3 +258,12 @@ def test_formula_budget_exit_1(capsys):
     assert err == "error: budget 'line formula': requested 90 exceeds limit 60 (override to proceed)\n"
     code, out, _ = run(capsys, "count", "lines", "--n", "90", "--method", "egf")
     assert code == 0 and int(out) > 0
+
+
+def test_egf_budget_exit_1(capsys):
+    code, out, err = run(capsys, "count", "grid", "--k", "61", "--l", "60", "--method", "egf")
+    assert code == 1 and out == ""
+    assert err == "error: budget 'grid egf': requested 121 exceeds limit 120 (override to proceed)\n"
+    code, out, err = run(capsys, "count", "lines", "--n", "801", "--method", "egf")
+    assert code == 1 and out == ""
+    assert err == "error: budget 'line egf': requested 801 exceeds limit 800 (override to proceed)\n"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -16,16 +17,25 @@ from pavemat import (
 )
 from pavemat import counting
 from pavemat.counting import (
+    ForbiddenProfiles,
+    _boxed_vectors,
     _exp_1d,
+    _exp_2d,
     grid_component_codes,
     grid_excluded_series,
     line_component_codes,
 )
 from pavemat.decomposition import grid_component_partitions, line_component_partitions
-from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
+from pavemat.errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 from pavemat.partitions import blocks_to_rgs, iter_set_partitions
 
-from helpers import set_partitions
+from helpers import (
+    brute_admissible_count,
+    brute_vector_partitions,
+    fraction_exp_1d,
+    fraction_exp_2d,
+    set_partitions,
+)
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
 TABLE_LINES = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}
@@ -119,13 +129,16 @@ def test_series_counts_are_integral_and_nonnegative():
 
 
 def test_series_closed_form_1d():
-    # the allowed-size series for forbidden {2,3} is exactly e^x - 1 - x^2/2 - x^3/6
+    # the allowed-size series for forbidden {2,3} is exactly e^x - 1 - x^2/2 - x^3/6;
+    # m! [x^m] of it is the integer weight _exp_1d takes at m
     bound = 10
-    inner = [Fraction(1, factorial(m)) for m in range(bound + 1)]
-    inner[0] = Fraction(0)
-    inner[2] = Fraction(0)
-    inner[3] = Fraction(0)
-    closed = TruncatedEGF((bound,), tuple(_exp_1d(inner, bound)))
+    inner = [1] * (bound + 1)
+    inner[0] = 0
+    inner[2] = 0
+    inner[3] = 0
+    closed = TruncatedEGF(
+        (bound,), tuple(Fraction(c, factorial(m)) for m, c in enumerate(_exp_1d(inner, bound)))
+    )
     series = partition_count_series(forbidden_sizes({2, 3}), bound)
     for n in range(bound + 1):
         assert closed.coefficient(n) == series.coefficient(n)
@@ -241,6 +254,11 @@ def test_line_count_formula_identity():
         assert line_component_count(n, "formula") == q - n
 
 
+def test_profiles_have_dimension_1_or_2():
+    with pytest.raises(BadParams):
+        ForbiddenProfiles(3, lambda v: False)
+
+
 def test_egf_count_rejects_a_fractional_coefficient():
     series = TruncatedEGF((1,), (Fraction(0), Fraction(1, 3)))
     with pytest.raises(InvariantViolated):
@@ -264,6 +282,94 @@ def test_formula_budgets(monkeypatch):
         grid_component_count(5, 5, "formula")
     with pytest.raises(EnumerationBudgetExceeded):
         line_component_count(7, "formula")
-    # the egf route is polynomial and stays unbudgeted
+    # the egf route has budgets of its own
     assert grid_component_count(5, 5, "egf") == 127
     assert line_component_count(7, "egf") == 58
+
+
+def test_egf_budgets(monkeypatch):
+    for count, args, name, value, limit in (
+        (grid_component_count, (61, 60), "grid egf", 121, 120),
+        (line_component_count, (801,), "line egf", 801, 800),
+    ):
+        with pytest.raises(EnumerationBudgetExceeded) as err:
+            count(*args, "egf")
+        assert (err.value.budget_name, err.value.value, err.value.limit) == (name, value, limit)
+    # the limits are inclusive; lowered here so the runs at the limit stay quick
+    monkeypatch.setattr(counting, "GRID_EGF_BUDGET", 9)
+    monkeypatch.setattr(counting, "LINE_EGF_BUDGET", 6)
+    assert grid_component_count(4, 5, "egf") == 22
+    assert line_component_count(6, "egf") == 17
+    with pytest.raises(EnumerationBudgetExceeded):
+        grid_component_count(5, 5, "egf")
+    with pytest.raises(EnumerationBudgetExceeded):
+        line_component_count(7, "egf")
+
+
+def _random_forbidden(rng: random.Random, bound: tuple[int, ...]) -> ForbiddenProfiles:
+    """Forbid a random share of the nonzero vectors within the bound."""
+    share = rng.choice((0.0, 0.2, 0.5, 0.8))
+    fixed = frozenset(v for v in _boxed_vectors(bound) if rng.random() < share)
+    return ForbiddenProfiles(len(bound), lambda v: v in fixed)
+
+
+def test_series_matches_fraction_recurrence_on_random_profiles():
+    rng = random.Random(4101)
+    for _ in range(12):
+        bound = rng.randint(0, 40)
+        forb = _random_forbidden(rng, (bound,))
+        alpha = [
+            Fraction(1, factorial(m)) if forb.allows((m,)) else Fraction(0)
+            for m in range(bound + 1)
+        ]
+        oracle = fraction_exp_1d(alpha, bound)
+        series = partition_count_series(forb, bound)
+        assert [series.coefficient(m) for m in range(bound + 1)] == oracle
+    for _ in range(12):
+        bounds = (rng.randint(0, 10), rng.randint(0, 10))
+        forb = _random_forbidden(rng, bounds)
+        alpha2 = {
+            v: Fraction(1, factorial(v[0]) * factorial(v[1]))
+            for v in _boxed_vectors(bounds)
+            if forb.allows(v)
+        }
+        oracle2 = fraction_exp_2d(alpha2, bounds)
+        series = partition_count_series(forb, bounds)
+        for a in range(bounds[0] + 1):
+            for b in range(bounds[1] + 1):
+                assert series.coefficient((a, b)) == oracle2[a][b]
+
+
+def test_exp_kernels_match_fraction_recurrence_on_integer_weights():
+    rng = random.Random(4103)
+    for _ in range(8):
+        bound = rng.randint(0, 25)
+        weights = [rng.choice((0, 1, 2, 5)) for _ in range(bound + 1)]
+        oracle = fraction_exp_1d([Fraction(w, factorial(i)) for i, w in enumerate(weights)], bound)
+        assert [Fraction(c, factorial(n)) for n, c in enumerate(_exp_1d(weights, bound))] == oracle
+    for _ in range(8):
+        bounds = (rng.randint(0, 8), rng.randint(0, 8))
+        weights2 = {v: rng.choice((0, 1, 3)) for v in _boxed_vectors(bounds)}
+        oracle2 = fraction_exp_2d(
+            {v: Fraction(w, factorial(v[0]) * factorial(v[1])) for v, w in weights2.items()}, bounds
+        )
+        counts = _exp_2d(weights2, bounds)
+        for a in range(bounds[0] + 1):
+            for b in range(bounds[1] + 1):
+                assert Fraction(counts[a][b], factorial(a) * factorial(b)) == oracle2[a][b]
+
+
+def test_vector_partitions_match_brute_walk_on_random_profiles():
+    rng = random.Random(4102)
+    cases = [((0,), 1), ((0, 0), 2)]
+    cases += [((rng.randint(1, 25),), 1) for _ in range(12)]
+    cases += [((rng.randint(0, 9), rng.randint(0, 9)), 2) for _ in range(12)]
+    for tgt, dim in cases:
+        forb = _random_forbidden(rng, tgt)
+        target = tgt[0] if dim == 1 else tgt
+        parts = list(vector_partitions(target, forb))
+        assert len(set(parts)) == len(parts)
+        for p in parts:
+            assert list(p) == sorted(p, reverse=True)
+        assert sorted(parts) == sorted(brute_vector_partitions(tgt, forb))
+        assert admissible_partition_count(target, forb) == brute_admissible_count(tgt, forb)
