@@ -146,12 +146,16 @@ def vector_partitions(
 ) -> Iterator[tuple[Vector, ...]]:
     """Multisets of allowed nonzero vectors summing to the target, each yielded
     once with parts in decreasing lexicographic order."""
-    for path, _ in _weighted_partitions(_as_vector(target, forbidden.dim), forbidden):
-        parts: list[Vector] = []
+
+    def parts(path) -> tuple[Vector, ...]:
+        out: list[Vector] = []
         while path:
             v, m, path = path
-            parts += [v] * m
-        yield tuple(reversed(parts))
+            out += [v] * m
+        return tuple(reversed(out))
+
+    walk = _weighted_partitions(_as_vector(target, forbidden.dim), forbidden)
+    return (parts(path) for path, _ in walk)
 
 
 def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfiles) -> int:

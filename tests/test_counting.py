@@ -57,6 +57,11 @@ def test_vector_partitions_zero_target():
     assert list(vector_partitions(0, forbidden_sizes({2, 3}))) == [()]
 
 
+def test_vector_partitions_rejects_a_bad_target_when_called():
+    with pytest.raises(BadParams):
+        vector_partitions((1, 2, 3), grid_forbidden())
+
+
 def test_vector_partitions_one_dimensional():
     parts = list(vector_partitions(5, forbidden_sizes({2, 3})))
     assert sorted(parts) == sorted([((5,),), ((4,), (1,)), ((1,),) * 5])
@@ -361,12 +366,12 @@ def test_exp_kernels_match_fraction_recurrence_on_integer_weights():
 
 def test_vector_partitions_match_brute_walk_on_random_profiles():
     rng = random.Random(4102)
-    cases = [((0,), 1), ((0, 0), 2)]
-    cases += [((rng.randint(1, 25),), 1) for _ in range(12)]
-    cases += [((rng.randint(0, 9), rng.randint(0, 9)), 2) for _ in range(12)]
-    for tgt, dim in cases:
+    targets = [(0,), (0, 0)]
+    targets += [(rng.randint(1, 25),) for _ in range(12)]
+    targets += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(12)]
+    for tgt in targets:
         forb = _random_forbidden(rng, tgt)
-        target = tgt[0] if dim == 1 else tgt
+        target = tgt[0] if len(tgt) == 1 else tgt
         parts = list(vector_partitions(target, forb))
         assert len(set(parts)) == len(parts)
         for p in parts:
