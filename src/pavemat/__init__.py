@@ -64,7 +64,6 @@ from .paving import (
     is_tame,
     nilpotent_chain,
     paving_from_hyperplanes,
-    paving_to_matroid,
 )
 from .quasi import (
     ExtensionStep,
@@ -72,6 +71,7 @@ from .quasi import (
     TameDecomposition,
     decompose_to_tame,
     pairwise_intersection_flats,
+    paving_to_matroid,
     principal_extension,
     quasi_deletion,
     quasi_matroid,

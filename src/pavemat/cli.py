@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 from . import counting, decomposition, io
 from .errors import MatroidError
 from .families import ci_ideal_generators, grid_matroid, line_matroid
-from .paving import paving_to_matroid
-from .quasi import decompose_to_tame, quasi_matroid
+from .quasi import decompose_to_tame, paving_to_matroid, quasi_matroid
 
 # Reference counts independently reproduced by all three counting routes.
 EXPECTED_GRID_COUNTS: dict[tuple[int, int], int] = {

@@ -2,11 +2,11 @@
 and the dependency order.
 
 Ground sets are {0..d-1}; subsets are int bitmasks (see :mod:`pavemat.bitset`).
-A matroid is backed by one of three representations:
+A matroid is backed by one of two representations:
 
-* an explicit canonical circuit list (sorted by size, then lexicographically),
-* an explicit basis list (all bases have size equal to the rank), or
-* an independence oracle (a predicate on masks).
+* an explicit canonical circuit list (sorted by size, then lexicographically), or
+* an independence oracle (a predicate on masks), optionally with a function
+  that lists the circuits when they are first asked for.
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, canonical_masks, remap, sort_key, subsets_of_size
+from .bitset import (
+    as_mask,
+    bits_tuple,
+    canonical_masks,
+    containment_test,
+    remap,
+    sort_key,
+    subsets_of_size,
+)
 from .errors import (
     AxiomViolation,
     BadParams,
@@ -47,7 +55,7 @@ _VALIDATION_PAIR_BUDGET = 20_000_000
 class Matroid:
     """A matroid on {0..d-1}; see the module docstring for the backing modes."""
 
-    __slots__ = ("d", "rank_value", "origin", "_circuits", "_bases", "_oracle", "_circuit_fn")
+    __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn")
 
     def __init__(
         self,
@@ -55,18 +63,16 @@ class Matroid:
         rank_value: int,
         *,
         circuits: Optional[tuple[int, ...]] = None,
-        bases: Optional[tuple[int, ...]] = None,
         oracle: Optional[Callable[[int], bool]] = None,
         circuit_fn: Optional[Callable[[], tuple[int, ...]]] = None,
         origin: str = "explicit",
     ):
-        if circuits is None and bases is None and oracle is None:
-            raise BadParams("a matroid needs circuits, bases, or an independence oracle")
+        if circuits is None and oracle is None:
+            raise BadParams("a matroid needs circuits or an independence oracle")
         self.d = d
         self.rank_value = rank_value
         self.origin = origin
         self._circuits = circuits
-        self._bases = bases
         self._oracle = oracle
         self._circuit_fn = circuit_fn
 
@@ -84,8 +90,6 @@ class Matroid:
                 if c & s == c:
                     return False
             return True
-        if self._bases is not None:
-            return any(s & b == s for b in self._bases)
         return self._oracle(s)
 
     def is_dependent(self, s: int | Iterable[int]) -> bool:
@@ -134,8 +138,6 @@ class Matroid:
     # -- enumeration -----------------------------------------------------------
 
     def bases(self, *, ground_limit: int = BASES_GROUND_LIMIT) -> tuple[int, ...]:
-        if self._bases is not None:
-            return tuple(sorted(self._bases, key=sort_key))
         if self.d > ground_limit:
             raise TooLarge("bases ground limit", f"d={self.d} > {ground_limit}")
         r = self.rank_value
@@ -205,13 +207,6 @@ class Matroid:
                 circuits=tuple(sorted((remap(c, perm) for c in self._circuits), key=sort_key)),
                 origin=self.origin,
             )
-        if self._bases is not None:
-            return Matroid(
-                self.d,
-                self.rank_value,
-                bases=tuple(sorted((remap(b, perm) for b in self._bases), key=sort_key)),
-                origin=self.origin,
-            )
         inverse = [0] * self.d
         for old, new in enumerate(perm):
             inverse[new] = old
@@ -224,7 +219,7 @@ class Matroid:
         )
 
     def __repr__(self) -> str:
-        mode = "circuits" if self._circuits is not None else ("bases" if self._bases is not None else "oracle")
+        mode = "circuits" if self._circuits is not None else "oracle"
         return f"Matroid(d={self.d}, rank={self.rank_value}, {mode}, origin={self.origin!r})"
 
 
@@ -242,7 +237,8 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
 
     Raises ContainmentViolation or AxiomViolation with a witness. For d up to
     _DP_GROUND_LIMIT a dependence table over all subsets makes each pair check
-    O(|c1 & c2|); larger grounds fall back to per-pair subset scans.
+    O(|c1 & c2|); larger grounds test each union for a contained circuit
+(:func:`pavemat.bitset.containment_test`).
     """
     by_size: dict[int, list[int]] = {}
     for c in circuits:
@@ -291,21 +287,7 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
 
     if len(circuits) * len(circuits) > _VALIDATION_PAIR_BUDGET:
         raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
-    circuit_set = frozenset(circuits)
-
-    def contains_circuit(mask: int) -> bool:
-        size = mask.bit_count()
-        for s in sizes:
-            if s > size:
-                return False
-            cands = by_size[s]
-            if comb(size, s) <= len(cands):
-                if any(sub in circuit_set for sub in subsets_of_size(mask, s)):
-                    return True
-            else:
-                if any(c & mask == c for c in cands):
-                    return True
-        return False
+    contains_circuit = containment_test(circuits)
 
     for i, c1 in enumerate(circuits):
         for c2 in circuits[i + 1 :]:

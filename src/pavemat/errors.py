@@ -128,9 +128,7 @@ class EnumerationBudgetExceeded(MatroidError):
         self.budget_name = budget_name
         self.value = value
         self.limit = limit
-        super().__init__(
-            f"budget {budget_name!r}: requested {value} exceeds limit {limit} (override to proceed)"
-        )
+        super().__init__(f"budget {budget_name!r}: requested {value} exceeds limit {limit}")
 
 
 class RangeUnsupported(MatroidError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import canonical_masks, sort_key, subsets_of_size
+from .bitset import canonical_masks, containment_test, sort_key, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import BadParams, DegenerateGround, HypothesisViolated, TooFewLines
 from .paving import PavingMatroid, paving_from_hyperplanes
@@ -78,26 +78,7 @@ def ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
     minimal = tuple(
         e for e in edges if not any(o != e and o & e == o for o in edges)
     )
-    buckets: dict[int, set[int]] = {}
-    for e in minimal:
-        buckets.setdefault(e.bit_count(), set()).add(e)
-    by_size = {size: frozenset(masks) for size, masks in buckets.items()}
-    sizes = sorted(by_size)
-
-    def contains_edge(mask: int) -> bool:
-        size = mask.bit_count()
-        for b in sizes:
-            if b > size:
-                return False
-            members = by_size[b]
-            if comb(size, b) <= len(members):
-                if any(sub in members for sub in subsets_of_size(mask, b)):
-                    return True
-            else:
-                if any(e & mask == e for e in members):
-                    return True
-        return False
-
+    contains_edge = containment_test(minimal)
     d = k * l
 
     def oracle(mask: int) -> bool:

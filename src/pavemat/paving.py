@@ -3,25 +3,16 @@
 A collection of subsets of size >= n with pairwise intersections of size at
 most n-2 is exactly the dependent-hyperplane system of a rank-n paving
 matroid; circuits are the n-subsets of hyperplanes plus the (n+1)-subsets
-containing none of those.
+containing none of those. The matroid itself is built by
+:func:`pavemat.quasi.paving_to_matroid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional
 
-from .bitset import (
-    as_mask,
-    bits_tuple,
-    canonical_masks,
-    capped_subsets,
-    remap,
-    sort_key,
-    subsets_of_size,
-)
-from .core import CIRCUIT_BUDGET, Matroid
+from .bitset import as_mask, bits_tuple, canonical_masks, remap
 from .errors import (
     DegenerateGround,
     HyperplaneTooSmall,
@@ -163,35 +154,6 @@ def hyperplane_submatroid(
     # hyperplanes alone already span at least n+2 elements
     sub = paving_from_hyperplanes(len(elements), p.n, [remap(l, pos) for l in chosen])
     return sub, elements
-
-
-def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
-    """The matroid itself: n-subsets of hyperplanes are circuits, and so is
-    every (n+1)-subset containing no such n-subset. Falls back to oracle mode
-    above the materialization budget."""
-    n = p.n
-    hyps = p.hyperplanes
-
-    def oracle(s: int) -> bool:
-        size = s.bit_count()
-        if size <= n - 1:
-            return True
-        if size >= n + 1:
-            return False
-        return not any(s & l == s for l in hyps)
-
-    def materialize() -> tuple[int, ...]:
-        small = []
-        for l in hyps:
-            small.extend(subsets_of_size(l, n))
-        big = capped_subsets(p.ground_mask, n + 1, [(l, n) for l in hyps])
-        return tuple(sorted(small, key=sort_key) + big)
-
-    estimate = sum(comb(l.bit_count(), n) for l in hyps) + comb(p.d, n + 1)
-    rank = min(n, p.d)
-    if estimate <= budget:
-        return Matroid(p.d, rank, circuits=materialize(), origin="paving")
-    return Matroid(p.d, rank, oracle=oracle, circuit_fn=None, origin="paving")
 
 
 @dataclass(frozen=True)

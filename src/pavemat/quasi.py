@@ -7,8 +7,10 @@ and a level n >= 2, the circuits are
 * type 2: n-subsets of some H_i containing no type-1 set,
 * type 3: (n+1)-subsets containing neither.
 
-Every tame paving matroid arises this way from its hyperplane system, and
-every level-n instance of full rank n is a chain of principal extensions over
+Every rank-n paving matroid, tame or not, is the level-n construction of its
+own hyperplane system: hyperplanes share at most n-2 elements, so there are no
+type-1 circuits, and types 2 and 3 are its n- and (n+1)-circuits. Every
+level-n instance of full rank n is a chain of principal extensions over
 rank-(n-2) flats of a tame paving core; this module implements the
 construction, the reduction to that core, and its replay.
 """
@@ -29,7 +31,7 @@ from .errors import (
     TooLarge,
     TripleIntersection,
 )
-from .paving import PavingMatroid, _paving_relaxed, paving_to_matroid
+from .paving import PavingMatroid, _paving_relaxed
 
 # Principal extensions enumerate explicit bases; keep the ground small.
 EXTENSION_GROUND_LIMIT = 20
@@ -205,6 +207,13 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
     return m
 
 
+def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
+    """The paving matroid itself, as the level-n construction of its
+    hyperplanes. The members are not checked for tameness: only the cell
+    count needs it, and this path never takes it."""
+    return quasi_matroid(QuasiRep(p.d, p.n, p.hyperplanes), budget=budget)
+
+
 def quasi_deletion(rep: QuasiRep, z: int | Iterable[int]) -> tuple[QuasiRep, tuple[int, ...]]:
     """Delete z from the ground set: each member just loses those elements.
     Returns the re-indexed representation plus kept[new_index] = old_index."""
@@ -234,7 +243,8 @@ def pairwise_intersection_flats(rep: QuasiRep) -> list[tuple[int, int, int]]:
 
 def principal_extension(m: Matroid, flat: int | Iterable[int]) -> Matroid:
     """Add a new element (index d) freely inside the given flat: the bases are
-    those of m plus every (basis - b) + new for b ranging over basis & flat."""
+    those of m plus every (basis - b) + new for b ranging over basis & flat.
+    A set is independent when it lies in one of these bases."""
     flat = as_mask(flat)
     if m.closure(flat) != flat:
         raise NotAFlat(flat)
@@ -249,10 +259,11 @@ def principal_extension(m: Matroid, flat: int | Iterable[int]) -> Matroid:
             low = inter & -inter
             inter ^= low
             out.add((lam ^ low) | new_bit)
+    extended = frozenset(out)
     return Matroid(
         m.d + 1,
         m.rank_value,
-        bases=tuple(sorted(out, key=sort_key)),
+        oracle=lambda s: any(s & b == s for b in extended),
         origin="extension",
     )
 
@@ -335,8 +346,7 @@ def decompose_to_tame(
 def replay_extensions(dec: TameDecomposition, d: int) -> Matroid:
     """Rebuild the represented matroid on the original ground set [d] by
     re-adding the peeled elements in reverse order via principal extensions."""
-    base = paving_to_matroid(dec.core)
-    current = Matroid(base.d, base.rank_value, bases=base.bases(), origin="extension")
+    current = paving_to_matroid(dec.core)
     labels = list(dec.core_elements)
     for step in reversed(dec.steps):
         pos = {old: new for new, old in enumerate(labels)}

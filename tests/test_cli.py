@@ -130,6 +130,29 @@ def test_roundtrip_grid_through_validate(tmp_path, capsys):
     assert code == 0
 
 
+def test_single_hyperplane_grid_rank_through_validate(tmp_path, capsys):
+    # the one hyperplane of a 1x4 grid is the whole ground: every 3-set is a
+    # circuit, so the rank is 2, not the declared level 3
+    code, out, _ = run(capsys, "matroid", "grid", "--k", "1", "--l", "4", "--format", "json", "--circuits")
+    assert code == 0
+    assert json.loads(out)["rank"] == 2
+    path = tmp_path / "grid.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 0 and err == ""
+    assert out == "valid matroid: d=4 rank=2 circuits=4\n"
+    code, out, _ = run(capsys, "matroid", "grid", "--k", "1", "--l", "4")
+    assert code == 0
+    assert "\nrank: 2\n" in out
+
+
+def test_matroid_circuit_budget_exit_1(capsys):
+    code, out, err = run(capsys, "matroid", "grid", "--k", "40", "--l", "40")
+    assert code == 1
+    assert out.startswith("ground size: 1600\nrank: 3\nhyperplanes (80):\n")
+    assert err == "error: budget 'circuit materialization' exceeded: about 272044630000 candidates\n"
+
+
 def test_generators_csv(capsys):
     code, out, _ = run(capsys, "ci-generators", "--k", "3", "--l", "3", "--s", "3", "--t", "3", "--n", "3")
     assert code == 0
@@ -255,7 +278,7 @@ def test_badly_shaped_lists_exit_1(tmp_path, capsys, command, obj, message):
 def test_formula_budget_exit_1(capsys):
     code, out, err = run(capsys, "count", "lines", "--n", "90", "--method", "formula")
     assert code == 1 and out == ""
-    assert err == "error: budget 'line formula': requested 90 exceeds limit 60 (override to proceed)\n"
+    assert err == "error: budget 'line formula': requested 90 exceeds limit 60\n"
     code, out, _ = run(capsys, "count", "lines", "--n", "90", "--method", "egf")
     assert code == 0 and int(out) > 0
 
@@ -263,7 +286,7 @@ def test_formula_budget_exit_1(capsys):
 def test_egf_budget_exit_1(capsys):
     code, out, err = run(capsys, "count", "grid", "--k", "61", "--l", "60", "--method", "egf")
     assert code == 1 and out == ""
-    assert err == "error: budget 'grid egf': requested 121 exceeds limit 120 (override to proceed)\n"
+    assert err == "error: budget 'grid egf': requested 121 exceeds limit 120\n"
     code, out, err = run(capsys, "count", "lines", "--n", "801", "--method", "egf")
     assert code == 1 and out == ""
-    assert err == "error: budget 'line egf': requested 801 exceeds limit 800 (override to proceed)\n"
+    assert err == "error: budget 'line egf': requested 801 exceeds limit 800\n"

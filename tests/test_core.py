@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import pavemat.core
 from pavemat import (
     Matroid,
     check_circuit_axioms,
@@ -57,6 +58,42 @@ def test_elimination_violation():
 def test_containment_violation():
     with pytest.raises(ContainmentViolation):
         check_circuit_axioms(4, (m1(1, 2), m1(1, 2, 3)))
+
+
+def _axiom_verdict(d, circuits):
+    """None when the circuits pass, else the exception type and its witness."""
+    try:
+        check_circuit_axioms(d, circuits)
+    except (AxiomViolation, ContainmentViolation) as exc:
+        return type(exc), vars(exc)
+    return None
+
+
+def test_axiom_check_fallback_matches_dependence_table(monkeypatch):
+    # the containment-test fallback must reach the verdict and the witness of
+    # the dependence table, on valid lists and on lists with a circuit dropped
+    rng = random.Random(53)
+    cases = [(4, (m1(1, 2), m1(1, 3))), (4, (m1(1, 2), m1(1, 2, 3)))]
+    for _ in range(30):
+        rep = random_quasi_rep(rng)
+        circuits = quasi_matroid(rep).circuits()
+        cases.append((rep.d, circuits))
+        if circuits:
+            drop = rng.randrange(len(circuits))
+            cases.append((rep.d, circuits[:drop] + circuits[drop + 1 :]))
+    table = [_axiom_verdict(d, cs) for d, cs in cases]
+    monkeypatch.setattr(pavemat.core, "_DP_GROUND_LIMIT", 0)
+    assert [_axiom_verdict(d, cs) for d, cs in cases] == table
+    kinds = {None if v is None else v[0] for v in table}
+    assert kinds == {None, AxiomViolation, ContainmentViolation}
+
+
+def test_axiom_check_above_the_table_limit():
+    circuits = uniform(1, 17).circuits()
+    assert 17 > pavemat.core._DP_GROUND_LIMIT
+    check_circuit_axioms(17, circuits)
+    with pytest.raises(AxiomViolation):
+        check_circuit_axioms(17, circuits[1:])
 
 
 def test_rank_mismatch():
