@@ -23,6 +23,7 @@ from pavemat.errors import (
     GroundMismatch,
     OutOfRange,
     RankMismatch,
+    TooLarge,
 )
 
 from helpers import brute_closure, brute_independent, brute_rank, m1, random_quasi_rep
@@ -301,8 +302,10 @@ def test_paving_budget_fallback_matches_explicit():
     from pavemat import grid_matroid, paving_to_matroid
 
     p = grid_matroid(3, 4)
-    explicit = paving_to_matroid(p)
+    explicit = Matroid(p.d, 3, circuits=paving_to_matroid(p).circuits())
     oracle = paving_to_matroid(p, budget=0)
+    with pytest.raises(TooLarge):
+        oracle.circuits()
     for s in range(1 << p.d):
         if s.bit_count() <= 4:
             assert explicit.is_independent(s) == oracle.is_independent(s)
