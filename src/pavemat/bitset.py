@@ -30,8 +30,22 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# The set bits of each byte value, ascending.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def bit_list(mask: int, offset: int = 0) -> list[int]:
+    """Set bit positions plus offset, ascending, read a byte at a time."""
+    out = []
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        for b in _BYTE_BITS[byte]:
+            out.append(offset + b)
+        offset += 8
+    return out
+
+
 def bits_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(bits(mask))
+    return tuple(bit_list(mask))
 
 
 def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:

@@ -59,7 +59,7 @@ def _load_json(path: str):
 
 
 def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(io.to_json(obj))
 
 
 def _cmd_matroid(args: argparse.Namespace) -> int:

@@ -3,9 +3,11 @@ in memory is 0-based. Writers emit canonical ordering, readers are lenient."""
 
 from __future__ import annotations
 
+import json
+from itertools import chain
 from typing import Iterable
 
-from .bitset import bits_tuple, mask_of
+from .bitset import bit_list, bits_tuple, mask_of
 from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
@@ -15,9 +17,52 @@ from .quasi import QuasiRep, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
 
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Dicts with str keys and lists are walked here. A list of int lists, the
+    shape of every circuit and hyperplane list, is encoded compactly by the
+    stdlib's C encoder and then indented, since the indented form is
+    otherwise written by its pure-Python encoder one token at a time.
+    Everything else is left to the stdlib encoder with the same settings.
+    """
+    return _encode(obj, "\n")
+
+
+def _is_int_rows(value) -> bool:
+    """Whether value is a non-empty list of non-empty lists of plain ints,
+    bools excluded. The type checks run in C over every item."""
+    return (
+        set(map(type, value)) == {list}
+        and all(value)
+        and set(map(type, chain.from_iterable(value))) == {int}
+    )
+
+
+def _encode(value, newline: str) -> str:
+    """value as indented JSON, with newline ("\\n" plus the indentation of the
+    line value starts on) ending each of its lines but the last."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = (_COMPACT.encode(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if _is_int_rows(value):
+            row = inner + "  "
+            body = _COMPACT.encode(value)[2:-2].replace(",", "," + row)
+            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+            return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
+        items = (_encode(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _INDENTED.encode(value).replace("\n", newline)
+
 
 def mask_to_labels(mask: int) -> list[int]:
-    return [e + 1 for e in bits_tuple(mask)]
+    return bit_list(mask, 1)
 
 
 def labels_to_mask(labels: Iterable[int], d: int) -> int:
@@ -25,10 +70,20 @@ def labels_to_mask(labels: Iterable[int], d: int) -> int:
         raise BadParams(f"expected a list of labels, got {labels!r}")
     out = []
     for x in labels:
+        if isinstance(x, bool):
+            raise BadParams(f"label {x!r} is not an integer")
         if not isinstance(x, int) or x < 1 or x > d:
             raise OutOfRange(f"label {x!r} outside 1..{d}")
         out.append(x - 1)
     return mask_of(out)
+
+
+def _ground_size(obj: dict) -> int:
+    """A file's ground size d, which must not be negative."""
+    d = int(obj["d"])
+    if d < 0:
+        raise BadParams(f"ground size d must be >= 0, got {d}")
+    return d
 
 
 def _label_lists(key: str, lists, d: int) -> list[int]:
@@ -51,15 +106,14 @@ def matroid_to_dict(m: Matroid, *, include_circuits: bool = True) -> dict:
 
 def matroid_from_dict(obj: dict, *, validate: bool = True) -> Matroid:
     try:
-        d = int(obj["d"])
+        d = _ground_size(obj)
         declared = obj.get("rank")
+        rank = int(declared) if declared is not None else None
         circuits = obj["circuits"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"matroid file needs d, rank, circuits: {exc}")
     masks = _label_lists("circuits", circuits, d)
-    return matroid_from_circuits(
-        d, int(declared) if declared is not None else None, masks, validate=validate
-    )
+    return matroid_from_circuits(d, rank, masks, validate=validate)
 
 
 def paving_to_dict(p: PavingMatroid) -> dict:
@@ -72,10 +126,10 @@ def paving_to_dict(p: PavingMatroid) -> dict:
 
 def paving_from_dict(obj: dict) -> PavingMatroid:
     try:
-        d = int(obj["d"])
+        d = _ground_size(obj)
         n = int(obj["n"])
         hyps = obj["hyperplanes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"paving file needs d, n, hyperplanes: {exc}")
     return paving_from_hyperplanes(d, n, _label_lists("hyperplanes", hyps, d))
 
@@ -86,10 +140,10 @@ def quasi_to_dict(rep: QuasiRep) -> dict:
 
 def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:
     try:
-        d = int(obj["d"])
+        d = _ground_size(obj)
         n = int(obj["n"]) if n_override is None else n_override
         members = obj["H"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"hypergraph file needs d, n, H: {exc}")
     return quasi_rep(d, n, _label_lists("H", members, d))
 

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own enumeration code paths: set
 partitions come from a plain insertion recursion, independence from a direct
-subset scan, rank and closure from exhaustive search.
+subset scan, rank and closure from exhaustive search, indented JSON from the
+stdlib's own encoder.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -22,6 +24,11 @@ from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 def m1(*elems: int) -> int:
     """Mask from 1-based element labels, as printed in worked examples."""
     return mask_of(e - 1 for e in elems)
+
+
+def json_oracle(obj) -> str:
+    """The stdlib's indented JSON, the layout every JSON export follows."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

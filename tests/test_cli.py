@@ -13,7 +13,7 @@ from pavemat.io import (
     quasi_to_dict,
 )
 
-from helpers import m1
+from helpers import json_oracle, m1
 
 
 def run(capsys, *argv):
@@ -265,6 +265,21 @@ def test_malformed_json_exit_1(tmp_path, capsys, command):
         (("decompose-to-tame",), {"d": 4, "n": 3, "H": 5}, "error: H must be a list of label lists, got 5\n"),
         (("matroid", "quasi"), {"d": 4, "n": 3, "H": [5]}, "error: expected a list of labels, got 5\n"),
         (("validate",), {"d": 4, "rank": 2, "circuits": [3]}, "INVALID: expected a list of labels, got 3\n"),
+        (("validate",), {"d": -1, "rank": 0, "circuits": []}, "INVALID: ground size d must be >= 0, got -1\n"),
+        (
+            ("validate",),
+            {"d": 3, "rank": "x", "circuits": []},
+            "INVALID: matroid file needs d, rank, circuits: invalid literal for int() with base 10: 'x'\n",
+        ),
+        (("matroid", "quasi"), {"d": -2, "n": 2, "H": []}, "error: ground size d must be >= 0, got -2\n"),
+        (("decompose-to-tame",), {"d": -2, "n": 2, "H": []}, "error: ground size d must be >= 0, got -2\n"),
+        (
+            ("matroid", "quasi"),
+            {"d": float("inf"), "n": 2, "H": []},
+            "error: hypergraph file needs d, n, H: cannot convert float infinity to integer\n",
+        ),
+        (("matroid", "quasi"), {"d": 4, "n": 2, "H": [[True, 2]]}, "error: label True is not an integer\n"),
+        (("validate",), {"d": 3, "rank": 1, "circuits": [[1, False]]}, "INVALID: label False is not an integer\n"),
     ],
 )
 def test_badly_shaped_lists_exit_1(tmp_path, capsys, command, obj, message):
@@ -290,3 +305,30 @@ def test_egf_budget_exit_1(capsys):
     code, out, err = run(capsys, "count", "lines", "--n", "801", "--method", "egf")
     assert code == 1 and out == ""
     assert err == "error: budget 'line egf': requested 801 exceeds limit 800\n"
+
+
+TAME_INPUT = quasi_to_dict(quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "matroid grid --k 3 --l 4 --format json",
+        "matroid grid --k 3 --l 4 --format json --circuits",
+        "matroid lines --n 5 --format json",
+        "matroid lines --n 5 --format json --circuits",
+        "matroid quasi --file {file} --format json",
+        "matroid quasi --file {file} --format json --circuits",
+        "decompose grid --k 4 --l 4 --list --format json",
+        "decompose grid --k 4 --l 4 --list --format json --circuits",
+        "decompose lines --n 6 --list --format json",
+        "decompose lines --n 6 --list --format json --circuits",
+        "decompose-to-tame --file {file} --format json",
+    ],
+)
+def test_json_output_is_the_stdlib_indented_layout(tmp_path, capsys, argv):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(TAME_INPUT))
+    code, out, err = run(capsys, *argv.format(file=path).split())
+    assert code == 0 and err == ""
+    assert out == json_oracle(json.loads(out)) + "\n"

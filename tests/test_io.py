@@ -1,0 +1,86 @@
+import random
+
+import pytest
+
+from pavemat.bitset import bit_list, bits, bits_tuple
+from pavemat.io import mask_to_labels, to_json
+
+from helpers import json_oracle
+
+EDGE_VALUES = [
+    [[[1, 2]], 5],
+    [[[15, 48, 12]], 10**20],
+    [[1], []],
+    [[True]],
+    [[1, 2], [3, False]],
+    [[-3, 0, 2**70], [-(2**65)]],
+    ([4, 5], [6]),
+    [(4, 5), [6]],
+    [[1.0]],
+    [[1]],
+    [[1], "[2]"],
+    {"a,[]": ["],[", [[1, 2]]], "": {}, "z": [], "m": [{}, [], [[]]]},
+    {},
+    [],
+    [[]],
+    {"b": [[1, 2], [3]], "a": {"c": [[7]], "d": None}},
+    {2: [[1]], 10: "x"},
+    {"k": {1.5: True, 3: [[2]]}},
+    "text \"quoted\" ,[]\n é",
+    2**70,
+    -1,
+    None,
+    float("inf"),
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_to_json_matches_stdlib_on_edge_values(value):
+    assert to_json(value) == json_oracle(value)
+
+
+def _random_value(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([0, 1, -7, 2**64, -(2**70), 12345678901234567890])
+    if kind == 1:
+        return rng.choice([True, False, None, 0.5, -2.0])
+    if kind == 2:
+        return rng.choice(["", ",", "[", "]", "],[", "a,b", "x\ty", "ü", '"'])
+    if kind == 3:
+        rows = [
+            [rng.choice([rng.randint(-5, 40), rng.getrandbits(70)]) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 5))
+        ]
+        spoil = rng.randrange(6)
+        if spoil == 0:
+            rows[rng.randrange(len(rows))] = []
+        elif spoil == 1:
+            rows[rng.randrange(len(rows))].append(rng.choice([True, False, 1.0, "1", None, [2]]))
+        elif spoil == 2:
+            rows.append(rng.choice([3, "3", None, (3, 4), {"a": 1}]))
+        return rows
+    if kind in (4, 5):
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {
+        rng.choice(["a", "b", "c,d", "[e]", "", "f\"g"]): _random_value(rng, depth + 1)
+        for _ in range(rng.randint(0, 4))
+    }
+
+
+def test_to_json_matches_stdlib_on_random_values():
+    rng = random.Random(61)
+    for _ in range(2000):
+        value = _random_value(rng, 0)
+        assert to_json(value) == json_oracle(value)
+
+
+def test_bit_list_matches_bits_generator():
+    rng = random.Random(67)
+    masks = [0, 1, 255, 256, 2**64 - 1, 2**64, 2**200 + 2**63 + 5]
+    masks += [rng.getrandbits(rng.choice([8, 16, 40, 64, 65, 130])) for _ in range(3000)]
+    for mask in masks:
+        expected = list(bits(mask))
+        assert bit_list(mask) == expected
+        assert bits_tuple(mask) == tuple(expected)
+        assert bit_list(mask, 1) == mask_to_labels(mask) == [e + 1 for e in expected]
