@@ -30,8 +30,12 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# The set bits of each byte value, ascending.
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# Entry b lists the set bits of the byte value b, ascending: the entries from
+# 2**i on are the first 2**i entries with bit i added.
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _BYTE_BITS += [b + (_bit,) for b in _BYTE_BITS]
+del _bit
 
 
 def bit_list(mask: int, offset: int = 0) -> list[int]:
