@@ -13,6 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import counting, decomposition, io
+from .bitset import bits_tuple
 from .errors import MatroidError
 from .families import ci_ideal_generators, grid_matroid, line_matroid
 from .quasi import decompose_to_tame, paving_to_matroid, quasi_matroid
@@ -220,7 +221,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
                     "d": dec.core.d,
                     "n": dec.core.n,
                     "hyperplanes": [
-                        [dec.core_elements[i] + 1 for i in io.bits_tuple(h)]
+                        [dec.core_elements[i] + 1 for i in bits_tuple(h)]
                         for h in dec.core.hyperplanes
                     ],
                 },
@@ -233,7 +234,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
         print(f"  element {s.element + 1} over flat {{{flat}}}")
     print(f"core on elements {[e + 1 for e in dec.core_elements]}:")
     for h in dec.core.hyperplanes:
-        print("  " + " ".join(str(dec.core_elements[i] + 1) for i in io.bits_tuple(h)))
+        print("  " + " ".join(str(dec.core_elements[i] + 1) for i in bits_tuple(h)))
     return 0
 
 

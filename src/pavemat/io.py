@@ -7,7 +7,7 @@ import json
 from itertools import chain
 from typing import Iterable
 
-from .bitset import bit_list, bits_tuple, mask_of
+from .bitset import bit_list, mask_of
 from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
