@@ -78,9 +78,18 @@ def labels_to_mask(labels: Iterable[int], d: int) -> int:
     return mask_of(out)
 
 
+def _integer(value, name: str) -> int:
+    """int(value), refusing a number with a fractional part, which int()
+    would truncate."""
+    out = int(value)
+    if isinstance(value, float) and out != value:
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 def _ground_size(obj: dict) -> int:
     """A file's ground size d, which must not be negative."""
-    d = int(obj["d"])
+    d = _integer(obj["d"], "ground size d")
     if d < 0:
         raise BadParams(f"ground size d must be >= 0, got {d}")
     return d
@@ -108,7 +117,7 @@ def matroid_from_dict(obj: dict, *, validate: bool = True) -> Matroid:
     try:
         d = _ground_size(obj)
         declared = obj.get("rank")
-        rank = int(declared) if declared is not None else None
+        rank = _integer(declared, "rank") if declared is not None else None
         circuits = obj["circuits"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"matroid file needs d, rank, circuits: {exc}")
@@ -127,7 +136,7 @@ def paving_to_dict(p: PavingMatroid) -> dict:
 def paving_from_dict(obj: dict) -> PavingMatroid:
     try:
         d = _ground_size(obj)
-        n = int(obj["n"])
+        n = _integer(obj["n"], "n")
         hyps = obj["hyperplanes"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"paving file needs d, n, hyperplanes: {exc}")
@@ -141,7 +150,7 @@ def quasi_to_dict(rep: QuasiRep) -> dict:
 def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:
     try:
         d = _ground_size(obj)
-        n = int(obj["n"]) if n_override is None else n_override
+        n = _integer(obj["n"], "n") if n_override is None else n_override
         members = obj["H"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"hypergraph file needs d, n, H: {exc}")

@@ -68,18 +68,3 @@ def blocks_to_rgs(m: int, blocks: Iterable[Iterable[int]]) -> tuple[int, ...]:
         code.append(relabel[bid])
     return tuple(code)
 
-
-def iter_set_partitions(m: int) -> Iterator[list[list[int]]]:
-    """All partitions of range(m) as block lists, RGS-lex order."""
-    for code in iter_rgs(m):
-        yield rgs_to_blocks(code)
-
-
-def bell_number(m: int) -> int:
-    row = [1]
-    for _ in range(m):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]

@@ -18,6 +18,7 @@ from typing import Iterator
 from pavemat import QuasiRep, quasi_rep
 from pavemat.bitset import mask_of, sort_key
 from pavemat.counting import ForbiddenProfiles, Vector, _boxed_vectors
+from pavemat.partitions import iter_rgs, rgs_to_blocks
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 
 
@@ -41,6 +42,29 @@ def set_partitions(items: list) -> Iterator[list[list]]:
         for i in range(len(p)):
             yield p[:i] + [[first] + p[i]] + p[i + 1 :]
         yield [[first]] + p
+
+
+def iter_set_partitions(m: int) -> Iterator[list[list[int]]]:
+    """All partitions of range(m) as block lists, RGS-lex order."""
+    for code in iter_rgs(m):
+        yield rgs_to_blocks(code)
+
+
+def clutters(d: int) -> list[tuple[int, ...]]:
+    """Every clutter (set of pairwise incomparable nonempty subsets) on
+    {0..d-1}, as mask tuples, the empty one included."""
+    out = []
+
+    def extend(chosen: list[int], start: int) -> None:
+        out.append(tuple(chosen))
+        for s in range(start, 1 << d):
+            if all(s & c not in (s, c) for c in chosen):
+                chosen.append(s)
+                extend(chosen, s + 1)
+                chosen.pop()
+
+    extend([], 1)
+    return out
 
 
 def brute_independent(circuits: tuple[int, ...], s: int) -> bool:

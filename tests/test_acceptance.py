@@ -28,9 +28,8 @@ from pavemat import (
 )
 from pavemat.counting import GRID_FORMULA_MIN, LINE_FORMULA_MIN
 from pavemat.decomposition import grid_component_partitions
-from pavemat.partitions import iter_set_partitions
 
-from helpers import m1, random_full_rank_rep, random_quasi_rep, set_partitions
+from helpers import iter_set_partitions, m1, random_full_rank_rep, random_quasi_rep, set_partitions
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
 TABLE_LINES = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}

@@ -228,6 +228,17 @@ def test_matroid_file_labels_key_tolerated(tmp_path, capsys):
     assert code == 0
 
 
+def test_integral_floats_are_read_as_integers(tmp_path, capsys):
+    obj = {"d": 4.0, "rank": 2.0, "circuits": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "validate", "--file", str(path))
+    assert code == 0 and out == "valid matroid: d=4 rank=2 circuits=4\n"
+    path.write_text(json.dumps({"d": 4.0, "n": 2.0, "H": [[1, 2]]}))
+    code, out, _ = run(capsys, "matroid", "quasi", "--file", str(path))
+    assert code == 0 and "rank: 2" in out
+
+
 def test_matroid_quasi_level_override(tmp_path, capsys):
     from pavemat.io import quasi_to_dict
     from pavemat import quasi_rep
@@ -280,6 +291,15 @@ def test_malformed_json_exit_1(tmp_path, capsys, command):
         ),
         (("matroid", "quasi"), {"d": 4, "n": 2, "H": [[True, 2]]}, "error: label True is not an integer\n"),
         (("validate",), {"d": 3, "rank": 1, "circuits": [[1, False]]}, "INVALID: label False is not an integer\n"),
+        (
+            ("validate",),
+            {"d": 4, "rank": 2.9, "circuits": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]},
+            "INVALID: rank must be an integer, got 2.9\n",
+        ),
+        (("validate",), {"d": 4.5, "rank": 2, "circuits": []}, "INVALID: ground size d must be an integer, got 4.5\n"),
+        (("matroid", "quasi"), {"d": 4.7, "n": 2, "H": []}, "error: ground size d must be an integer, got 4.7\n"),
+        (("matroid", "quasi"), {"d": 4, "n": 2.5, "H": []}, "error: n must be an integer, got 2.5\n"),
+        (("decompose-to-tame",), {"d": 4, "n": 3.25, "H": []}, "error: n must be an integer, got 3.25\n"),
     ],
 )
 def test_badly_shaped_lists_exit_1(tmp_path, capsys, command, obj, message):

@@ -10,23 +10,36 @@ from pavemat import (
     check_circuit_axioms,
     dependency_leq,
     is_uniform,
+    grid_matroid,
+    line_matroid,
     mask_of,
     matroid_from_circuits,
+    paving_to_matroid,
     quasi_matroid,
     uniform,
 )
-from pavemat.bitset import remap
+from pavemat.bitset import canonical_masks, remap
 from pavemat.errors import (
     AxiomViolation,
     BadRank,
     ContainmentViolation,
     GroundMismatch,
+    InvariantViolated,
     OutOfRange,
     RankMismatch,
     TooLarge,
 )
 
-from helpers import brute_closure, brute_independent, brute_rank, m1, random_quasi_rep
+from helpers import (
+    brute_closure,
+    brute_independent,
+    brute_rank,
+    clutters,
+    m1,
+    random_paving,
+    random_quasi_rep,
+    random_tame_rep,
+)
 
 
 def test_uniform_2_7():
@@ -71,9 +84,10 @@ def _axiom_verdict(d, circuits):
 
 
 def test_axiom_check_fallback_matches_dependence_table(monkeypatch):
-    # the containment-test fallback must reach the verdict and the witness of
-    # the dependence table, on valid lists and on lists with a circuit dropped
-    rng = random.Random(53)
+    # the containment-test pair scan must reach the verdict and the witness of
+    # the bitset decision, on valid lists, with a circuit dropped and with a
+    # random set added
+    rng, other = random.Random(53), random.Random(54)
     cases = [(4, (m1(1, 2), m1(1, 3))), (4, (m1(1, 2), m1(1, 2, 3)))]
     for _ in range(30):
         rep = random_quasi_rep(rng)
@@ -82,6 +96,19 @@ def test_axiom_check_fallback_matches_dependence_table(monkeypatch):
         if circuits:
             drop = rng.randrange(len(circuits))
             cases.append((rep.d, circuits[:drop] + circuits[drop + 1 :]))
+        cases.append((rep.d, canonical_masks(circuits + (other.randrange(1, 1 << rep.d),))))
+    for _ in range(30):
+        for m in (
+            quasi_matroid(random_tame_rep(other, max_d=10)),
+            paving_to_matroid(random_paving(other, max_d=10)),
+        ):
+            circuits = m.circuits()
+            cases.append((m.d, circuits))
+            if circuits:
+                drop = other.randrange(len(circuits))
+                cases.append((m.d, circuits[:drop] + circuits[drop + 1 :]))
+            if m.d:
+                cases.append((m.d, canonical_masks(circuits + (other.randrange(1, 1 << m.d),))))
     table = [_axiom_verdict(d, cs) for d, cs in cases]
     monkeypatch.setattr(pavemat.core, "_DP_GROUND_LIMIT", 0)
     assert [_axiom_verdict(d, cs) for d, cs in cases] == table
@@ -89,12 +116,54 @@ def test_axiom_check_fallback_matches_dependence_table(monkeypatch):
     assert kinds == {None, AxiomViolation, ContainmentViolation}
 
 
+def test_axiom_decision_on_every_clutter(monkeypatch):
+    # with the empty list, the accepted clutters are the labelled matroids on
+    # 1..5 elements (OEIS A058673)
+    accepted = []
+    for d in range(1, 6):
+        lists = [canonical_masks(c) for c in clutters(d) if c]
+        table = [_axiom_verdict(d, cs) for cs in lists]
+        with monkeypatch.context() as patch:
+            patch.setattr(pavemat.core, "_DP_GROUND_LIMIT", 0)
+            assert [_axiom_verdict(d, cs) for cs in lists] == table
+        accepted.append(1 + table.count(None))
+    assert accepted == [2, 5, 16, 68, 406]
+
+
+@pytest.mark.parametrize("build", [lambda: grid_matroid(4, 5), lambda: line_matroid(7)])
+def test_axiom_check_on_grounds_20_and_21(build):
+    m = paving_to_matroid(build())
+    circuits = m.circuits()
+    assert m.d in (20, 21) and m.d <= pavemat.core._DP_GROUND_LIMIT
+    assert matroid_from_circuits(m.d, m.rank_value, circuits).circuits() == circuits
+    for drop in (0, len(circuits) // 2, len(circuits) - 1):
+        kept = circuits[:drop] + circuits[drop + 1 :]
+        with pytest.raises(AxiomViolation) as err:
+            matroid_from_circuits(m.d, None, kept)
+        c1, c2, x = err.value.c1, err.value.c2, err.value.x
+        assert c1 in kept and c2 in kept and (c1 & c2) >> x & 1
+        assert brute_independent(kept, (c1 | c2) & ~(1 << x))
+
+
+def test_axiom_check_reports_a_disagreement(monkeypatch):
+    monkeypatch.setattr(pavemat.core, "_rank_axioms_hold", lambda *args: False)
+    with pytest.raises(InvariantViolated):
+        check_circuit_axioms(4, uniform(1, 4).circuits())
+
+
 def test_axiom_check_above_the_table_limit():
-    circuits = uniform(1, 17).circuits()
-    assert 17 > pavemat.core._DP_GROUND_LIMIT
-    check_circuit_axioms(17, circuits)
+    d = pavemat.core._DP_GROUND_LIMIT + 1
+    circuits = uniform(1, d).circuits()
+    check_circuit_axioms(d, circuits)
     with pytest.raises(AxiomViolation):
-        check_circuit_axioms(17, circuits[1:])
+        check_circuit_axioms(d, circuits[1:])
+
+
+def test_axiom_pair_budget_applies_above_16():
+    # C(17, 5)^2 and C(16, 6)^2 both exceed the pair budget
+    with pytest.raises(TooLarge):
+        check_circuit_axioms(17, uniform(4, 17).circuits())
+    check_circuit_axioms(16, uniform(5, 16).circuits())
 
 
 def test_rank_mismatch():
@@ -279,8 +348,6 @@ def test_relabel_roundtrip():
 
 
 def test_axiom_check_on_families():
-    from pavemat import grid_matroid, line_matroid, paving_to_matroid
-
     for m in (
         paving_to_matroid(grid_matroid(3, 4)),
         paving_to_matroid(line_matroid(4)),

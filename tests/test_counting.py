@@ -27,13 +27,14 @@ from pavemat.counting import (
 )
 from pavemat.decomposition import grid_component_partitions, line_component_partitions
 from pavemat.errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
-from pavemat.partitions import blocks_to_rgs, iter_set_partitions
+from pavemat.partitions import blocks_to_rgs
 
 from helpers import (
     brute_admissible_count,
     brute_vector_partitions,
     fraction_exp_1d,
     fraction_exp_2d,
+    iter_set_partitions,
     set_partitions,
 )
 

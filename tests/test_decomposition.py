@@ -27,9 +27,9 @@ from pavemat.decomposition import (
     line_component_partitions,
 )
 from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
-from pavemat.partitions import blocks_to_rgs, iter_set_partitions
+from pavemat.partitions import blocks_to_rgs
 
-from helpers import m1
+from helpers import iter_set_partitions, m1
 
 QS = [m1(1, 2, 3), m1(1, 5, 6), m1(3, 4, 5), m1(2, 4, 6)]
 
@@ -322,7 +322,6 @@ def test_merged_matroid_always_above_base():
     import random
 
     from pavemat import is_tame
-    from pavemat.partitions import iter_set_partitions
     from helpers import random_paving
 
     rng = random.Random(73)
