@@ -9,8 +9,8 @@ from pavemat import (
     Matroid,
     check_circuit_axioms,
     dependency_leq,
-    is_uniform,
     grid_matroid,
+    is_uniform,
     line_matroid,
     mask_of,
     matroid_from_circuits,
