@@ -6,8 +6,10 @@ size; popcounts use ``int.bit_count``.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, cycle, repeat
 from math import comb
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -50,6 +52,42 @@ def bit_list(mask: int, offset: int = 0) -> list[int]:
 
 def bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(bit_list(mask))
+
+
+@lru_cache(maxsize=8)
+def _label_tables(width: int, sep: str, end: str) -> tuple[tuple[str, ...], ...]:
+    """For byte position p of a width-byte mask and each byte value, the text
+    sep + label of each of its set bits, ascending, where bit i of byte p has
+    the 1-based label 8p + i + 1. The entries at the last position are
+    followed by end. Built like _BYTE_BITS, by doubling: 256 strings per
+    position, about 30 ms and 11 MB at width 512 (4096 elements)."""
+    tables = []
+    for p in range(width):
+        table = [""]
+        for i in range(8):
+            piece = sep + str(8 * p + i + 1)
+            table += [t + piece for t in table]
+        tables.append(tuple(table))
+    tables[-1] = tuple(t + end for t in tables[-1])
+    return tuple(tables)
+
+
+def label_rows(masks: Sequence[int], before: str, sep: str, end: str) -> str:
+    """For each mask in turn: before, the 1-based labels of its set bits
+    joined by sep, then end.
+
+    The masks are written at one byte width into a single bytes object,
+    and each byte is looked up in the table of its position, so the text is
+    made by one join in C without Python work per mask. Each label comes with
+    sep in front; the one in front of a row's first label is taken out
+    afterwards, so before + sep must occur nowhere else in the text.
+    """
+    if not masks:
+        return ""
+    width = max(1, (max(masks).bit_length() + 7) >> 3)
+    blob = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    text = "".join(map(getitem, cycle(_label_tables(width, sep, end + before)), blob))
+    return (before + text[: len(text) - len(before)]).replace(before + sep, before)
 
 
 def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:

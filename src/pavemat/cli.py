@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import counting, decomposition, io
-from .bitset import bits_tuple
+from .bitset import label_rows, remap
 from .errors import MatroidError
 from .families import ci_ideal_generators, grid_matroid, line_matroid
 from .quasi import decompose_to_tame, paving_to_matroid, quasi_matroid
@@ -63,6 +63,11 @@ def _print_json(obj: dict) -> None:
     print(io.to_json(obj))
 
 
+def _print_rows(masks) -> None:
+    """One line per mask: two spaces, then its 1-based labels separated by spaces."""
+    sys.stdout.write(label_rows(masks, "  ", " ", "\n"))
+
+
 def _cmd_matroid(args: argparse.Namespace) -> int:
     if args.family == "grid":
         paving = grid_matroid(args.k, args.l)
@@ -78,19 +83,17 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         hyps = rep.members
     if args.format == "json":
         obj = io.matroid_to_dict(m, include_circuits=args.circuits)
-        obj["hyperplanes"] = [io.mask_to_labels(h) for h in hyps]
+        obj["hyperplanes"] = io.MaskRows(hyps)
         _print_json(obj)
         return 0
     print(f"ground size: {m.d}")
     print(f"rank: {m.rank_value}")
     print(f"hyperplanes ({len(hyps)}):")
-    for h in hyps:
-        print("  " + " ".join(str(x) for x in io.mask_to_labels(h)))
+    _print_rows(hyps)
     if args.circuits:
         circuits = m.circuits()
         print(f"circuits ({len(circuits)}):")
-        for c in circuits:
-            print("  " + " ".join(str(x) for x in io.mask_to_labels(c)))
+        _print_rows(circuits)
     else:
         hist = m.circuit_count_by_size()
         parts = ", ".join(f"{count} of size {size}" for size, count in sorted(hist.items()))
@@ -205,6 +208,7 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
     rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
     dec = decompose_to_tame(rep)
+    core_hyps = [remap(h, dec.core_elements) for h in dec.core.hyperplanes]
     if args.format == "json":
         _print_json(
             {
@@ -220,10 +224,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
                     "elements": [e + 1 for e in dec.core_elements],
                     "d": dec.core.d,
                     "n": dec.core.n,
-                    "hyperplanes": [
-                        [dec.core_elements[i] + 1 for i in bits_tuple(h)]
-                        for h in dec.core.hyperplanes
-                    ],
+                    "hyperplanes": io.MaskRows(core_hyps),
                 },
             }
         )
@@ -233,8 +234,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
         flat = " ".join(str(x) for x in io.mask_to_labels(s.flat))
         print(f"  element {s.element + 1} over flat {{{flat}}}")
     print(f"core on elements {[e + 1 for e in dec.core_elements]}:")
-    for h in dec.core.hyperplanes:
-        print("  " + " ".join(str(dec.core_elements[i] + 1) for i in bits_tuple(h)))
+    _print_rows(core_hyps)
     return 0
 
 

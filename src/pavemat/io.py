@@ -4,10 +4,9 @@ in memory is 0-based. Writers emit canonical ordering, readers are lenient."""
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .bitset import bit_list, mask_of
+from .bitset import bit_list, label_rows, mask_of
 from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
@@ -16,31 +15,36 @@ from .paving import PavingMatroid, paving_from_hyperplanes
 from .quasi import QuasiRep, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
+# The readers refuse larger grounds: building a matroid costs time quadratic
+# in d (core._greedy_basis), about 0.3 s at this limit on a 2-core Xeon VM.
+GROUND_SIZE_LIMIT = 4096
 
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+class MaskRows:
+    """A list of masks that to_json writes as a list of 1-based label lists.
+
+    It is not a list or tuple, so that ``json.dumps`` refuses it instead of
+    writing the masks as bare ints.
+    """
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: Sequence[int]):
+        self.masks = masks
 
 
 def to_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with each
+    MaskRows written as its list of label lists.
 
-    Dicts with str keys and lists are walked here. A list of int lists, the
-    shape of every circuit and hyperplane list, is encoded compactly by the
-    stdlib's C encoder and then indented, since the indented form is
-    otherwise written by its pure-Python encoder one token at a time.
-    Everything else is left to the stdlib encoder with the same settings.
+    Dicts with str keys and lists are walked here. A MaskRows, the form of
+    every circuit and hyperplane list, is written straight from its masks by
+    ``bitset.label_rows``. Everything else is left to the stdlib encoder with
+    the same settings.
     """
     return _encode(obj, "\n")
-
-
-def _is_int_rows(value) -> bool:
-    """Whether value is a non-empty list of non-empty lists of plain ints,
-    bools excluded. The type checks run in C over every item."""
-    return (
-        set(map(type, value)) == {list}
-        and all(value)
-        and set(map(type, chain.from_iterable(value))) == {int}
-    )
 
 
 def _encode(value, newline: str) -> str:
@@ -48,14 +52,18 @@ def _encode(value, newline: str) -> str:
     line value starts on) ending each of its lines but the last."""
     inner = newline + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        items = (_COMPACT.encode(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
+        items = (_INDENTED.encode(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, MaskRows):
+        if not value.masks:
+            return "[]"
+        row = inner + "  "
+        rows = label_rows(value.masks, "[" + row, "," + row, inner + "]," + inner)
+        text = "[" + inner + rows[: -len(inner) - 1] + newline + "]"
+        if 0 in value.masks:  # the empty list is written [] on one line
+            text = text.replace("[" + row + inner + "]", "[]")
+        return text
     if isinstance(value, (list, tuple)) and value:
-        if _is_int_rows(value):
-            row = inner + "  "
-            body = _COMPACT.encode(value)[2:-2].replace(",", "," + row)
-            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
-            return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
         items = (_encode(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return _INDENTED.encode(value).replace("\n", newline)
@@ -88,10 +96,12 @@ def _integer(value, name: str) -> int:
 
 
 def _ground_size(obj: dict) -> int:
-    """A file's ground size d, which must not be negative."""
+    """A file's ground size d, from 0 to GROUND_SIZE_LIMIT."""
     d = _integer(obj["d"], "ground size d")
     if d < 0:
         raise BadParams(f"ground size d must be >= 0, got {d}")
+    if d > GROUND_SIZE_LIMIT:
+        raise BadParams(f"ground size d={d} exceeds limit {GROUND_SIZE_LIMIT}")
     return d
 
 
@@ -105,7 +115,7 @@ def _label_lists(key: str, lists, d: int) -> list[int]:
 def matroid_to_dict(m: Matroid, *, include_circuits: bool = True) -> dict:
     out: dict = {"d": m.d, "rank": m.rank_value}
     if include_circuits:
-        out["circuits"] = [mask_to_labels(c) for c in m.circuits()]
+        out["circuits"] = MaskRows(m.circuits())
     else:
         out["circuit_count_by_size"] = {
             str(size): count for size, count in sorted(m.circuit_count_by_size().items())
@@ -174,7 +184,7 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
         if include_circuits:
             circuits = report.matroid.circuits()
             if len(circuits) <= CIRCUIT_LIST_INLINE_LIMIT:
-                matroid_obj["circuits"] = [mask_to_labels(c) for c in circuits]
+                matroid_obj["circuits"] = MaskRows(circuits)
         components.append(
             {
                 "partition": [

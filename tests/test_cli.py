@@ -11,6 +11,7 @@ from pavemat.io import (
     paving_to_dict,
     quasi_from_dict,
     quasi_to_dict,
+    to_json,
 )
 
 from helpers import json_oracle, m1
@@ -25,7 +26,7 @@ def run(capsys, *argv):
 def test_matroid_json_roundtrip():
     m = paving_to_matroid(grid_matroid(3, 4))
     obj = matroid_to_dict(m)
-    back = matroid_from_dict(json.loads(json.dumps(obj)))
+    back = matroid_from_dict(json.loads(to_json(obj)))
     assert back.circuits() == m.circuits()
     assert back.rank_value == m.rank_value
 
@@ -106,7 +107,7 @@ def test_matroid_quasi_from_file(tmp_path, capsys):
 def test_validate_good_file(tmp_path, capsys):
     m = uniform(2, 5)
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(matroid_to_dict(m)))
+    path.write_text(to_json(matroid_to_dict(m)))
     code, out, _ = run(capsys, "validate", "--file", str(path))
     assert code == 0
     assert "valid matroid" in out
@@ -300,6 +301,16 @@ def test_malformed_json_exit_1(tmp_path, capsys, command):
         (("matroid", "quasi"), {"d": 4.7, "n": 2, "H": []}, "error: ground size d must be an integer, got 4.7\n"),
         (("matroid", "quasi"), {"d": 4, "n": 2.5, "H": []}, "error: n must be an integer, got 2.5\n"),
         (("decompose-to-tame",), {"d": 4, "n": 3.25, "H": []}, "error: n must be an integer, got 3.25\n"),
+        (
+            ("validate",),
+            {"d": 200000, "rank": 0, "circuits": [[1]]},
+            "INVALID: ground size d=200000 exceeds limit 4096\n",
+        ),
+        (
+            ("matroid", "quasi"),
+            {"d": 1e9, "n": 2, "H": [[1, 2]]},
+            "error: ground size d=1000000000 exceeds limit 4096\n",
+        ),
     ],
 )
 def test_badly_shaped_lists_exit_1(tmp_path, capsys, command, obj, message):
@@ -328,6 +339,10 @@ def test_egf_budget_exit_1(capsys):
 
 
 TAME_INPUT = quasi_to_dict(quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)]))
+# A quasi file may hold an empty member; a ground of 9 puts label 9 in a
+# second byte of each mask.
+EMPTY_MEMBER_INPUT = {"d": 5, "n": 2, "H": [[1, 2], [], [3, 4, 5]]}
+NINE_INPUT = {"d": 9, "n": 3, "H": [[1, 2, 3, 9], [3, 4, 5, 8], [6, 7, 8, 9]]}
 
 
 @pytest.mark.parametrize(
@@ -339,6 +354,9 @@ TAME_INPUT = quasi_to_dict(quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)
         "matroid lines --n 5 --format json --circuits",
         "matroid quasi --file {file} --format json",
         "matroid quasi --file {file} --format json --circuits",
+        "matroid quasi --file {empty} --format json",
+        "matroid quasi --file {empty} --format json --circuits",
+        "matroid quasi --file {nine} --format json --circuits",
         "decompose grid --k 4 --l 4 --list --format json",
         "decompose grid --k 4 --l 4 --list --format json --circuits",
         "decompose lines --n 6 --list --format json",
@@ -347,8 +365,10 @@ TAME_INPUT = quasi_to_dict(quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)
     ],
 )
 def test_json_output_is_the_stdlib_indented_layout(tmp_path, capsys, argv):
-    path = tmp_path / "rep.json"
-    path.write_text(json.dumps(TAME_INPUT))
-    code, out, err = run(capsys, *argv.format(file=path).split())
+    paths = {}
+    for name, obj in (("file", TAME_INPUT), ("empty", EMPTY_MEMBER_INPUT), ("nine", NINE_INPUT)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv.format(**paths).split())
     assert code == 0 and err == ""
     assert out == json_oracle(json.loads(out)) + "\n"

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
-from pavemat.bitset import bit_list, bits, bits_tuple
-from pavemat.io import mask_to_labels, to_json
+from pavemat import grid_matroid, paving_to_matroid
+from pavemat.bitset import bit_list, bits, bits_tuple, label_rows
+from pavemat.io import MaskRows, mask_to_labels, matroid_to_dict, to_json
 
 from helpers import json_oracle
 
@@ -84,3 +86,81 @@ def test_bit_list_matches_bits_generator():
         assert bit_list(mask) == expected
         assert bits_tuple(mask) == tuple(expected)
         assert bit_list(mask, 1) == mask_to_labels(mask) == [e + 1 for e in expected]
+
+
+# Each size meets or crosses a byte boundary of the masks.
+GROUND_SIZES = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130)
+
+
+def _random_masks(rng: random.Random, d: int) -> list[int]:
+    """Random masks on d elements, some narrower than d, with single-element
+    rows and empty masks mixed in."""
+    width = rng.choice([d, rng.randint(1, d)])
+    masks = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            masks.append(1 << rng.randrange(width))
+        elif kind == 1:
+            masks.append(0)
+        else:
+            masks.append(rng.getrandbits(width))
+    return masks
+
+
+def _with_labels(value):
+    """value with each MaskRows replaced by its list of label lists."""
+    if isinstance(value, MaskRows):
+        return [mask_to_labels(m) for m in value.masks]
+    if isinstance(value, dict):
+        return {k: _with_labels(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_labels(v) for v in value]
+    return value
+
+
+def _layouts(rows: MaskRows) -> list:
+    """rows alone and at the nesting depths of the JSON exports: depth 1 in
+    `matroid --format json`, depth 3 in `decompose --list --circuits`."""
+    return [
+        rows,
+        {"circuits": rows, "d": 9, "hyperplanes": rows, "rank": 3},
+        {"a": [{"circuits": rows}, rows]},
+        {
+            "component_count": 1,
+            "components": [{"matroid": {"circuits": rows, "d": 9, "rank": 3}, "partition": [["R1"]]}],
+        },
+    ]
+
+
+@pytest.mark.parametrize("d", GROUND_SIZES)
+def test_mask_rows_match_stdlib_on_label_lists(d):
+    rng = random.Random(8000 + d)
+    for _ in range(60):
+        for value in _layouts(MaskRows(_random_masks(rng, d))):
+            assert to_json(value) == json_oracle(_with_labels(value))
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [(), (0,), (0, 0), (1,), (1 << 64,), (0, 1 << 7, 0), (1 << 8, 1 << 8 | 1), (2**130 - 1, 0, 5)],
+    ids=repr,
+)
+def test_mask_rows_edge_lists(masks):
+    for value in _layouts(MaskRows(masks)):
+        assert to_json(value) == json_oracle(_with_labels(value))
+
+
+def test_label_rows_text_lines():
+    rng = random.Random(83)
+    for d in GROUND_SIZES:
+        masks = _random_masks(rng, d)
+        expected = "".join("  " + " ".join(map(str, mask_to_labels(m))) + "\n" for m in masks)
+        assert label_rows(masks, "  ", " ", "\n") == expected
+    assert label_rows([], "  ", " ", "\n") == ""
+
+
+def test_stdlib_json_refuses_mask_rows():
+    obj = matroid_to_dict(paving_to_matroid(grid_matroid(3, 4)))
+    with pytest.raises(TypeError, match="MaskRows"):
+        json.dumps(obj)
