@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, cycle, repeat
-from math import comb
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -123,33 +122,6 @@ def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list
             for part in subsets_of_size(inside, size):
                 violators.update(part | other for other in rest)
     return [s for s in subsets_of_size(ground, r) if s not in violators]
-
-
-def containment_test(masks: Iterable[int]) -> Callable[[int], bool]:
-    """A predicate telling whether a mask contains one of the given masks.
-
-    For each size r of the given masks it looks up the r-subsets of the mask
-    when there are fewer of them than given masks of size r, and scans those
-    masks otherwise.
-    """
-    buckets: dict[int, set[int]] = {}
-    for m in masks:
-        buckets.setdefault(m.bit_count(), set()).add(m)
-    by_size = [(r, frozenset(buckets[r])) for r in sorted(buckets)]
-
-    def contains(mask: int) -> bool:
-        size = mask.bit_count()
-        for r, members in by_size:
-            if r > size:
-                return False
-            if comb(size, r) <= len(members):
-                if any(sub in members for sub in subsets_of_size(mask, r)):
-                    return True
-            elif any(m & mask == m for m in members):
-                return True
-        return False
-
-    return contains
 
 
 def remap(mask: int, table: Sequence[int] | Mapping[int, int]) -> int:

@@ -119,15 +119,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(f"{len(result.components)} components")
         for rep in result.components:
             blocks = [
-                "{" + ",".join(
-                    next(
-                        lab
-                        for lab, mk in zip(result.hyperplane_labels, result.hyperplane_masks)
-                        if mk == mask
-                    )
-                    for mask in block
-                ) + "}"
-                for block in rep.block_masks
+                "{" + ",".join(result.hyperplane_labels[i] for i in block) + "}"
+                for block in rep.partition.blocks()
             ]
             kind = rep.classification.kind
             if rep.classification.uniform_params:

@@ -21,7 +21,6 @@ from .bitset import (
     as_mask,
     bits_tuple,
     canonical_masks,
-    containment_test,
     remap,
     sort_key,
     subsets_of_size,
@@ -144,26 +143,26 @@ class Matroid:
 
     # -- enumeration -----------------------------------------------------------
 
-    def bases(self, *, ground_limit: int = BASES_GROUND_LIMIT) -> tuple[int, ...]:
-        if self.d > ground_limit:
-            raise TooLarge("bases ground limit", f"d={self.d} > {ground_limit}")
+    def bases(self) -> tuple[int, ...]:
+        if self.d > BASES_GROUND_LIMIT:
+            raise TooLarge("bases ground limit", f"d={self.d} > {BASES_GROUND_LIMIT}")
         r = self.rank_value
         if comb(self.d, r) > CIRCUIT_BUDGET:
             raise TooLarge("bases enumeration", f"C({self.d},{r}) too large")
         return tuple(m for m in subsets_of_size((1 << self.d) - 1, r) if self.is_independent(m))
 
-    def circuits(self, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
+    def circuits(self) -> tuple[int, ...]:
         if self._circuits is None:
             if self._circuit_fn is not None:
                 self._circuits = self._circuit_fn()
             else:
-                self._circuits = self._search_circuits(budget)
+                self._circuits = self._search_circuits()
         return self._circuits
 
-    def _search_circuits(self, budget: int) -> tuple[int, ...]:
+    def _search_circuits(self) -> tuple[int, ...]:
         """Minimal dependent sets by size-graded search (small grounds only)."""
         total = sum(comb(self.d, r) for r in range(1, self.rank_value + 2))
-        if total > budget:
+        if total > CIRCUIT_BUDGET:
             raise TooLarge("circuit search", f"{total} candidate subsets")
         found: list[int] = []
         for r in range(1, self.rank_value + 2):
@@ -308,6 +307,33 @@ def _rank_axioms_hold(d: int, dep: int, without: list[int]) -> bool:
     return True
 
 
+def _containment_test(masks: Iterable[int]) -> Callable[[int], bool]:
+    """A predicate telling whether a mask contains one of the given masks.
+
+    For each size r of the given masks it looks up the r-subsets of the mask
+    when there are fewer of them than given masks of size r, and scans those
+    masks otherwise.
+    """
+    buckets: dict[int, set[int]] = {}
+    for m in masks:
+        buckets.setdefault(m.bit_count(), set()).add(m)
+    by_size = [(r, frozenset(buckets[r])) for r in sorted(buckets)]
+
+    def contains(mask: int) -> bool:
+        size = mask.bit_count()
+        for r, members in by_size:
+            if r > size:
+                return False
+            if comb(size, r) <= len(members):
+                if any(sub in members for sub in subsets_of_size(mask, r)):
+                    return True
+            elif any(m & mask == m for m in members):
+                return True
+        return False
+
+    return contains
+
+
 def _check_elimination(circuits: tuple[int, ...], dependent: Callable[[int], int]) -> None:
     """Raise AxiomViolation at the first circuit pair, in list order, and
     shared element x, in ascending order, with (c1 | c2) - x independent."""
@@ -334,8 +360,7 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
     (:func:`_rank_axioms_hold`); only when that check fails are the circuit
     pairs scanned, to name the first failing pair, reading the dependent sets
     from the same bitset. Larger grounds scan the pairs directly, testing
-    each union for a contained circuit
-    (:func:`pavemat.bitset.containment_test`).
+    each union for a contained circuit (:func:`_containment_test`).
     """
     by_size: dict[int, list[int]] = {}
     for c in circuits:
@@ -357,7 +382,7 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
         raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
 
     if d > _DP_GROUND_LIMIT:
-        _check_elimination(circuits, containment_test(circuits))
+        _check_elimination(circuits, _containment_test(circuits))
         return
 
     without = _without(d)

@@ -19,7 +19,7 @@ from .bitset import sort_key
 from .core import Matroid
 from .counting import grid_component_codes, line_component_codes
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
-from .families import GridLayout, LineArrangement, grid_matroid, line_matroid
+from .families import GridLayout, LineArrangement
 from .partitions import blocks_to_rgs, iter_rgs, rgs_to_blocks
 from .paving import (
     PavingMatroid,
@@ -153,6 +153,14 @@ class HyperplanePartition:
         return rgs_to_blocks(self.rgs)
 
 
+def _block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
+    """The union of the hyperplanes with the given indices."""
+    union = 0
+    for i in block:
+        union |= hyperplanes[i]
+    return union
+
+
 def merged_rep(p: PavingMatroid, partition: HyperplanePartition) -> QuasiRep:
     """Hypergraph whose members are the unions of the hyperplanes in each
     block; tameness of p makes it automatically valid (no element can reach
@@ -161,12 +169,7 @@ def merged_rep(p: PavingMatroid, partition: HyperplanePartition) -> QuasiRep:
         raise NotTame("merged matroids are defined for tame bases only")
     if partition.size != len(p.hyperplanes):
         raise BadParams("partition size does not match the hyperplane count")
-    members = []
-    for block in partition.blocks():
-        union = 0
-        for i in block:
-            union |= p.hyperplanes[i]
-        members.append(union)
+    members = [_block_union(p.hyperplanes, block) for block in partition.blocks()]
     return QuasiRep(p.d, p.n, tuple(sorted(members, key=sort_key)))
 
 
@@ -209,9 +212,7 @@ def is_component_partition(
         raise NotTame("component partitions are defined for tame bases only")
     blocks = partition.blocks()
     for block in blocks:
-        union = 0
-        for i in block:
-            union |= p.hyperplanes[i]
+        union = _block_union(p.hyperplanes, block)
         in_block = set(block)
         for idx, l in enumerate(p.hyperplanes):
             if idx not in in_block and l & union == l:
@@ -302,12 +303,7 @@ def _decompose(
     for code in codes:
         blocks = rgs_to_blocks(code)
         block_masks = tuple(tuple(hyp_masks[i] for i in block) for block in blocks)
-        members = []
-        for bm in block_masks:
-            union = 0
-            for mask in bm:
-                union |= mask
-            members.append(union)
+        members = [_block_union(hyp_masks, block) for block in blocks]
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
         matroid = quasi_matroid(rep)
         sig = small_circuits(rep)
@@ -350,7 +346,6 @@ def decompose_grid(
     """Components of the k x l grid: one merged matroid per partition passing
     the closed-form test, in RGS-lex order."""
     codes = grid_listing(k, l, budget=budget)
-    grid_matroid(k, l)  # validates the base exists
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
     hyp_masks = layout.row_masks() + layout.col_masks()
@@ -371,7 +366,6 @@ def decompose_lines(
 ) -> DecompositionResult:
     """Components of the n-line arrangement, in RGS-lex order."""
     codes = line_listing(n, budget=budget)
-    line_matroid(n)  # validates the base exists
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()

@@ -168,7 +168,7 @@ def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:
 
 
 def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool = False) -> dict:
-    label_of = {mask: label for label, mask in zip(result.hyperplane_labels, result.hyperplane_masks)}
+    labels = result.hyperplane_labels
     components = []
     for report in result.components:
         classification: dict = {"kind": report.classification.kind}
@@ -187,9 +187,7 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
                 matroid_obj["circuits"] = MaskRows(circuits)
         components.append(
             {
-                "partition": [
-                    [label_of[mask] for mask in block] for block in report.block_masks
-                ],
+                "partition": [[labels[i] for i in block] for block in report.partition.blocks()],
                 "classification": classification,
                 "matroid": matroid_obj,
             }
@@ -199,7 +197,7 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
         "params": result.params,
         "hyperplanes": {
             label: mask_to_labels(mask)
-            for label, mask in zip(result.hyperplane_labels, result.hyperplane_masks)
+            for label, mask in zip(labels, result.hyperplane_masks)
         },
         "component_count": len(result.components),
         "components": components,

@@ -15,7 +15,7 @@ from itertools import combinations, groupby
 from math import factorial
 from typing import Iterator
 
-from pavemat import QuasiRep, quasi_rep
+from pavemat import Matroid, QuasiRep, quasi_rep
 from pavemat.bitset import mask_of, sort_key
 from pavemat.counting import ForbiddenProfiles, Vector, _boxed_vectors
 from pavemat.partitions import iter_rgs, rgs_to_blocks
@@ -129,6 +129,34 @@ def brute_type3_circuits(rep: QuasiRep) -> list[int]:
 
 def brute_quasi_circuits(rep: QuasiRep) -> tuple[int, ...]:
     return tuple(sorted(brute_small_circuits(rep), key=sort_key)) + tuple(brute_type3_circuits(rep))
+
+
+def slow_ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
+    """The CI matroid built without caps: the t-cell sets of each row and the
+    s-cell sets of each column (cell (i, j) is j*k + i), filtered to the
+    inclusion-minimal ones, then every (n+1)-set scanned for one of them.
+    Assumes the parameters satisfy ci_matroid's hypotheses."""
+    lines = [([j * k + i for j in range(l)], t) for i in range(k)]
+    lines += [([j * k + i for i in range(k)], s) for j in range(l)]
+    edges = {mask_of(c) for cells, size in lines for c in combinations(cells, size)}
+    minimal = sorted(
+        (e for e in edges if not any(o != e and o & e == o for o in edges)), key=sort_key
+    )
+    d = k * l
+
+    def contains_edge(mask: int) -> bool:
+        return any(e & mask == e for e in minimal)
+
+    def oracle(mask: int) -> bool:
+        return mask.bit_count() <= n and not contains_edge(mask)
+
+    def materialize() -> tuple[int, ...]:
+        big = map(sum, combinations([1 << e for e in range(d)], n + 1))
+        return tuple(minimal) + tuple(m for m in big if not contains_edge(m))
+
+    m = Matroid(d, 0, oracle=oracle, circuit_fn=materialize)
+    m.rank_value = m.rank()
+    return m
 
 
 def brute_paving_circuits(p: PavingMatroid) -> tuple[int, ...]:

@@ -162,6 +162,13 @@ def test_generators_csv(capsys):
     assert lines[0] == "1,2,3;1,2,3"
 
 
+def test_generators_over_the_budget_exit_1(capsys):
+    # 40 * C(40, 3) generators from the rows and as many from the columns
+    code, out, err = run(capsys, "ci-generators", "--k", "40", "--l", "40", "--s", "3", "--t", "3", "--n", "3")
+    assert code == 1 and out == ""
+    assert err == "error: budget 'ci generators': requested 790400 exceeds limit 50000\n"
+
+
 def test_decompose_to_tame_cli(tmp_path, capsys):
     rep = quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)])
     path = tmp_path / "rep.json"

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -20,7 +21,7 @@ from pavemat import (
 )
 from pavemat.errors import BadParams, DegenerateGround, HypothesisViolated, TooFewLines
 
-from helpers import m1
+from helpers import m1, slow_ci_matroid
 
 
 def test_grid_layout_numbering():
@@ -63,6 +64,31 @@ def test_ci_matroid_matches_grid_family():
                 for combo in combinations(range(k * l), size):
                     s = mask_of(combo)
                     assert m.is_independent(s) == g.is_independent(s)
+            assert m.circuits() == paving_to_matroid(grid_matroid(k, l)).circuits()
+
+
+# Every (k, l, s, t, n) with k, l <= 5 that satisfies ci_matroid's hypotheses.
+CI_CASES = [
+    (k, l, s, t, n)
+    for k in range(3, 6)
+    for l in range(3, 6)
+    for s in range(3, k + 1)
+    for t in range(s, l + 1)
+    for n in range(t, s + t - 2)
+]
+
+
+@pytest.mark.parametrize("k, l, s, t, n", CI_CASES)
+def test_ci_matroid_matches_the_slow_construction(k, l, s, t, n):
+    fast = ci_matroid(k, l, s, t, n)
+    slow = slow_ci_matroid(k, l, s, t, n)
+    assert fast.rank_value == slow.rank_value == n
+    # before circuits(), so that both answer from their independence oracles
+    rng = random.Random(f"{k},{l},{s},{t},{n}")
+    for _ in range(300):
+        mask = mask_of(rng.sample(range(k * l), rng.randint(0, n + 1)))
+        assert fast.is_independent(mask) == slow.is_independent(mask)
+    assert fast.circuits() == slow.circuits()
 
 
 def test_grid_matroid_hyperplane_counts():
