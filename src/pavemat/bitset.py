@@ -89,9 +89,23 @@ def label_rows(masks: Sequence[int], before: str, sep: str, end: str) -> str:
     return (before + text[: len(text) - len(before)]).replace(before + sep, before)
 
 
-def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical (size, lexicographic-member) ordering key."""
-    return (mask.bit_count(), bits_tuple(mask))
+# Byte value b maps to 255 minus b with its bits reversed: the byte's lowest
+# bit becomes its highest, and a set bit sorts low.
+_ORDER_BYTES = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def sort_key(mask: int) -> tuple[int, bytes]:
+    """Canonical ordering key: by size, then lexicographically by the
+    ascending member lists.
+
+    Of two masks of one size, A comes first exactly when the lowest bit of
+    A ^ B is in A. The key's bytes run from bit 0 up, each mapped through
+    _ORDER_BYTES, so they first differ at the byte of that bit and there put
+    A's low. Of two masks of one size neither byte string is a prefix of the
+    other, as the shorter would then hold fewer bits.
+    """
+    low_first = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return (mask.bit_count(), low_first.translate(_ORDER_BYTES))
 
 
 def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:

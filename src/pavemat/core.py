@@ -6,7 +6,9 @@ A matroid is backed by one of two representations:
 
 * an explicit canonical circuit list (sorted by size, then lexicographically), or
 * an independence oracle (a predicate on masks), optionally with a function
-  that lists the circuits when they are first asked for.
+  that lists the circuits when they are first asked for and one that counts
+  them by size without listing them. The oracle answers independence
+  queries also once the circuits are listed.
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -61,7 +63,7 @@ _VALIDATION_PAIR_BUDGET = 20_000_000
 class Matroid:
     """A matroid on {0..d-1}; see the module docstring for the backing modes."""
 
-    __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn")
+    __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn", "_count_fn")
 
     def __init__(
         self,
@@ -71,6 +73,7 @@ class Matroid:
         circuits: Optional[tuple[int, ...]] = None,
         oracle: Optional[Callable[[int], bool]] = None,
         circuit_fn: Optional[Callable[[], tuple[int, ...]]] = None,
+        count_fn: Optional[Callable[[], dict[int, int]]] = None,
         origin: str = "explicit",
     ):
         if circuits is None and oracle is None:
@@ -81,6 +84,7 @@ class Matroid:
         self._circuits = circuits
         self._oracle = oracle
         self._circuit_fn = circuit_fn
+        self._count_fn = count_fn
 
     # -- dependence predicate -------------------------------------------------
 
@@ -88,15 +92,15 @@ class Matroid:
         s = as_mask(s)
         if s >> self.d:
             raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
-        if self._circuits is not None:
-            size = s.bit_count()
-            for c in self._circuits:
-                if c.bit_count() > size:
-                    return True
-                if c & s == c:
-                    return False
-            return True
-        return self._oracle(s)
+        if self._oracle is not None:
+            return self._oracle(s)
+        size = s.bit_count()
+        for c in self._circuits:
+            if c.bit_count() > size:
+                return True
+            if c & s == c:
+                return False
+        return True
 
     def is_dependent(self, s: int | Iterable[int]) -> bool:
         return not self.is_independent(s)
@@ -175,6 +179,10 @@ class Matroid:
         return tuple(sorted(found, key=sort_key))
 
     def circuit_count_by_size(self) -> dict[int, int]:
+        """Circuits per size, sizes without circuits left out; from count_fn
+        when the matroid was given one, else from the circuit list."""
+        if self._count_fn is not None:
+            return self._count_fn()
         hist: dict[int, int] = {}
         for c in self.circuits():
             hist[c.bit_count()] = hist.get(c.bit_count(), 0) + 1

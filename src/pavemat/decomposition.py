@@ -9,7 +9,6 @@ liftability oracle covers the generic case and says so when it cannot decide.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -29,7 +28,7 @@ from .paving import (
     is_nilpotent,
     is_tame,
 )
-from .quasi import QuasiRep, quasi_matroid, small_circuits, type3_count
+from .quasi import CircuitProfile, QuasiRep, circuit_profile, quasi_matroid
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
@@ -246,7 +245,6 @@ class ComponentReport:
     block_masks: tuple[tuple[int, ...], ...]
     matroid: Matroid
     classification: Classification
-    signature: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -258,30 +256,31 @@ class DecompositionResult:
     components: tuple[ComponentReport, ...]
 
 
-def _uniform_from_signature(d: int, rank: int, level: int, sig: frozenset[int]) -> Optional[tuple[int, int]]:
-    if rank == level:
-        return (rank, d) if not sig else None
-    if all(c.bit_count() == rank + 1 for c in sig) and len(sig) == comb(d, rank + 1):
-        return (rank, d)
-    return None
+def _uniform_from_counts(d: int, rank: int, level: int, small: dict[int, int]) -> Optional[tuple[int, int]]:
+    """(rank, d) when the small circuits, counted by size, are all (rank+1)-subsets
+    of the ground set, or none at all when the rank is the level."""
+    want = {} if rank == level else {rank + 1: comb(d, rank + 1)}
+    have = {size: count for size, count in small.items() if count}
+    return (rank, d) if have == {size: count for size, count in want.items() if count} else None
 
 
 def _classify(
-    rep: QuasiRep,
+    profile: CircuitProfile,
     matroid: Matroid,
-    sig: frozenset[int],
-    base_sig: frozenset[int],
+    level: int,
+    base_key: tuple,
     with_histogram: bool,
 ) -> Classification:
-    uni = _uniform_from_signature(matroid.d, matroid.rank_value, rep.n, sig)
+    small = {level - 1: profile.type1, level: profile.type2}
+    uni = _uniform_from_counts(matroid.d, matroid.rank_value, level, small)
     if uni is not None:
         return Classification("uniform", uniform_params=uni)
-    if sig == base_sig:
+    if profile.key == base_key:
         return Classification("equals-base")
     hist = None
     if with_histogram:
-        hist = dict(Counter(map(int.bit_count, sig)))
-        hist[rep.n + 1] = type3_count(rep)
+        hist = {size: count for size, count in small.items() if count}
+        hist[level + 1] = profile.type3
     return Classification("other", histogram=hist)
 
 
@@ -295,28 +294,29 @@ def _decompose(
     codes: Iterable[Sequence[int]],
     classify: bool,
 ) -> DecompositionResult:
-    """One report per partition code, in the order given."""
-    base_sig = small_circuits(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key))))
+    """One report per partition code, in the order given. Components are told
+    apart by their circuit_profile keys, which agree exactly when the small
+    circuits do."""
+    base_key = circuit_profile(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key)))).key
     m = len(hyp_masks)
     reports: list[ComponentReport] = []
-    seen_signatures: set[frozenset[int]] = set()
+    seen_keys: set[tuple] = set()
     for code in codes:
         blocks = rgs_to_blocks(code)
         block_masks = tuple(tuple(hyp_masks[i] for i in block) for block in blocks)
         members = [_block_union(hyp_masks, block) for block in blocks]
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
         matroid = quasi_matroid(rep)
-        sig = small_circuits(rep)
-        if sig in seen_signatures:
+        profile = circuit_profile(rep)
+        if profile.key in seen_keys:
             raise InvariantViolated(f"partition {tuple(code)} merges to a matroid already listed")
-        seen_signatures.add(sig)
+        seen_keys.add(profile.key)
         reports.append(
             ComponentReport(
                 partition=HyperplanePartition(m, tuple(code)),
                 block_masks=block_masks,
                 matroid=matroid,
-                classification=_classify(rep, matroid, sig, base_sig, classify),
-                signature=sig,
+                classification=_classify(profile, matroid, level, base_key, classify),
             )
         )
     return DecompositionResult(family, params, labels, hyp_masks, tuple(reports))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .bitset import as_mask, bits_tuple, capped_subsets, remap, sort_key, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
@@ -105,7 +105,7 @@ def _independence_oracle(members: tuple[int, ...], n: int) -> Callable[[int], bo
 
 
 def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The cells of a tame representation as (size, cap, owners): the elements
+    """The cells of a tame representation as (mask, cap, owners): the elements
     in no member, each member's private part, and each nonempty pairwise
     intersection, with the indices of the members holding the cell. No element
     lies in three members, so the cells partition the ground set. A type-3
@@ -116,13 +116,13 @@ def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
     for h in members:
         twice |= seen & h
         seen |= h
-    cells = [(rep.d - seen.bit_count(), n + 1, ())]
+    cells = [(((1 << rep.d) - 1) & ~seen, n + 1, ())]
     for i, h in enumerate(members):
-        cells.append(((h & ~twice).bit_count(), n + 1, (i,)))
+        cells.append((h & ~twice, n + 1, (i,)))
         for j in range(i + 1, len(members)):
-            size = (h & members[j]).bit_count()
-            if size:
-                cells.append((size, n - 2, (i, j)))
+            inter = h & members[j]
+            if inter:
+                cells.append((inter, n - 2, (i, j)))
     return cells
 
 
@@ -154,38 +154,95 @@ def small_circuits(rep: QuasiRep) -> frozenset[int]:
     return frozenset(out)
 
 
-def type3_count(rep: QuasiRep) -> int:
-    """Number of (n+1)-circuits, in closed form over the cells.
+class CircuitProfile(NamedTuple):
+    """What circuit_profile reads off the cells: a key equal for two tame
+    representations of one ground size and level exactly when their small
+    circuits agree, and the number of circuits of each type."""
 
-    An (n+1)-set within every cell's cap is a type-3 circuit unless it holds n
-    or more elements of some member. Counting sets by how many elements they
-    take from each cell is a product of truncated binomial polynomials
-    (Flajolet-Sedgewick, Analytic Combinatorics, ch. II), so the sets within
-    the caps are a coefficient of the product over all cells, and those with
-    n or n+1 elements in member H a sum of products of coefficients over the
-    cells inside and outside H. Two members holding n elements each would
-    share n-1 of them, above the cap of their intersection, so these member
-    events are disjoint and are subtracted one by one.
+    key: tuple
+    type1: int
+    type2: int
+    type3: int
+
+
+def circuit_profile(rep: QuasiRep) -> CircuitProfile:
+    """The key and the circuit counts of a tame representation, in closed
+    form over the cells.
+
+    Counting sets by how many elements they take from each cell is a product
+    of truncated binomial polynomials (Flajolet-Sedgewick, Analytic
+    Combinatorics, ch. II). The type-1 circuits are the (n-1)-subsets of the
+    qualifying intersections I (those of at least n-1 elements). The type-2
+    circuits of member H are its n-subsets with at most n-2 elements in each
+    I inside H, the coefficient inside[n] of the product over H's cells; no
+    set is type-2 in two members, since it would have n elements in their
+    intersection. H is active when it has type-2 circuits. An (n+1)-set
+    within every cell's cap is a type-3 circuit unless it holds n or more
+    elements of some member; two members holding n elements each would share
+    n-1 of them, above the cap of their intersection, so these member events
+    are disjoint and are subtracted one by one.
+
+    The key is (sorted I, sorted active H) for n >= 3, and (U, sorted H - U
+    over the active H) for n = 2, where U is the union of the I. It fixes the
+    small circuits by the counts above; an I meeting H lies in H, since no
+    element is in three members. Conversely the small circuits fix the key:
+
+    * the I are disjoint; for n >= 3 the (n-1)-subsets of one I, of two or
+      more elements each, are linked by overlaps, so the I are the unions of
+      the classes of overlapping type-1 circuits; for n = 2 the type-1
+      circuits are the loops, whose union is U;
+    * the type-2 circuits of H are the bases of a rank-n truncation of a
+      partition matroid, so they are linked by exchanges that keep n-1
+      elements (Oxley, Matroid Theory, base exchange), while two type-2
+      circuits of different members share at most n-2 elements;
+    * every element x of an active H (of H - U at n = 2) lies in one of its
+      type-2 circuits: add x to one and drop an element of x's cell, or any
+      other element when x's cell is below its cap.
+
+    So the active H (the H - U at n = 2) are the unions of the classes of
+    type-2 circuits linked by exchanges.
     """
     n = rep.n
     top = n + 1
     cells = [
-        (owners, [comb(size, t) for t in range(min(size, cap) + 1)])
-        for size, cap, owners in _cells(rep)
+        (mask, owners, [comb(mask.bit_count(), t) for t in range(min(mask.bit_count(), cap) + 1)])
+        for mask, cap, owners in _cells(rep)
     ]
-    count = _truncated_product((p for _, p in cells), top)[top]
+    qualifying = sorted(
+        mask for mask, owners, _ in cells if len(owners) == 2 and mask.bit_count() >= n - 1
+    )
+    type1 = sum(comb(i.bit_count(), n - 1) for i in qualifying)
+    type2 = 0
+    type3 = _truncated_product((p for _, _, p in cells), top)[top]
+    active = []
     for i, h in enumerate(rep.members):
         if h.bit_count() < n:
             continue
-        inside = _truncated_product((p for owners, p in cells if i in owners), top)
-        outside = _truncated_product((p for owners, p in cells if i not in owners), top)
-        count -= inside[n] * outside[1] + inside[n + 1] * outside[0]
-    return count
+        inside = _truncated_product((p for _, owners, p in cells if i in owners), top)
+        outside = _truncated_product((p for _, owners, p in cells if i not in owners), top)
+        type2 += inside[n]
+        type3 -= inside[n] * outside[1] + inside[n + 1] * outside[0]
+        if inside[n]:
+            active.append(h)
+    if n == 2:
+        loops = sum(qualifying)
+        key = (loops, tuple(sorted(h & ~loops for h in active)))
+    else:
+        key = (tuple(qualifying), tuple(sorted(active)))
+    return CircuitProfile(key, type1, type2, type3)
+
+
+def type3_count(rep: QuasiRep) -> int:
+    """Number of (n+1)-circuits, in closed form over the cells (see
+    circuit_profile)."""
+    return circuit_profile(rep).type3
 
 
 def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
     """The matroid of the three-type construction, in oracle mode with lazy
-    circuit materialization under the budget."""
+    circuit materialization under the budget. For tame representations the
+    circuit counts by size come from circuit_profile, with no circuit
+    listed."""
     n = rep.n
     oracle = _independence_oracle(rep.members, n)
 
@@ -202,7 +259,27 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
         caps = [(pm, n - 1) for pm in pairs] + [(h, n) for h in rep.members]
         return tuple(small + capped_subsets((1 << rep.d) - 1, n + 1, caps))
 
-    m = Matroid(rep.d, 0, oracle=oracle, circuit_fn=materialize, origin="quasi-rep")
+    def count_by_size() -> dict[int, int]:
+        profile = circuit_profile(rep)
+        counts = {n - 1: profile.type1, n: profile.type2, n + 1: profile.type3}
+        return {size: count for size, count in counts.items() if count}
+
+    # The cell counts need n >= 2 and no element in three members; paving
+    # hyperplanes reach here unchecked.
+    seen = twice = thrice = 0
+    for h in rep.members:
+        thrice |= twice & h
+        twice |= seen & h
+        seen |= h
+    tame = n >= 2 and not thrice
+    m = Matroid(
+        rep.d,
+        0,
+        oracle=oracle,
+        circuit_fn=materialize,
+        count_fn=count_by_size if tame else None,
+        origin="quasi-rep",
+    )
     m.rank_value = m.rank()
     return m
 

@@ -12,14 +12,16 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import factorial
+from math import comb, factorial
 from typing import Iterator
 
-from pavemat import Matroid, QuasiRep, quasi_rep
+from pavemat import Matroid, QuasiRep, merged_rep, quasi_rep, small_circuits
 from pavemat.bitset import mask_of, sort_key
 from pavemat.counting import ForbiddenProfiles, Vector, _boxed_vectors
+from pavemat.decomposition import Classification
 from pavemat.partitions import iter_rgs, rgs_to_blocks
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
+from pavemat.quasi import type3_count
 
 
 def m1(*elems: int) -> int:
@@ -129,6 +131,39 @@ def brute_type3_circuits(rep: QuasiRep) -> list[int]:
 
 def brute_quasi_circuits(rep: QuasiRep) -> tuple[int, ...]:
     return tuple(sorted(brute_small_circuits(rep), key=sort_key)) + tuple(brute_type3_circuits(rep))
+
+
+def listed_reps(res) -> list[QuasiRep]:
+    """The representation of each component of a level-3 listing, rebuilt by
+    merged_rep from its partition of the listing's hyperplanes."""
+    base = PavingMatroid(res.components[0].matroid.d, 3, res.hyperplane_masks)
+    return [merged_rep(base, c.partition) for c in res.components]
+
+
+def listed_signatures(res) -> list[frozenset[int]]:
+    """quasi.small_circuits of each component of a level-3 listing."""
+    return [small_circuits(rep) for rep in listed_reps(res)]
+
+
+def signature_classification(rep: QuasiRep, sig: frozenset[int], base_sig: frozenset[int], rank: int):
+    """The classification read off the small circuits themselves: uniform when
+    they are exactly the (rank+1)-subsets of the ground set (none at full
+    rank), equals-base when they are the base's, else other with the circuit
+    sizes counted one by one."""
+    d, n = rep.d, rep.n
+    if rank == n:
+        uniform = not sig
+    else:
+        uniform = all(c.bit_count() == rank + 1 for c in sig) and len(sig) == comb(d, rank + 1)
+    if uniform:
+        return Classification("uniform", uniform_params=(rank, d))
+    if sig == base_sig:
+        return Classification("equals-base")
+    hist = {}
+    for c in sig:
+        hist[c.bit_count()] = hist.get(c.bit_count(), 0) + 1
+    hist[n + 1] = type3_count(rep)
+    return Classification("other", histogram=hist)
 
 
 def slow_ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,10 +149,40 @@ def test_single_hyperplane_grid_rank_through_validate(tmp_path, capsys):
 
 
 def test_matroid_circuit_budget_exit_1(capsys):
-    code, out, err = run(capsys, "matroid", "grid", "--k", "40", "--l", "40")
+    # Listing the circuits still needs them all.
+    code, out, err = run(capsys, "matroid", "grid", "--k", "40", "--l", "40", "--circuits")
     assert code == 1
     assert out.startswith("ground size: 1600\nrank: 3\nhyperplanes (80):\n")
     assert err == "error: budget 'circuit materialization' exceeded: about 272044630000 candidates\n"
+
+
+def test_matroid_histogram_from_the_cell_counts(capsys):
+    code, out, err = run(capsys, "matroid", "grid", "--k", "40", "--l", "40")
+    assert code == 0 and err == ""
+    assert out.startswith("ground size: 1600\nrank: 3\nhyperplanes (80):\n")
+    assert out.endswith("\ncircuits: 790400 of size 3, 270803504400 of size 4\n")
+    code, out, _ = run(capsys, "matroid", "grid", "--k", "4", "--l", "4")
+    assert code == 0 and out.endswith("\ncircuits: 32 of size 3, 1428 of size 4\n")
+    code, out, _ = run(capsys, "matroid", "grid", "--k", "40", "--l", "40", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["circuit_count_by_size"] == {"3": 790400, "4": 270803504400}
+
+
+# sha256 of the listings' stdout, recorded before components were told apart
+# by their cell counts instead of their small circuits.
+LISTING_DIGESTS = {
+    "decompose lines --n 10 --list": "0aaa6e35397d7dcc5dbcf6c881c791c08afa41d8e930463b140e1f6e2d8810e9",
+    "decompose lines --n 10 --list --format json": "dd15da4038f5d7344fd75ca88bb81e4b8bfa4f28c4bb10824d9881022e47e6f8",
+    "decompose grid --k 6 --l 6 --list": "d17c900795b953814182bb461d4b2b646dc40a1a27f03b890f67635e88478f65",
+    "decompose grid --k 6 --l 6 --list --format json": "7c8eefda23ae25717860ce666d574234301ce0667d875624c2327bb0ba025c72",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LISTING_DIGESTS))
+def test_listing_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[argv]
 
 
 def test_generators_csv(capsys):

@@ -8,6 +8,7 @@ import pavemat.core
 from pavemat import (
     Matroid,
     check_circuit_axioms,
+    ci_matroid,
     dependency_leq,
     grid_matroid,
     is_uniform,
@@ -326,6 +327,27 @@ def test_brute_force_agreement():
             s = rng.randrange(1 << rep.d)
             assert m.rank(s) == brute_rank(circuits, s)
             assert m.closure(s) == brute_closure(circuits, s, rep.d)
+
+
+def test_independence_answers_agree_before_and_after_circuits():
+    # An oracle-backed matroid answers from its oracle also once circuits()
+    # has listed the circuits; the answers must not change.
+    rng = random.Random(103)
+    matroids = [ci_matroid(3, 3, 3, 3, 3), ci_matroid(4, 4, 3, 4, 4)]
+    matroids += [quasi_matroid(random_tame_rep(rng)) for _ in range(40)]
+    for m in matroids:
+        masks = [rng.getrandbits(m.d) for _ in range(300)] + [0, (1 << m.d) - 1]
+        before = [m.is_independent(s) for s in masks]
+        circuits = m.circuits()
+        assert [m.is_independent(s) for s in masks] == before
+        assert before == [brute_independent(circuits, s) for s in masks]
+
+
+def test_oracle_is_asked_once_circuits_are_listed():
+    asked = []
+    m = Matroid(3, 3, oracle=lambda s: asked.append(s) or True, circuit_fn=lambda: ())
+    m.circuits()
+    assert m.is_independent(0b101) and asked == [0b101]
 
 
 def test_remap_takes_a_sequence_or_a_dict():

@@ -20,6 +20,7 @@ from pavemat import (
     merged_rep,
     paving_from_hyperplanes,
     paving_to_matroid,
+    quasi_rep,
 )
 from pavemat.decomposition import (
     _decompose,
@@ -28,8 +29,15 @@ from pavemat.decomposition import (
 )
 from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from pavemat.partitions import blocks_to_rgs
+from pavemat.quasi import circuit_profile, small_circuits
 
-from helpers import iter_set_partitions, m1
+from helpers import (
+    iter_set_partitions,
+    listed_reps,
+    listed_signatures,
+    m1,
+    signature_classification,
+)
 
 QS = [m1(1, 2, 3), m1(1, 5, 6), m1(3, 4, 5), m1(2, 4, 6)]
 
@@ -223,8 +231,33 @@ def test_decompose_budget_guard():
 
 def test_signatures_pairwise_distinct():
     res = decompose_grid(4, 5, classify=False)
-    sigs = {c.signature for c in res.components}
+    sigs = set(listed_signatures(res))
     assert len(sigs) == len(res.components)
+
+
+def _listings_up_to_grid_5x6_and_lines_9():
+    for k in range(3, 6):
+        for l in range(3, 7):
+            yield decompose_grid(k, l)
+    for n in range(4, 10):
+        yield decompose_lines(n)
+
+
+def test_listing_classifications_match_the_signature_rules():
+    for res in _listings_up_to_grid_5x6_and_lines_9():
+        d = res.components[0].matroid.d
+        base_rep = quasi_rep(d, 3, res.hyperplane_masks)
+        base_key, base_sig = circuit_profile(base_rep).key, small_circuits(base_rep)
+        keys, sigs = [], []
+        for c, rep in zip(res.components, listed_reps(res)):
+            profile, sig = circuit_profile(rep), small_circuits(rep)
+            keys.append(profile.key)
+            sigs.append(sig)
+            assert profile.type1 + profile.type2 == len(sig)
+            assert (profile.key == base_key) == (sig == base_sig)
+            want = signature_classification(rep, sig, base_sig, c.matroid.rank_value)
+            assert c.classification == want, (res.params, c.partition)
+        assert len(set(keys)) == len(set(sigs)) == len(res.components)
 
 
 def test_component_counts_match_counting():

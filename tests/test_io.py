@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pavemat import grid_matroid, paving_to_matroid
-from pavemat.bitset import bit_list, bits, bits_tuple, label_rows
+from pavemat.bitset import bit_list, bits, bits_tuple, label_rows, sort_key
 from pavemat.io import MaskRows, mask_to_labels, matroid_to_dict, to_json
 
 from helpers import json_oracle
@@ -86,6 +86,18 @@ def test_bit_list_matches_bits_generator():
         assert bit_list(mask) == expected
         assert bits_tuple(mask) == tuple(expected)
         assert bit_list(mask, 1) == mask_to_labels(mask) == [e + 1 for e in expected]
+
+
+def test_sort_key_orders_as_the_member_lists():
+    rng = random.Random(71)
+    masks = [0, 1, 2, 3, 4, 5, 6, 255, 256, 2**64 - 1, 2**64, 2**200 + 2**63 + 5]
+    masks += [rng.getrandbits(rng.choice([1, 3, 8, 9, 20, 64, 65, 300])) for _ in range(5000)]
+    masks += [sum(1 << e for e in rng.sample(range(12), 4)) for _ in range(2000)]
+    old = lambda m: (m.bit_count(), bits_tuple(m))
+    assert sorted(masks, key=sort_key) == sorted(masks, key=old)
+    for _ in range(20000):
+        a, b = rng.choice(masks), rng.choice(masks)
+        assert (sort_key(a) < sort_key(b)) == (old(a) < old(b)), (a, b)
 
 
 # Each size meets or crosses a byte boundary of the masks.

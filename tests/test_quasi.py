@@ -21,8 +21,9 @@ from pavemat import (
     small_circuits,
 )
 from pavemat.bitset import bits_tuple
+from pavemat.decomposition import _classify
 from pavemat.errors import LevelTooSmall, NotAFlat, RankDeficient, TripleIntersection
-from pavemat.quasi import type3_count
+from pavemat.quasi import circuit_profile, type3_count
 
 from helpers import (
     brute_paving_circuits,
@@ -34,6 +35,7 @@ from helpers import (
     random_paving,
     random_quasi_rep,
     random_tame_rep,
+    signature_classification,
 )
 
 # the two worked examples: hypergraphs on [9] and [7] at level 3
@@ -335,3 +337,52 @@ def test_paving_circuits_match_brute_force_in_order():
     for _ in range(150):
         p = random_paving(rng)
         assert paving_to_matroid(p).circuits() == brute_paving_circuits(p), p
+
+
+def test_circuit_profile_counts_the_small_circuits():
+    for rep in [*_random_tame_reps(83, 400), *_family_component_reps()]:
+        profile = circuit_profile(rep)
+        sizes = [c.bit_count() for c in small_circuits(rep)]
+        assert profile.type1 == sizes.count(rep.n - 1), rep
+        assert profile.type2 == sizes.count(rep.n), rep
+
+
+def test_circuit_profile_keys_agree_exactly_when_small_circuits_do():
+    # Small grounds make many representations share their small circuits.
+    rng = random.Random(89)
+    reps = [*_random_tame_reps(89, 400), *(random_tame_rep(rng, max_d=6) for _ in range(3000))]
+    sig_of_key, key_of_sig = {}, {}
+    for rep in reps:
+        key = (rep.d, rep.n, circuit_profile(rep).key)
+        sig = (rep.d, rep.n, small_circuits(rep))
+        assert sig_of_key.setdefault(key, sig) == sig, rep
+        assert key_of_sig.setdefault(sig, key) == key, rep
+    assert len(sig_of_key) < len(reps)  # some classes hold several reps
+    assert {n for _, n, _ in sig_of_key} == {2, 3, 4, 5}
+
+
+def test_classification_matches_the_signature_rules():
+    rng = random.Random(97)
+    reps = [*_random_tame_reps(97, 300), *(random_tame_rep(rng, max_d=6) for _ in range(1500))]
+    bases = {}
+    kinds = set()
+    for rep in reps:
+        base = bases.setdefault((rep.d, rep.n), rep)
+        m = quasi_matroid(rep)
+        got = _classify(circuit_profile(rep), m, rep.n, circuit_profile(base).key, True)
+        want = signature_classification(rep, small_circuits(rep), small_circuits(base), m.rank_value)
+        assert got == want, rep
+        kinds.add(got.kind)
+    assert kinds == {"uniform", "equals-base", "other"}
+
+
+def test_histogram_is_the_materialized_one():
+    # Tame representations take the closed form; random pavings, some of them
+    # with an element on three hyperplanes, list their circuits.
+    rng = random.Random(101)
+    matroids = [quasi_matroid(rep) for rep in [*_random_tame_reps(101, 300), *_family_component_reps()]]
+    matroids += [paving_to_matroid(random_paving(rng)) for _ in range(150)]
+    for m in matroids:
+        counted = m.circuit_count_by_size()
+        sizes = [c.bit_count() for c in m.circuits()]
+        assert counted == {s: sizes.count(s) for s in sorted(set(sizes))}
