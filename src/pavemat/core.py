@@ -52,10 +52,9 @@ BASES_GROUND_LIMIT = 24
 # contained circuit.
 _DP_GROUND_LIMIT = 22
 
-# On grounds above _PAIR_BUDGET_GROUND, lists with more circuit pairs than
-# the budget are refused, also where the bitset decision would take them, so
-# that validate refuses the same files as when every such ground was scanned
-# pair by pair.
+# Where circuit pairs are scanned on grounds above _PAIR_BUDGET_GROUND (every
+# list above _DP_GROUND_LIMIT, and the witness scan of a list that failed the
+# bitset decision), lists with more circuit pairs than the budget are refused.
 _PAIR_BUDGET_GROUND = 16
 _VALIDATION_PAIR_BUDGET = 20_000_000
 
@@ -101,9 +100,6 @@ class Matroid:
             if c & s == c:
                 return False
         return True
-
-    def is_dependent(self, s: int | Iterable[int]) -> bool:
-        return not self.is_independent(s)
 
     # -- rank machinery --------------------------------------------------------
 
@@ -386,10 +382,12 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
     if not circuits:
         return
 
-    if d > _PAIR_BUDGET_GROUND and len(circuits) * len(circuits) > _VALIDATION_PAIR_BUDGET:
-        raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
+    def check_pair_budget() -> None:
+        if d > _PAIR_BUDGET_GROUND and len(circuits) * len(circuits) > _VALIDATION_PAIR_BUDGET:
+            raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
 
     if d > _DP_GROUND_LIMIT:
+        check_pair_budget()
         _check_elimination(circuits, _containment_test(circuits))
         return
 
@@ -397,6 +395,7 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
     dep = _dependent_sets(d, circuits, without)
     if _rank_axioms_hold(d, dep, without):
         return
+    check_pair_budget()
     table = dep.to_bytes(((1 << d) + 7) >> 3, "little")
     _check_elimination(circuits, lambda mask: table[mask >> 3] >> (mask & 7) & 1)
     raise InvariantViolated("the bitset axiom check failed but every circuit pair eliminates")

@@ -1,7 +1,8 @@
-"""Component counts by three independent routes.
+"""Component counts by three routes that must agree.
 
-* enumerate: walk the partitions of the hyperplanes that pass the
-  closed-form component test, pruning every subtree that holds none;
+* enumerate: walk the partitions of the hyperplanes whose blocks all have
+  allowed profiles, the family's excluded blocks forbidden too, cutting a
+  subtree once its blocks owe more than the hyperplanes left can give;
 * formula: multinomial-weighted sums over vector partitions avoiding the
   forbidden block profiles, minus the closed-form count of partitions whose
   one big block swallows all rows or all columns;
@@ -176,6 +177,69 @@ def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfile
     return total
 
 
+def admissible_codes(
+    target: int | Vector, forbidden: ForbiddenProfiles
+) -> Iterator[tuple[int, ...]]:
+    """RGS codes, in RGS-lex order, of the set partitions counted by
+    admissible_partition_count: of a = target[0] items of sort 0 followed by
+    b = target[1] items of sort 1 (b = 0 in dimension 1), every block with an
+    allowed profile.
+
+    A block's profile (x, y) is kept as the index x*(b+1) + y. owe_s at a
+    profile is the fewest further sort-s items the block needs to reach an
+    allowed profile, its earlier sorts fixed and its later ones free; it
+    exceeds a+b where none can be reached. Blocks are disjoint, so a child is
+    followed only while the owed sum is at most the sort-s items still to
+    place. The sum is recomputed at the first sort-1 item, and it is 0 at
+    every leaf, so every leaf is admissible.
+    """
+    tgt = _as_vector(target, forbidden.dim)
+    a, b = tgt[0], tgt[1] if forbidden.dim == 2 else 0
+    m, width = a + b, b + 1
+
+    def deficit(flags: list[bool]) -> list[int]:
+        """Distance from each index to the next set flag at or after it."""
+        out, dist = [], m + 1
+        for ok in reversed(flags):
+            dist = 0 if ok else dist + 1
+            out.append(dist)
+        return out[::-1]
+
+    allowed = [
+        [forbidden.allows((x, y)[: forbidden.dim]) for y in range(width)] for x in range(a + 1)
+    ]
+    owe0 = [owe for owe in deficit([any(row) for row in allowed]) for _ in range(width)]
+    owe1 = [owe for row in allowed for owe in deficit(row)]
+    code = [0] * m
+    blocks: list[int] = []  # the profile index of each block
+
+    def place(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
+        if pos == m:
+            yield tuple(code)
+            return
+        if pos == a:
+            owed = sum(owe1[p] for p in blocks)
+        if pos < a:
+            owe, step, left = owe0, width, a - pos - 1
+        else:
+            owe, step, left = owe1, 1, m - pos - 1
+        for j, p in enumerate(blocks):
+            after = owed - owe[p] + owe[p + step]
+            if after <= left:
+                blocks[j] = p + step
+                code[pos] = j
+                yield from place(pos + 1, after)
+                blocks[j] = p
+        after = owed + owe[step]
+        if after <= left:
+            code[pos] = len(blocks)
+            blocks.append(step)
+            yield from place(pos + 1, after)
+            blocks.pop()
+
+    return place(0, 0)
+
+
 @dataclass(frozen=True)
 class TruncatedEGF:
     """Dense grid of exact rational coefficients c_m of sum c_m x^m, truncated
@@ -323,113 +387,22 @@ def grid_excluded_series(bounds: Vector) -> TruncatedEGF:
 def grid_component_codes(k: int, l: int) -> Iterator[tuple[int, ...]]:
     """RGS codes of the component partitions of the k x l grid (k, l >= 3)
     over hyperplanes rows 0..k-1 then columns k..k+l-1, in RGS-lex order:
-    the codes `decomposition.grid_component_partitions` keeps, without
-    visiting the partitions it drops.
-
-    Rows are placed first, so once they are exhausted a block's row count is
-    final. Each rule below kills every completion of a partial code:
-    * a block with exactly 2 rows is dead once the rows are placed;
-    * a column joins only a block with >= 3 rows (any other join makes a
-      block of two or more hyperplanes with fewer than 3 rows);
-    * a block holding all k rows, or all l columns, tolerates no second block;
-    * summed deficit: a block with r >= 3 rows still owes (4 if r == 3 else
-      3) minus its columns, and the columns left must cover what all blocks
-      owe, since each column joins exactly one block.
-    """
+    every block has a profile grid_forbidden allows, and no block holds every
+    row or every column without holding all k+l hyperplanes."""
     if k < 3 or l < 3:
         raise RangeUnsupported("enumeration needs k, l >= 3")
-    m = k + l
-    code = [0] * m
-    rows: list[int] = []
-    cols: list[int] = []
+    base = grid_forbidden().forbids
 
-    def place_row(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == k:
-            if 2 in rows:
-                return
-            owed = sum(4 if r == 3 else 3 for r in rows if r >= 3)
-            if owed <= l:
-                yield from place_col(pos, owed)
-            return
-        for b in range(len(rows)):
-            rows[b] += 1
-            code[pos] = b
-            yield from place_row(pos + 1)
-            rows[b] -= 1
-        code[pos] = len(rows)
-        rows.append(1)
-        cols.append(0)
-        yield from place_row(pos + 1)
-        rows.pop()
-        cols.pop()
+    def forbids(v: Vector) -> bool:
+        return base(v) or (v[0] == k or v[1] == l) and v != (k, l)
 
-    def place_col(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
-        # invariant: owed <= m - pos, the columns still to place
-        if pos == m:
-            yield tuple(code)
-            return
-        tight = owed == m - pos
-        single = len(rows) == 1
-        for b in range(len(rows)):
-            r = rows[b]
-            if r < 3:
-                continue
-            c = cols[b]
-            pays = c < (4 if r == 3 else 3)
-            if (tight and not pays) or (c + 1 == l and not single):
-                continue
-            cols[b] = c + 1
-            code[pos] = b
-            yield from place_col(pos + 1, owed - 1 if pays else owed)
-            cols[b] = c
-        if tight or rows[0] == k:
-            return
-        code[pos] = len(rows)
-        rows.append(0)
-        cols.append(1)
-        yield from place_col(pos + 1, owed)
-        rows.pop()
-        cols.pop()
-
-    return place_row(0)
+    return admissible_codes((k, l), ForbiddenProfiles(2, forbids))
 
 
 def line_component_codes(n: int) -> Iterator[tuple[int, ...]]:
     """RGS codes of the component partitions of the n lines, in RGS-lex
-    order: the codes `decomposition.line_component_partitions` keeps,
-    without visiting the partitions it drops.
-
-    Summed deficit: a block of size 2 still owes 2 lines and one of size 3
-    owes 1, and the lines left must cover what all blocks owe, since each
-    line joins exactly one block. A block of size n-1 is only visible once
-    every line is placed.
-    """
-    code = [0] * n
-    sizes: list[int] = []
-    owes = [0, 0, 2, 1] + [0] * n  # by block size
-
-    def place(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
-        # invariant: owed <= n - pos, the lines still to place
-        if pos == n:
-            if n - 1 not in sizes:
-                yield tuple(code)
-            return
-        left = n - pos - 1
-        for b in range(len(sizes)):
-            s = sizes[b]
-            after = owed - owes[s] + owes[s + 1]
-            if after <= left:
-                sizes[b] = s + 1
-                code[pos] = b
-                yield from place(pos + 1, after)
-                sizes[b] = s
-        if owed <= left:
-            code[pos] = len(sizes)
-            sizes.append(1)
-            yield from place(pos + 1, owed)
-            sizes.pop()
-
-    return place(0, 0)
+    order: no block of size 2, 3 or n-1."""
+    return admissible_codes(n, forbidden_sizes({2, 3, n - 1}))
 
 
 _METHODS = ("enumerate", "formula", "egf")

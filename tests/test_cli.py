@@ -106,12 +106,13 @@ def test_matroid_quasi_from_file(tmp_path, capsys):
 
 
 def test_validate_good_file(tmp_path, capsys):
-    m = uniform(2, 5)
-    path = tmp_path / "m.json"
-    path.write_text(to_json(matroid_to_dict(m)))
-    code, out, _ = run(capsys, "validate", "--file", str(path))
-    assert code == 0
-    assert "valid matroid" in out
+    # U(4,17) has more circuit pairs than the pair budget, but no pair is scanned
+    for n, d, count in ((2, 5, 10), (4, 17, 6188)):
+        path = tmp_path / "m.json"
+        path.write_text(to_json(matroid_to_dict(uniform(n, d))))
+        code, out, _ = run(capsys, "validate", "--file", str(path))
+        assert code == 0
+        assert out == f"valid matroid: d={d} rank={n} circuits={count}\n"
 
 
 def test_validate_bad_file(tmp_path, capsys):

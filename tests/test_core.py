@@ -161,9 +161,13 @@ def test_axiom_check_above_the_table_limit():
 
 
 def test_axiom_pair_budget_applies_above_16():
-    # C(17, 5)^2 and C(16, 6)^2 both exceed the pair budget
+    # C(17, 5)^2 and C(16, 6)^2 both exceed the pair budget, which bounds only
+    # pair scans: the bitset decision settles both lists, and on 17 elements
+    # a list that fails it is refused before its witness scan
+    circuits = uniform(4, 17).circuits()
+    check_circuit_axioms(17, circuits)
     with pytest.raises(TooLarge):
-        check_circuit_axioms(17, uniform(4, 17).circuits())
+        check_circuit_axioms(17, circuits[1:])
     check_circuit_axioms(16, uniform(5, 16).circuits())
 
 

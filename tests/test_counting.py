@@ -21,6 +21,7 @@ from pavemat.counting import (
     _boxed_vectors,
     _exp_1d,
     _exp_2d,
+    admissible_codes,
     grid_component_codes,
     grid_excluded_series,
     line_component_codes,
@@ -379,3 +380,27 @@ def test_vector_partitions_match_brute_walk_on_random_profiles():
             assert list(p) == sorted(p, reverse=True)
         assert sorted(parts) == sorted(brute_vector_partitions(tgt, forb))
         assert admissible_partition_count(target, forb) == brute_admissible_count(tgt, forb)
+
+
+def test_admissible_codes_match_filtered_rgs_on_random_profiles():
+    rng = random.Random(4104)
+    targets = [(0,), (0, 0), (0, 4), (5, 0)]
+    targets += [(rng.randint(1, 9),) for _ in range(12)]
+    targets += [(rng.randint(0, 5), rng.randint(0, 4)) for _ in range(16)]
+    for tgt in targets:
+        forb = _random_forbidden(rng, tgt)
+        a, m = tgt[0], sum(tgt)
+
+        def allowed(block: list[int]) -> bool:
+            sort0 = sum(1 for i in block if i < a)
+            return forb.allows((sort0, len(block) - sort0)[: len(tgt)])
+
+        plain = [
+            blocks_to_rgs(m, blocks)
+            for blocks in iter_set_partitions(m)
+            if all(allowed(block) for block in blocks)
+        ]
+        target = tgt[0] if len(tgt) == 1 else tgt
+        codes = list(admissible_codes(target, forb))
+        assert codes == plain
+        assert len(codes) == admissible_partition_count(target, forb)
