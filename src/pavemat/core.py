@@ -382,12 +382,10 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
     if not circuits:
         return
 
-    def check_pair_budget() -> None:
-        if d > _PAIR_BUDGET_GROUND and len(circuits) * len(circuits) > _VALIDATION_PAIR_BUDGET:
-            raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
-
+    over_budget = d > _PAIR_BUDGET_GROUND and len(circuits) ** 2 > _VALIDATION_PAIR_BUDGET
     if d > _DP_GROUND_LIMIT:
-        check_pair_budget()
+        if over_budget:
+            raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
         _check_elimination(circuits, _containment_test(circuits))
         return
 
@@ -395,7 +393,8 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
     dep = _dependent_sets(d, circuits, without)
     if _rank_axioms_hold(d, dep, without):
         return
-    check_pair_budget()
+    if over_budget:
+        raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
     table = dep.to_bytes(((1 << d) + 7) >> 3, "little")
     _check_elimination(circuits, lambda mask: table[mask >> 3] >> (mask & 7) & 1)
     raise InvariantViolated("the bitset axiom check failed but every circuit pair eliminates")

@@ -191,7 +191,8 @@ def admissible_codes(
     exceeds a+b where none can be reached. Blocks are disjoint, so a child is
     followed only while the owed sum is at most the sort-s items still to
     place. The sum is recomputed at the first sort-1 item, and it is 0 at
-    every leaf, so every leaf is admissible.
+    every leaf, so every leaf is admissible. Nothing, not even the tables, is
+    computed before the first code is asked for.
     """
     tgt = _as_vector(target, forbidden.dim)
     a, b = tgt[0], tgt[1] if forbidden.dim == 2 else 0
@@ -237,7 +238,7 @@ def admissible_codes(
             yield from place(pos + 1, after)
             blocks.pop()
 
-    return place(0, 0)
+    yield from place(0, 0)
 
 
 @dataclass(frozen=True)
@@ -413,7 +414,7 @@ def grid_component_count(k: int, l: int, method: str = "enumerate") -> int:
     if method not in _METHODS:
         raise BadParams(f"method must be one of {_METHODS}")
     if method == "enumerate":
-        codes = grid_component_codes(k, l)
+        codes = grid_component_codes(k, l)  # checks k, l >= 3 before the budget; lazy
         if k + l > GRID_COUNT_BUDGET:
             raise EnumerationBudgetExceeded("grid hyperplane count", k + l, GRID_COUNT_BUDGET)
         return sum(1 for _ in codes)

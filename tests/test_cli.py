@@ -377,6 +377,27 @@ def test_egf_budget_exit_1(capsys):
     assert err == "error: budget 'line egf': requested 801 exceeds limit 800\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (
+            ("grid", "--k", "100000", "--l", "100000"),
+            "budget 'grid hyperplane count': requested 200000 exceeds limit 16",
+        ),
+        (
+            ("grid", "--k", "3", "--l", "10000000"),
+            "budget 'grid hyperplane count': requested 10000003 exceeds limit 16",
+        ),
+        (("grid", "--k", "2", "--l", "20"), "enumeration needs k, l >= 3"),
+        (("lines", "--n", "100000"), "budget 'line count': requested 100000 exceeds limit 12"),
+    ],
+)
+def test_enumerate_refuses_huge_input_before_any_work(capsys, command, message):
+    code, out, err = run(capsys, "count", *command)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 TAME_INPUT = quasi_to_dict(quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)]))
 # A quasi file may hold an empty member; a ground of 9 puts label 9 in a
 # second byte of each mask.
