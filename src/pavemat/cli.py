@@ -104,17 +104,16 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.family == "grid":
         budget = _budget(args, decomposition.GRID_ENUM_BUDGET)
-        codes = decomposition.grid_listing(args.k, args.l, budget=budget)
+        size = (args.k, args.l)
+        listing, decompose = decomposition.grid_listing, decomposition.decompose_grid
     else:
         budget = _budget(args, decomposition.LINE_ENUM_BUDGET)
-        codes = decomposition.line_listing(args.n, budget=budget)
+        size = (args.n,)
+        listing, decompose = decomposition.line_listing, decomposition.decompose_lines
     if not args.list:
-        print(sum(1 for _ in codes))
+        print(sum(1 for _ in listing(*size, budget=budget)))
         return 0
-    if args.family == "grid":
-        result = decomposition.decompose_grid(args.k, args.l, budget=budget)
-    else:
-        result = decomposition.decompose_lines(args.n, budget=budget)
+    result = decompose(*size, budget=budget)
     if args.format == "text":
         print(f"{len(result.components)} components")
         for rep in result.components:

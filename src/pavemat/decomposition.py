@@ -241,9 +241,13 @@ class Classification:
 
 @dataclass(frozen=True)
 class ComponentReport:
+    """One listed component: its partition, the merged representation and
+    what circuit_profile reads off it (circuit counts, key, rank)."""
+
     partition: HyperplanePartition
     block_masks: tuple[tuple[int, ...], ...]
-    matroid: Matroid
+    rep: QuasiRep
+    profile: CircuitProfile
     classification: Classification
 
 
@@ -264,23 +268,15 @@ def _uniform_from_counts(d: int, rank: int, level: int, small: dict[int, int]) -
     return (rank, d) if have == {size: count for size, count in want.items() if count} else None
 
 
-def _classify(
-    profile: CircuitProfile,
-    matroid: Matroid,
-    level: int,
-    base_key: tuple,
-    with_histogram: bool,
-) -> Classification:
+def _classify(d: int, level: int, profile: CircuitProfile, base_key: tuple) -> Classification:
     small = {level - 1: profile.type1, level: profile.type2}
-    uni = _uniform_from_counts(matroid.d, matroid.rank_value, level, small)
+    uni = _uniform_from_counts(d, profile.rank, level, small)
     if uni is not None:
         return Classification("uniform", uniform_params=uni)
     if profile.key == base_key:
         return Classification("equals-base")
-    hist = None
-    if with_histogram:
-        hist = {size: count for size, count in small.items() if count}
-        hist[level + 1] = profile.type3
+    hist = {size: count for size, count in small.items() if count}
+    hist[level + 1] = profile.type3
     return Classification("other", histogram=hist)
 
 
@@ -292,7 +288,6 @@ def _decompose(
     d: int,
     level: int,
     codes: Iterable[Sequence[int]],
-    classify: bool,
 ) -> DecompositionResult:
     """One report per partition code, in the order given. Components are told
     apart by their circuit_profile keys, which agree exactly when the small
@@ -306,7 +301,6 @@ def _decompose(
         block_masks = tuple(tuple(hyp_masks[i] for i in block) for block in blocks)
         members = [_block_union(hyp_masks, block) for block in blocks]
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
-        matroid = quasi_matroid(rep)
         profile = circuit_profile(rep)
         if profile.key in seen_keys:
             raise InvariantViolated(f"partition {tuple(code)} merges to a matroid already listed")
@@ -315,8 +309,9 @@ def _decompose(
             ComponentReport(
                 partition=HyperplanePartition(m, tuple(code)),
                 block_masks=block_masks,
-                matroid=matroid,
-                classification=_classify(profile, matroid, level, base_key, classify),
+                rep=rep,
+                profile=profile,
+                classification=_classify(d, level, profile, base_key),
             )
         )
     return DecompositionResult(family, params, labels, hyp_masks, tuple(reports))
@@ -340,45 +335,23 @@ def line_listing(n: int, *, budget: int = LINE_ENUM_BUDGET) -> Iterator[tuple[in
     return line_component_codes(n)
 
 
-def decompose_grid(
-    k: int, l: int, *, budget: int = GRID_ENUM_BUDGET, classify: bool = True
-) -> DecompositionResult:
+def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> DecompositionResult:
     """Components of the k x l grid: one merged matroid per partition passing
     the closed-form test, in RGS-lex order."""
     codes = grid_listing(k, l, budget=budget)
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
     hyp_masks = layout.row_masks() + layout.col_masks()
-    return _decompose(
-        "grid",
-        {"k": k, "l": l},
-        labels,
-        hyp_masks,
-        k * l,
-        3,
-        codes,
-        classify,
-    )
+    return _decompose("grid", {"k": k, "l": l}, labels, hyp_masks, k * l, 3, codes)
 
 
-def decompose_lines(
-    n: int, *, budget: int = LINE_ENUM_BUDGET, classify: bool = True
-) -> DecompositionResult:
+def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionResult:
     """Components of the n-line arrangement, in RGS-lex order."""
     codes = line_listing(n, budget=budget)
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()
-    return _decompose(
-        "lines",
-        {"n": n},
-        labels,
-        hyp_masks,
-        arr.point_count,
-        3,
-        codes,
-        classify,
-    )
+    return _decompose("lines", {"n": n}, labels, hyp_masks, arr.point_count, 3, codes)
 
 
 def grid_component_partitions(k: int, l: int) -> Iterator[list[list[int]]]:

@@ -12,7 +12,7 @@ from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
 from .families import MinorGenerator
 from .paving import PavingMatroid, paving_from_hyperplanes
-from .quasi import QuasiRep, quasi_rep
+from .quasi import QuasiRep, quasi_circuits, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
 # The readers refuse larger grounds: building a matroid costs time quadratic
@@ -180,11 +180,10 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
                 str(size): count
                 for size, count in sorted(report.classification.histogram.items())
             }
-        matroid_obj: dict = {"d": report.matroid.d, "rank": report.matroid.rank_value}
-        if include_circuits:
-            circuits = report.matroid.circuits()
-            if len(circuits) <= CIRCUIT_LIST_INLINE_LIMIT:
-                matroid_obj["circuits"] = MaskRows(circuits)
+        profile = report.profile
+        matroid_obj: dict = {"d": report.rep.d, "rank": profile.rank}
+        if include_circuits and profile.type1 + profile.type2 + profile.type3 <= CIRCUIT_LIST_INLINE_LIMIT:
+            matroid_obj["circuits"] = MaskRows(quasi_circuits(report.rep))
         components.append(
             {
                 "partition": [[labels[i] for i in block] for block in report.partition.blocks()],

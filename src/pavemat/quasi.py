@@ -157,12 +157,13 @@ def small_circuits(rep: QuasiRep) -> frozenset[int]:
 class CircuitProfile(NamedTuple):
     """What circuit_profile reads off the cells: a key equal for two tame
     representations of one ground size and level exactly when their small
-    circuits agree, and the number of circuits of each type."""
+    circuits agree, the number of circuits of each type, and the rank."""
 
     key: tuple
     type1: int
     type2: int
     type3: int
+    rank: int
 
 
 def circuit_profile(rep: QuasiRep) -> CircuitProfile:
@@ -180,7 +181,16 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     within every cell's cap is a type-3 circuit unless it holds n or more
     elements of some member; two members holding n elements each would share
     n-1 of them, above the cap of their intersection, so these member events
-    are disjoint and are subtracted one by one.
+    are disjoint and are subtracted one by one. Every cell polynomial has
+    constant term 1, so the product over the cells outside H starts
+    1 + (total[1] - inside[1])x.
+
+    The rank follows from the counts. Sets of at most n-2 elements are
+    always independent and (n+1)-sets never. An n-set is dependent exactly
+    when it breaks an intersection cap or is a type-2 circuit, so the rank is
+    n when total[n] > type2. Else it is n-1 when some (n-1)-set is no type-1
+    circuit (the I are disjoint, so none is counted twice), and else the
+    smaller of d and n-2.
 
     The key is (sorted I, sorted active H) for n >= 3, and (U, sorted H - U
     over the active H) for n = 2, where U is the union of the I. It fixes the
@@ -213,29 +223,52 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     )
     type1 = sum(comb(i.bit_count(), n - 1) for i in qualifying)
     type2 = 0
-    type3 = _truncated_product((p for _, _, p in cells), top)[top]
+    total = _truncated_product((p for _, _, p in cells), top)
+    type3 = total[top]
     active = []
     for i, h in enumerate(rep.members):
         if h.bit_count() < n:
             continue
         inside = _truncated_product((p for _, owners, p in cells if i in owners), top)
-        outside = _truncated_product((p for _, owners, p in cells if i not in owners), top)
         type2 += inside[n]
-        type3 -= inside[n] * outside[1] + inside[n + 1] * outside[0]
+        type3 -= inside[n] * (total[1] - inside[1]) + inside[n + 1]
         if inside[n]:
             active.append(h)
+    if total[n] > type2:
+        rank = n
+    elif comb(rep.d, n - 1) > type1:
+        rank = n - 1
+    else:
+        rank = min(rep.d, n - 2)
     if n == 2:
         loops = sum(qualifying)
         key = (loops, tuple(sorted(h & ~loops for h in active)))
     else:
         key = (tuple(qualifying), tuple(sorted(active)))
-    return CircuitProfile(key, type1, type2, type3)
+    return CircuitProfile(key, type1, type2, type3, rank)
 
 
 def type3_count(rep: QuasiRep) -> int:
     """Number of (n+1)-circuits, in closed form over the cells (see
     circuit_profile)."""
     return circuit_profile(rep).type3
+
+
+def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
+    """Every circuit of the three-type construction in canonical order,
+    refused when the candidate estimate passes the budget."""
+    n = rep.n
+    pairs = _qualifying_pairs(rep.members, n)
+    estimate = (
+        sum(comb(pm.bit_count(), n - 1) for pm in pairs)
+        + sum(comb(h.bit_count(), n) for h in rep.members)
+        + comb(rep.d, n + 1)
+    )
+    if estimate > budget:
+        raise TooLarge("circuit materialization", f"about {estimate} candidates")
+    small = sorted(small_circuits(rep), key=sort_key)
+    caps = [(pm, n - 1) for pm in pairs] + [(h, n) for h in rep.members]
+    return tuple(small + capped_subsets((1 << rep.d) - 1, n + 1, caps))
 
 
 def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
@@ -245,19 +278,6 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
     listed."""
     n = rep.n
     oracle = _independence_oracle(rep.members, n)
-
-    def materialize() -> tuple[int, ...]:
-        pairs = _qualifying_pairs(rep.members, n)
-        estimate = (
-            sum(comb(pm.bit_count(), n - 1) for pm in pairs)
-            + sum(comb(h.bit_count(), n) for h in rep.members)
-            + comb(rep.d, n + 1)
-        )
-        if estimate > budget:
-            raise TooLarge("circuit materialization", f"about {estimate} candidates")
-        small = sorted(small_circuits(rep), key=sort_key)
-        caps = [(pm, n - 1) for pm in pairs] + [(h, n) for h in rep.members]
-        return tuple(small + capped_subsets((1 << rep.d) - 1, n + 1, caps))
 
     def count_by_size() -> dict[int, int]:
         profile = circuit_profile(rep)
@@ -276,7 +296,7 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
         rep.d,
         0,
         oracle=oracle,
-        circuit_fn=materialize,
+        circuit_fn=lambda: quasi_circuits(rep, budget=budget),
         count_fn=count_by_size if tame else None,
         origin="quasi-rep",
     )

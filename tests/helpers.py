@@ -136,7 +136,7 @@ def brute_quasi_circuits(rep: QuasiRep) -> tuple[int, ...]:
 def listed_reps(res) -> list[QuasiRep]:
     """The representation of each component of a level-3 listing, rebuilt by
     merged_rep from its partition of the listing's hyperplanes."""
-    base = PavingMatroid(res.components[0].matroid.d, 3, res.hyperplane_masks)
+    base = PavingMatroid(res.components[0].rep.d, 3, res.hyperplane_masks)
     return [merged_rep(base, c.partition) for c in res.components]
 
 

@@ -156,14 +156,14 @@ def test_criterion_7_order_and_rank_invariants():
     for k in range(3, 7):
         for l in range(3, 7):
             if k + l <= 9:
-                cases.append((grid_matroid(k, l), decompose_grid(k, l, classify=False)))
+                cases.append((grid_matroid(k, l), decompose_grid(k, l)))
     for n in range(4, 8):
-        cases.append((line_matroid(n), decompose_lines(n, classify=False)))
+        cases.append((line_matroid(n), decompose_lines(n)))
     checked = 0
     for base_paving, res in cases:
         base = paving_to_matroid(base_paving)
         for comp in res.components:
-            m = comp.matroid
+            m = quasi_matroid(comp.rep)
             if not dependency_leq(base, m).leq:
                 violations += 1
             for block in comp.block_masks:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pavemat import grid_matroid, paving_to_matroid, quasi_rep, uniform
+from pavemat import decompose_lines, grid_matroid, io, paving_to_matroid, quasi_rep, uniform
 from pavemat.cli import main
 from pavemat.io import (
     matroid_from_dict,
@@ -14,6 +14,7 @@ from pavemat.io import (
     quasi_to_dict,
     to_json,
 )
+from pavemat.quasi import quasi_circuits
 
 from helpers import json_oracle, m1
 
@@ -184,6 +185,27 @@ def test_listing_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[argv]
+
+
+def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch):
+    # At a limit of 455 the uniform(2,15) component of lines 6 (455 circuits)
+    # keeps its list; the base (795) leaves it out and is not materialized.
+    monkeypatch.setattr(io, "CIRCUIT_LIST_INLINE_LIMIT", 455)
+    built = []
+    monkeypatch.setattr(io, "quasi_circuits", lambda rep: built.append(rep) or quasi_circuits(rep))
+    code, out, err = run(capsys, "decompose", "lines", "--n", "6", "--list", "--format", "json", "--circuits")
+    assert code == 0 and err == ""
+    # recorded before the limit was tested against the circuit counts
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8121f6498c8d02ca6fc3af907aaf325db3c7a255e7dc20246ed18651d3cdb4e3"
+    )
+    reports = decompose_lines(6).components
+    counts = [c.profile.type1 + c.profile.type2 + c.profile.type3 for c in reports]
+    assert len(counts) == 17 and 455 in counts and 795 in counts
+    matroids = [c["matroid"] for c in json.loads(out)["components"]]
+    listed = [len(m["circuits"]) if "circuits" in m else None for m in matroids]
+    assert listed == [count if count <= 455 else None for count in counts]
+    assert len(built) == 16
 
 
 def test_generators_csv(capsys):

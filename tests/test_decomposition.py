@@ -29,7 +29,7 @@ from pavemat.decomposition import (
 )
 from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from pavemat.partitions import blocks_to_rgs
-from pavemat.quasi import circuit_profile, small_circuits
+from pavemat.quasi import circuit_profile, quasi_matroid, small_circuits
 
 from helpers import (
     iter_set_partitions,
@@ -230,7 +230,7 @@ def test_decompose_budget_guard():
 
 
 def test_signatures_pairwise_distinct():
-    res = decompose_grid(4, 5, classify=False)
+    res = decompose_grid(4, 5)
     sigs = set(listed_signatures(res))
     assert len(sigs) == len(res.components)
 
@@ -245,7 +245,7 @@ def _listings_up_to_grid_5x6_and_lines_9():
 
 def test_listing_classifications_match_the_signature_rules():
     for res in _listings_up_to_grid_5x6_and_lines_9():
-        d = res.components[0].matroid.d
+        d = res.components[0].rep.d
         base_rep = quasi_rep(d, 3, res.hyperplane_masks)
         base_key, base_sig = circuit_profile(base_rep).key, small_circuits(base_rep)
         keys, sigs = [], []
@@ -255,19 +255,19 @@ def test_listing_classifications_match_the_signature_rules():
             sigs.append(sig)
             assert profile.type1 + profile.type2 == len(sig)
             assert (profile.key == base_key) == (sig == base_sig)
-            want = signature_classification(rep, sig, base_sig, c.matroid.rank_value)
+            want = signature_classification(rep, sig, base_sig, quasi_matroid(rep).rank_value)
             assert c.classification == want, (res.params, c.partition)
         assert len(set(keys)) == len(set(sigs)) == len(res.components)
 
 
 def test_component_counts_match_counting():
     for k, l in ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (3, 6), (4, 6), (3, 7), (5, 5), (4, 7), (3, 8), (5, 6)):
-        components = decompose_grid(k, l, classify=False).components
+        components = decompose_grid(k, l).components
         assert len(components) == grid_component_count(k, l, "enumerate")
         plain = [blocks_to_rgs(k + l, b) for b in grid_component_partitions(k, l)]
         assert [c.partition.rgs for c in components] == plain
     for n in (4, 5, 6, 7, 8):
-        components = decompose_lines(n, classify=False).components
+        components = decompose_lines(n).components
         assert len(components) == line_component_count(n, "enumerate")
         plain = [blocks_to_rgs(n, b) for b in line_component_partitions(n)]
         assert [c.partition.rgs for c in components] == plain
@@ -279,20 +279,20 @@ def test_repeated_partition_raises_instead_of_listing_twice():
     labels = tuple(f"H{i}" for i in range(7))
     code = (0, 1, 2, 3, 4, 5, 6)
     with pytest.raises(InvariantViolated):
-        _decompose("grid", {}, labels, hyp_masks, 12, 3, [code, code], False)
+        _decompose("grid", {}, labels, hyp_masks, 12, 3, [code, code])
 
 
 def test_order_and_rank_invariants():
     cases = []
     for k, l in ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5)):
-        cases.append((grid_matroid(k, l), decompose_grid(k, l, classify=False)))
+        cases.append((grid_matroid(k, l), decompose_grid(k, l)))
     for n in (4, 5, 6):
-        cases.append((line_matroid(n), decompose_lines(n, classify=False)))
+        cases.append((line_matroid(n), decompose_lines(n)))
     for base_paving, res in cases:
         base = paving_to_matroid(base_paving, budget=0)
         base_explicit = paving_to_matroid(base_paving)
         for comp in res.components:
-            m = comp.matroid
+            m = quasi_matroid(comp.rep)
             assert dependency_leq(base_explicit, m).leq
             for block in comp.block_masks:
                 for l_mask in block:

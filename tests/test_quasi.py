@@ -295,12 +295,12 @@ def _family_component_reps():
     line arrangements."""
     from pavemat import decompose_grid, decompose_lines
 
-    results = [decompose_grid(k, l, classify=False) for k, l in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
-    results += [decompose_lines(n, classify=False) for n in range(4, 8)]
+    results = [decompose_grid(k, l) for k, l in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
+    results += [decompose_lines(n) for n in range(4, 8)]
     for res in results:
         for report in res.components:
             members = [reduce(or_, block) for block in report.block_masks]
-            yield quasi_rep(report.matroid.d, 3, members)
+            yield quasi_rep(report.rep.d, 3, members)
 
 
 def _random_tame_reps(seed, count):
@@ -347,6 +347,27 @@ def test_circuit_profile_counts_the_small_circuits():
         assert profile.type2 == sizes.count(rep.n), rep
 
 
+def test_circuit_profile_rank_is_the_greedy_rank():
+    # Every listed component of lines 4-10 and grids k <= l <= 6 carries the
+    # profile a fresh circuit_profile gives; the rank read off the counts
+    # equals Matroid.rank's greedy pass there and on random tame reps.
+    from pavemat import decompose_grid, decompose_lines
+
+    results = [decompose_grid(k, l) for k in range(3, 7) for l in range(k, 7)]
+    results += [decompose_lines(n) for n in range(4, 11)]
+    for res in results:
+        for report in res.components:
+            profile = circuit_profile(report.rep)
+            assert report.profile == profile, (res.params, report.partition)
+            assert profile.rank == quasi_matroid(report.rep).rank_value, report.rep
+    ranks = set()
+    for rep in _random_tame_reps(103, 600):
+        rank = circuit_profile(rep).rank
+        assert rank == quasi_matroid(rep).rank_value, rep
+        ranks.add((rep.n, rank))
+    assert {(n, r) for n in range(2, 6) for r in range(n + 1)} <= ranks
+
+
 def test_circuit_profile_keys_agree_exactly_when_small_circuits_do():
     # Small grounds make many representations share their small circuits.
     rng = random.Random(89)
@@ -369,7 +390,7 @@ def test_classification_matches_the_signature_rules():
     for rep in reps:
         base = bases.setdefault((rep.d, rep.n), rep)
         m = quasi_matroid(rep)
-        got = _classify(circuit_profile(rep), m, rep.n, circuit_profile(base).key, True)
+        got = _classify(rep.d, rep.n, circuit_profile(rep), circuit_profile(base).key)
         want = signature_classification(rep, small_circuits(rep), small_circuits(base), m.rank_value)
         assert got == want, rep
         kinds.add(got.kind)
