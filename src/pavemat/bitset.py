@@ -7,7 +7,7 @@ size; popcounts use ``int.bit_count``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, cycle, repeat
+from itertools import combinations, cycle, filterfalse, repeat
 from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -122,20 +122,58 @@ def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list
     """The r-subsets of ground holding fewer than t elements of each capped
     mask, for every (mask, t) in caps, in lexicographic order.
 
-    Each cap's violators are generated directly, by fixing how many elements
-    they take from the mask, and dropped from one sweep over all r-subsets. A
-    set is generated at most once per cap it breaks, so the cost stays below
-    that of testing every cap on every r-subset.
+    A depth-first walk over the elements of ground in ascending order, which
+    never forms a set that breaks a cap. A cap is full once the set holds
+    t - 1 of its elements, and from then on its mask is blocked for the rest
+    of that branch; a cap with t = 1 is blocked from the start. The last
+    element of each set is taken from the unblocked elements above the one
+    before it by one C-level extend, and a branch is entered only while
+    enough unblocked elements are left above it. A cap holding fewer than t
+    elements of ground never binds and is dropped; a cap with t <= 0 is
+    broken by every set, so the result is empty.
     """
-    violators: set[int] = set()
+    live: list[tuple[int, int]] = []
+    blocked = 0
     for mask, t in caps:
+        if t <= 0:
+            return []
         inside = mask & ground
-        outside = ground & ~mask
-        for size in range(t, min(inside.bit_count(), r) + 1):
-            rest = tuple(subsets_of_size(outside, r - size))
-            for part in subsets_of_size(inside, size):
-                violators.update(part | other for other in rest)
-    return [s for s in subsets_of_size(ground, r) if s not in violators]
+        if inside.bit_count() < t:
+            continue
+        if t == 1:
+            blocked |= inside
+        else:
+            live.append((inside, t - 1))
+    if r <= 1:
+        return list(subsets_of_size(ground & ~blocked, r))
+    elems = [1 << e for e in bits(ground)]
+    d = len(elems)
+    # For each element: the caps holding it, with their full counts; the
+    # elements above it, as a list and as a mask.
+    holders = [[cap for cap in live if cap[0] & b] for b in elems]
+    tails = [elems[i + 1 :] for i in range(d)]
+    above = [ground & ~((b << 1) - 1) for b in elems]
+    out: list[int] = []
+
+    def walk(start: int, acc: int, need: int, blocked: int) -> None:
+        # Extend acc by need >= 2 unblocked elements from index start on.
+        for i in range(start, d - need + 1):
+            b = elems[i]
+            if b & blocked:
+                continue
+            acc_b = acc | b
+            inner = blocked
+            for mask, full in holders[i]:
+                if (acc_b & mask).bit_count() == full:
+                    inner |= mask
+            if need == 2:
+                out.extend(map(acc_b.__or__, filterfalse(inner.__and__, tails[i])))
+            elif (above[i] & ~inner).bit_count() >= need - 1:
+                walk(i + 1, acc_b, need - 1, inner)
+
+    walk(0, 0, r, blocked)
+    del walk  # the closure refers to itself: break the cycle, free it now
+    return out
 
 
 def remap(mask: int, table: Sequence[int] | Mapping[int, int]) -> int:

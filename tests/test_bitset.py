@@ -1,0 +1,68 @@
+import gc
+import random
+
+import pytest
+
+from pavemat import line_matroid, quasi_rep
+from pavemat.bitset import capped_subsets, subsets_of_size
+
+
+def brute_capped(ground, r, caps):
+    return [s for s in subsets_of_size(ground, r) if all((s & m).bit_count() < t for m, t in caps)]
+
+
+def test_capped_subsets_matches_the_brute_force_filter():
+    rng = random.Random(13)
+    for _ in range(3000):
+        d = rng.randint(0, 12)
+        ground = rng.getrandbits(d) if rng.random() < 0.5 else (1 << d) - 1
+        r = rng.randint(0, 6)
+        # masks may reach two elements past the ground set
+        caps = [(rng.getrandbits(d + 2), rng.randint(1, 5)) for _ in range(rng.randint(0, 6))]
+        if caps and rng.random() < 0.2:
+            caps.append(caps[0])
+        if rng.random() < 0.05:
+            caps.append((rng.getrandbits(d + 2), 0))
+        assert capped_subsets(ground, r, caps) == brute_capped(ground, r, caps), (ground, r, caps)
+
+
+@pytest.mark.parametrize(
+    "ground, r, caps",
+    [
+        (0b111111, 3, [(0b000111, 0)]),  # t = 0: every set breaks the cap
+        (0b111111, 0, [(0b000111, 0)]),
+        (0b111111, 3, [(0, 0)]),  # even a cap with no elements
+        (0b111111, 3, [(0b000111, 1)]),  # t = 1 takes the cap's elements out
+        (0b111111, 1, [(0b000111, 1)]),
+        (0b111111, 3, [(0b111111, 1)]),
+        (0b111111, 0, []),  # r = 0: the empty set
+        (0b111111, 0, [(0b000111, 1)]),
+        (0b111111, 1, []),  # r = 1: the singletons
+        (0b111111, 1, [(0b000111, 2)]),
+        (0, 0, []),  # empty ground
+        (0, 2, [(0b11, 1)]),
+        (0, 1, []),
+        (0b111, 4, []),  # r above the ground size
+        (0b101101, 3, [(0b111111000, 2), (0b010010, 1)]),  # caps outside the ground
+        (0b111111, 4, [(0b111000, 2), (0b111000, 2)]),  # repeated caps
+        (0b111111, 4, [(0b111000, 3), (0b011100, 2), (0b011100, 2)]),
+        (0b11111111, 5, [(0b11110000, 3), (0b00111100, 3), (0b00001111, 3)]),
+    ],
+)
+def test_capped_subsets_edge_cases(ground, r, caps):
+    assert capped_subsets(ground, r, caps) == brute_capped(ground, r, caps)
+
+
+def test_capped_subsets_leaves_no_garbage():
+    # the type-3 caps of the lines 7 base representation, as quasi_circuits
+    # builds them; a reference cycle would keep the result for the collector
+    p = line_matroid(7)
+    rep = quasi_rep(p.d, p.n, p.hyperplanes)
+    n = rep.n
+    pairs = [a & b for i, a in enumerate(rep.members) for b in rep.members[i + 1 :]]
+    caps = [(pm, n - 1) for pm in pairs if pm.bit_count() >= n - 1] + [(h, n) for h in rep.members]
+    gc.collect()
+    out = capped_subsets((1 << rep.d) - 1, n + 1, caps)
+    assert out
+    del out
+    assert gc.collect() == 0
