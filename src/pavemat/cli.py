@@ -102,14 +102,17 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    # counting only walks the codes, as count --method enumerate does, so it
+    # takes that route's budget; listing also classifies each component
     if args.family == "grid":
-        budget = _budget(args, decomposition.GRID_ENUM_BUDGET)
+        default = decomposition.GRID_ENUM_BUDGET if args.list else counting.GRID_COUNT_BUDGET
         size = (args.k, args.l)
         listing, decompose = decomposition.grid_listing, decomposition.decompose_grid
     else:
-        budget = _budget(args, decomposition.LINE_ENUM_BUDGET)
+        default = decomposition.LINE_ENUM_BUDGET if args.list else counting.LINE_COUNT_BUDGET
         size = (args.n,)
         listing, decompose = decomposition.line_listing, decomposition.decompose_lines
+    budget = _budget(args, default)
     if not args.list:
         print(sum(1 for _ in listing(*size, budget=budget)))
         return 0

@@ -6,11 +6,12 @@
 * formula: multinomial-weighted sums over vector partitions avoiding the
   forbidden block profiles, minus the closed-form count of partitions whose
   one big block swallows all rows or all columns;
-* egf: coefficient extraction from truncated exponential generating
-  functions, computed as integer counts by the labelled-exp recurrence and
-  turned into exact rationals only where a TruncatedEGF is built.
+* egf: truncated exponential generating functions, held as the integer
+  counts m! [x^m] that the labelled-exp recurrence computes, minus the
+  counts of the excluded partitions.
 
-Everything here is exact: ints and Fractions only, no floats.
+Everything here is exact integer arithmetic; a Fraction is built only when
+TruncatedEGF.coefficient is asked for a coefficient.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ GRID_FORMULA_MIN = 4
 # subtracting n overcounts; the identity holds from 5 up (pinned by tests).
 LINE_FORMULA_MIN = 5
 
-GRID_COUNT_BUDGET = 16  # max k+l for the enumerate route
-LINE_COUNT_BUDGET = 12  # max n for the enumerate route
+GRID_COUNT_BUDGET = 16  # max k+l for the enumerate route and decompose without --list
+LINE_COUNT_BUDGET = 12  # max n for the enumerate route and decompose without --list
 
 # The formula route walks vector partitions, whose number grows like the
 # partition numbers.
@@ -243,48 +244,30 @@ def admissible_codes(
 
 @dataclass(frozen=True)
 class TruncatedEGF:
-    """Dense grid of exact rational coefficients c_m of sum c_m x^m, truncated
-    at the given componentwise bounds (dimension 1 or 2)."""
+    """Truncated exponential generating function sum c_m x^m / m!, held as
+    its integer counts c_m = m! [x^m] within the given componentwise bounds:
+    a tuple in dimension 1, a tuple of row tuples in dimension 2. m! is the
+    product of the factorials of m's coordinates."""
 
     bounds: Vector
-    coeffs: tuple = field(repr=False)
+    counts: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
 
-    def coefficient(self, n: int | Vector) -> Fraction:
+    def count(self, n: int | Vector) -> int:
         v = _as_vector(n, self.dim)
         if any(x > b for x, b in zip(v, self.bounds)):
             raise BadParams(f"{v} outside truncation bounds {self.bounds}")
         if self.dim == 1:
-            return self.coeffs[v[0]]
-        return self.coeffs[v[0]][v[1]]
+            return self.counts[v[0]]
+        return self.counts[v[0]][v[1]]
 
-    def count(self, n: int | Vector) -> int:
-        """c_n times n!; the factorial scaling must clear all denominators."""
+    def coefficient(self, n: int | Vector) -> Fraction:
+        """[x^n] of the series: count(n) / n!."""
         v = _as_vector(n, self.dim)
-        value = self.coefficient(v)
-        for x in v:
-            value *= factorial(x)
-        if value.denominator != 1:
-            raise InvariantViolated(f"coefficient at {v} scales to {value}, not an integer")
-        return value.numerator
-
-    def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        if self.bounds != other.bounds:
-            raise BadParams("bounds differ")
-        if self.dim == 1:
-            return TruncatedEGF(
-                self.bounds, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-            )
-        return TruncatedEGF(
-            self.bounds,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ),
-        )
+        return Fraction(self.count(v), prod(map(factorial, v)))
 
 
 def _binomials(top: int) -> list[list[int]]:
@@ -338,17 +321,10 @@ def partition_count_series(forbidden: ForbiddenProfiles, bounds: int | Vector) -
     bnd = _as_vector(bounds, forbidden.dim)
     if forbidden.dim == 1:
         (top,) = bnd
-        counts = _exp_1d([int(forbidden.allows((m,))) for m in range(top + 1)], top)
-        return TruncatedEGF(bnd, tuple(Fraction(c, factorial(m)) for m, c in enumerate(counts)))
+        weights = [int(forbidden.allows((m,))) for m in range(top + 1)]
+        return TruncatedEGF(bnd, tuple(_exp_1d(weights, top)))
     allowed = {v: 1 for v in _boxed_vectors(bnd) if forbidden.allows(v)}
-    fact = [factorial(x) for x in range(max(bnd) + 1)]
-    return TruncatedEGF(
-        bnd,
-        tuple(
-            tuple(Fraction(c, fact[a] * fact[b]) for b, c in enumerate(row))
-            for a, row in enumerate(_exp_2d(allowed, bnd))
-        ),
-    )
+    return TruncatedEGF(bnd, tuple(map(tuple, _exp_2d(allowed, bnd))))
 
 
 def grid_excluded_count(k: int, l: int) -> int:
@@ -365,19 +341,16 @@ def grid_excluded_count(k: int, l: int) -> int:
 
 def grid_excluded_series(bounds: Vector) -> TruncatedEGF:
     """The generating function matching grid_excluded_count on all of its
-    domain: e^(2x+y) + e^(x+2y) - (x^2+y^2+2x+2y+8)/2 * e^(x+y). Scaled by
-    a! b!, its coefficient at (a, b) is 2^a + 2^b minus half of
-    a(a-1) + b(b-1) + 2a + 2b + 8, because x^p y^q e^(x+y) contributes the
-    falling factorials a!/(a-p)! * b!/(b-q)!."""
+    domain: e^(2x+y) + e^(x+2y) - (x^2+y^2+2x+2y+8)/2 * e^(x+y). Its count
+    at (a, b) is 2^a + 2^b minus half of a(a-1) + b(b-1) + 2a + 2b + 8,
+    because x^p y^q e^(x+y) contributes the falling factorials
+    a!/(a-p)! * b!/(b-q)!."""
     b1, b2 = bounds
     return TruncatedEGF(
         bounds,
         tuple(
             tuple(
-                Fraction(
-                    2**a + 2**b - (a * (a - 1) + b * (b - 1) + 2 * a + 2 * b + 8) // 2,
-                    factorial(a) * factorial(b),
-                )
+                2**a + 2**b - (a * (a - 1) + b * (b - 1) + 2 * a + 2 * b + 8) // 2
                 for b in range(b2 + 1)
             )
             for a in range(b1 + 1)
@@ -426,8 +399,8 @@ def grid_component_count(k: int, l: int, method: str = "enumerate") -> int:
         return admissible_partition_count((k, l), grid_forbidden()) - grid_excluded_count(k, l)
     if k + l > GRID_EGF_BUDGET:
         raise EnumerationBudgetExceeded("grid egf", k + l, GRID_EGF_BUDGET)
-    series = partition_count_series(grid_forbidden(), (k, l)) - grid_excluded_series((k, l))
-    return series.count((k, l))
+    admissible = partition_count_series(grid_forbidden(), (k, l)).count((k, l))
+    return admissible - grid_excluded_series((k, l)).count((k, l))
 
 
 def line_component_count(n: int, method: str = "enumerate") -> int:
@@ -448,9 +421,5 @@ def line_component_count(n: int, method: str = "enumerate") -> int:
         return admissible_partition_count(n, forbidden_sizes({2, 3})) - n
     if n > LINE_EGF_BUDGET:
         raise EnumerationBudgetExceeded("line egf", n, LINE_EGF_BUDGET)
-    series = partition_count_series(forbidden_sizes({2, 3}), n)
-    # subtract the series of the n partitions with an (n-1)-block: x e^x
-    shifted = TruncatedEGF(
-        (n,), tuple(Fraction(0) if j == 0 else Fraction(1, factorial(j - 1)) for j in range(n + 1))
-    )
-    return (series - shifted).count(n)
+    # n [x^n] of x e^x counts the n partitions with an (n-1)-block
+    return partition_count_series(forbidden_sizes({2, 3}), n).count(n) - n

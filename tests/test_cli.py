@@ -247,6 +247,15 @@ def test_budget_error_exit_1(capsys):
     assert "budget" in err
 
 
+def test_count_only_decompose_takes_the_enumerate_count_budget(capsys):
+    code, out, _ = run(capsys, "decompose", "grid", "--k", "7", "--l", "8")
+    assert code == 0 and out == "38516\n"
+    assert run(capsys, "count", "grid", "--k", "7", "--l", "8")[1] == out
+    code, out, err = run(capsys, "decompose", "grid", "--k", "7", "--l", "8", "--list")
+    assert code == 1 and out == ""
+    assert err == "error: budget 'grid hyperplane count': requested 15 exceeds limit 14\n"
+
+
 def test_budget_flag_override(capsys):
     code, out, _ = run(capsys, "decompose", "lines", "--n", "4", "--budget", "4")
     assert code == 0 and out.strip() == "2"

@@ -27,7 +27,7 @@ from pavemat.counting import (
     line_component_codes,
 )
 from pavemat.decomposition import grid_component_partitions, line_component_partitions
-from pavemat.errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
+from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
 from pavemat.partitions import blocks_to_rgs
 
 from helpers import (
@@ -143,9 +143,7 @@ def test_series_closed_form_1d():
     inner[0] = 0
     inner[2] = 0
     inner[3] = 0
-    closed = TruncatedEGF(
-        (bound,), tuple(Fraction(c, factorial(m)) for m, c in enumerate(_exp_1d(inner, bound)))
-    )
+    closed = TruncatedEGF((bound,), tuple(_exp_1d(inner, bound)))
     series = partition_count_series(forbidden_sizes({2, 3}), bound)
     for n in range(bound + 1):
         assert closed.coefficient(n) == series.coefficient(n)
@@ -201,6 +199,14 @@ def test_grid_counts_three_way_agreement():
             f = grid_component_count(k, l, "formula")
             g = grid_component_count(k, l, "egf")
             assert e == f == g
+
+
+def test_formula_and_egf_agree_wherever_both_run():
+    for n in range(5, 41):
+        assert line_component_count(n, "formula") == line_component_count(n, "egf")
+    for k in range(4, 15):
+        for l in range(k, 29 - k):
+            assert grid_component_count(k, l, "formula") == grid_component_count(k, l, "egf")
 
 
 def test_grid_counts_symmetry():
@@ -266,10 +272,20 @@ def test_profiles_have_dimension_1_or_2():
         ForbiddenProfiles(3, lambda v: False)
 
 
-def test_egf_count_rejects_a_fractional_coefficient():
-    series = TruncatedEGF((1,), (Fraction(0), Fraction(1, 3)))
-    with pytest.raises(InvariantViolated):
-        series.count(1)
+def test_series_reads_counts_and_coefficients_only_within_bounds():
+    line = partition_count_series(forbidden_sizes({2, 3}), 6)
+    grid = partition_count_series(grid_forbidden(), (5, 7))
+    for series, outside in ((line, [7, 8]), (grid, [(6, 0), (0, 8), (6, 8)])):
+        for n in outside:
+            with pytest.raises(BadParams):
+                series.count(n)
+            with pytest.raises(BadParams):
+                series.coefficient(n)
+    for a in range(6):
+        for b in range(8):
+            value = grid.coefficient((a, b)) * factorial(a) * factorial(b)
+            assert value == grid.count((a, b))
+    assert grid.coefficient((4, 4)) == Fraction(10, 24 * 24)
 
 
 def test_formula_budgets(monkeypatch):
