@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, cycle, filterfalse, repeat
 from operator import getitem
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -174,6 +174,28 @@ def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list
     walk(0, 0, r, blocked)
     del walk  # the closure refers to itself: break the cycle, free it now
     return out
+
+
+def cap_oracle(r: int, caps: Iterable[tuple[int, int]]) -> Callable[[int], bool]:
+    """The predicate of the sets capped_subsets lists at every size up to r:
+    a mask is accepted when it has at most r elements and fewer than t
+    elements of each capped mask, for every (mask, t) in caps."""
+    caps = tuple(caps)
+
+    def accepts(s: int) -> bool:
+        return s.bit_count() <= r and all((s & mask).bit_count() < t for mask, t in caps)
+
+    return accepts
+
+
+def overlaps(masks: Iterable[int]) -> tuple[int, int, int]:
+    """The elements in at least one, two and three of the masks."""
+    once = twice = thrice = 0
+    for m in masks:
+        thrice |= twice & m
+        twice |= once & m
+        once |= m
+    return once, twice, thrice
 
 
 def remap(mask: int, table: Sequence[int] | Mapping[int, int]) -> int:

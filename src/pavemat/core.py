@@ -60,14 +60,16 @@ _VALIDATION_PAIR_BUDGET = 20_000_000
 
 
 class Matroid:
-    """A matroid on {0..d-1}; see the module docstring for the backing modes."""
+    """A matroid on {0..d-1}; see the module docstring for the backing modes.
+    Given no rank_value, the constructor takes the greedy rank of the ground
+    set."""
 
     __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn", "_count_fn")
 
     def __init__(
         self,
         d: int,
-        rank_value: int,
+        rank_value: Optional[int] = None,
         *,
         circuits: Optional[tuple[int, ...]] = None,
         oracle: Optional[Callable[[int], bool]] = None,
@@ -78,12 +80,12 @@ class Matroid:
         if circuits is None and oracle is None:
             raise BadParams("a matroid needs circuits or an independence oracle")
         self.d = d
-        self.rank_value = rank_value
         self.origin = origin
         self._circuits = circuits
         self._oracle = oracle
         self._circuit_fn = circuit_fn
         self._count_fn = count_fn
+        self.rank_value = self.rank() if rank_value is None else rank_value
 
     # -- dependence predicate -------------------------------------------------
 
@@ -197,13 +199,8 @@ class Matroid:
 
         if self._circuits is not None:
             new_circuits = tuple(remap(c, pos) for c in self._circuits if c & z == 0)
-            m = Matroid(nd, 0, circuits=new_circuits, origin=self.origin)
-            m.rank_value = m.rank()
-            return m, kept
-
-        wrapped = Matroid(nd, 0, oracle=lambda s: self.is_independent(remap(s, kept)), origin=self.origin)
-        wrapped.rank_value = wrapped.rank()
-        return wrapped, kept
+            return Matroid(nd, circuits=new_circuits, origin=self.origin), kept
+        return Matroid(nd, oracle=lambda s: self.is_independent(remap(s, kept)), origin=self.origin), kept
 
     def relabel(self, perm: tuple[int, ...]) -> "Matroid":
         """Apply the permutation old_index -> perm[old_index] to all labels."""
@@ -419,11 +416,9 @@ def matroid_from_circuits(
             raise OutOfRange(f"circuit {bits_tuple(c)} leaves the ground set [{d}]")
     if validate:
         check_circuit_axioms(d, canon)
-    m = Matroid(d, 0, circuits=canon, origin=origin)
-    computed = m.rank()
-    m.rank_value = computed
-    if rank_value is not None and rank_value != computed:
-        raise RankMismatch(rank_value, computed)
+    m = Matroid(d, circuits=canon, origin=origin)
+    if rank_value is not None and rank_value != m.rank_value:
+        raise RankMismatch(rank_value, m.rank_value)
     return m
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bitset import sort_key
+from .bitset import overlaps, sort_key
 from .core import Matroid
 from .counting import grid_component_codes, line_component_codes
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
@@ -23,7 +23,6 @@ from .partitions import blocks_to_rgs, iter_rgs, rgs_to_blocks
 from .paving import (
     PavingMatroid,
     degree_one_core,
-    degrees,
     hyperplane_submatroid,
     is_nilpotent,
     is_tame,
@@ -54,7 +53,8 @@ def _grid_core_shape(p: PavingMatroid) -> Optional[tuple[int, int]]:
     m = len(hyps)
     if m < 2:
         return None
-    if any(deg != 2 for deg in degrees(p).values()):
+    _, twice, thrice = overlaps(hyps)
+    if twice != p.ground_mask or thrice:
         return None
     parent = list(range(m))
 
@@ -93,7 +93,8 @@ def _line_core_shape(p: PavingMatroid) -> Optional[int]:
     m = len(hyps)
     if m < 4:
         return None
-    if any(deg != 2 for deg in degrees(p).values()):
+    _, twice, thrice = overlaps(hyps)
+    if twice != p.ground_mask or thrice:
         return None
     for i in range(m):
         for j in range(i + 1, m):

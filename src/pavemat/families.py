@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import canonical_masks, capped_subsets, subsets_of_size
+from .bitset import canonical_masks, cap_oracle, capped_subsets, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import BadParams, DegenerateGround, EnumerationBudgetExceeded, HypothesisViolated, TooFewLines
 from .paving import PavingMatroid, paving_from_hyperplanes
@@ -85,17 +85,12 @@ def ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
     caps = [(row, t) for row in grid.row_masks()] + [(col, s) for col in grid.col_masks()]
     d = k * l
 
-    def oracle(mask: int) -> bool:
-        return mask.bit_count() <= n and all((mask & cap).bit_count() < size for cap, size in caps)
-
     def materialize() -> tuple[int, ...]:
         if comb(d, n + 1) > CIRCUIT_BUDGET:
             raise BadParams(f"too many circuits to materialize for d={d}, n={n}")
         return ci_hypergraph(k, l, s, t) + tuple(capped_subsets((1 << d) - 1, n + 1, caps))
 
-    m = Matroid(d, 0, oracle=oracle, circuit_fn=materialize, origin="explicit")
-    m.rank_value = m.rank()
-    return m
+    return Matroid(d, oracle=cap_oracle(n, caps), circuit_fn=materialize, origin="explicit")
 
 
 def grid_matroid(k: int, l: int) -> PavingMatroid:

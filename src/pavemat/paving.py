@@ -5,6 +5,11 @@ most n-2 is exactly the dependent-hyperplane system of a rank-n paving
 matroid; circuits are the n-subsets of hyperplanes plus the (n+1)-subsets
 containing none of those. The matroid itself is built by
 :func:`pavemat.quasi.paving_to_matroid`.
+
+The degree tests (tameness, the nilpotent chain, the degree-one core) read
+the elements on at least one, two and three hyperplanes from one pass over
+the masks, :func:`pavemat.bitset.overlaps`; only :func:`degrees` counts per
+element.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bitset import as_mask, bits_tuple, canonical_masks, remap
+from .bitset import as_mask, bits_tuple, canonical_masks, overlaps, remap
 from .errors import (
     DegenerateGround,
     HyperplaneTooSmall,
@@ -89,7 +94,7 @@ def hyperplanes_through(p: PavingMatroid, e: int) -> list[int]:
 def is_tame(p: PavingMatroid) -> bool:
     """Any three hyperplanes meet emptily; for a set system this is the same
     as no element lying on three of them."""
-    return all(deg <= 2 for deg in degrees(p).values())
+    return not overlaps(p.hyperplanes)[2]
 
 
 @dataclass(frozen=True)
@@ -108,17 +113,7 @@ def nilpotent_chain(p: PavingMatroid) -> NilpotentChain:
     cur_hyps = p.hyperplanes
     stages: list[int] = []
     while True:
-        deg: dict[int, int] = {}
-        for l in cur_hyps:
-            m = l
-            while m:
-                low = m & -m
-                m ^= low
-                deg[low] = deg.get(low, 0) + 1
-        s = 0
-        for bit, count in deg.items():
-            if count >= 2:
-                s |= bit
+        s = overlaps(cur_hyps)[1]
         stages.append(s)
         if s == 0:
             return NilpotentChain(tuple(stages), True)
@@ -181,24 +176,14 @@ def degree_one_core(p: PavingMatroid) -> CoreReduction:
     removed1: list[int] = []
     removed0: list[int] = []
     while True:
-        victim = -1
-        victim_deg = 0
-        m = alive
-        while m:
-            low = m & -m
-            m ^= low
-            deg = sum(1 for l in hyps if l & low)
-            if deg <= 1:
-                victim = low.bit_length() - 1
-                victim_deg = deg
-                break
-        if victim < 0:
+        once, twice, _ = overlaps(hyps)
+        low_degree = alive & ~twice
+        if not low_degree:
             break
-        bit = 1 << victim
+        bit = low_degree & -low_degree
         alive ^= bit
-        (removed1 if victim_deg == 1 else removed0).append(victim)
-        hyps = [l & ~bit for l in hyps]
-        hyps = [l for l in hyps if l.bit_count() >= p.n]
+        (removed1 if bit & once else removed0).append(bit.bit_length() - 1)
+        hyps = [h for h in (l & ~bit for l in hyps) if h.bit_count() >= p.n]
     if alive == 0:
         return CoreReduction(None, (), tuple(removed1), tuple(removed0))
     elements = bits_tuple(alive)

@@ -13,15 +13,31 @@ type-1 circuits, and types 2 and 3 are its n- and (n+1)-circuits. Every
 level-n instance of full rank n is a chain of principal extensions over
 rank-(n-2) flats of a tame paving core; this module implements the
 construction, the reduction to that core, and its replay.
+
+Each circuit condition is a cap (mask, t): a set of at most n elements is
+independent exactly when it holds fewer than t elements of every cap. The
+caps are (I, n-1) for each pairwise intersection I of at least n-1 elements
+and (H, n) for each member H of at least n elements (_caps); the independence
+oracle and both circuit lists read that one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .bitset import as_mask, bits_tuple, capped_subsets, remap, sort_key, subsets_of_size
+from .bitset import (
+    as_mask,
+    bits,
+    bits_tuple,
+    cap_oracle,
+    capped_subsets,
+    overlaps,
+    remap,
+    sort_key,
+    subsets_of_size,
+)
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import (
     LevelTooSmall,
@@ -73,35 +89,25 @@ def quasi_rep(d: int, n: int, members: Iterable[int | Iterable[int]]) -> QuasiRe
     return QuasiRep(d, n, mem)
 
 
-def _qualifying_pairs(members: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Pairwise intersections large enough to hold a type-1 circuit."""
+def _intersections(members: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(i, j, I) for every nonempty intersection I of members i < j, in order."""
     out = []
-    for i in range(len(members)):
+    for i, h in enumerate(members):
         for j in range(i + 1, len(members)):
-            inter = members[i] & members[j]
-            if inter.bit_count() >= n - 1:
-                out.append(inter)
-    return tuple(out)
+            inter = h & members[j]
+            if inter:
+                out.append((i, j, inter))
+    return out
 
 
-def _independence_oracle(members: tuple[int, ...], n: int) -> Callable[[int], bool]:
-    pairs = _qualifying_pairs(members, n)
-    big = tuple(h for h in members if h.bit_count() >= n)
-
-    def oracle(s: int) -> bool:
-        size = s.bit_count()
-        if size <= n - 2:
-            return True
-        if size >= n + 1:
-            return False
-        if size == n - 1:
-            return not any(s & pm == s for pm in pairs)
-        for pm in pairs:
-            if (s & pm).bit_count() >= n - 1:
-                return False
-        return not any(s & h == s for h in big)
-
-    return oracle
+def _caps(rep: QuasiRep) -> list[tuple[int, int]]:
+    """The binding caps of the construction, type 1 first: (I, n-1) for each
+    pairwise intersection I of at least n-1 elements, then (H, n) for each
+    member H of at least n elements. A smaller mask binds no set of at most n
+    elements."""
+    n = rep.n
+    type1 = [(inter, n - 1) for _, _, inter in _intersections(rep.members) if inter.bit_count() >= n - 1]
+    return type1 + [(h, n) for h in rep.members if h.bit_count() >= n]
 
 
 def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -112,17 +118,10 @@ def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
     circuit takes at most cap elements from a cell: an intersection holds no
     type-1 circuit, so at most n-2 of its elements."""
     n, members = rep.n, rep.members
-    seen = twice = 0
-    for h in members:
-        twice |= seen & h
-        seen |= h
-    cells = [(((1 << rep.d) - 1) & ~seen, n + 1, ())]
-    for i, h in enumerate(members):
-        cells.append((h & ~twice, n + 1, (i,)))
-        for j in range(i + 1, len(members)):
-            inter = h & members[j]
-            if inter:
-                cells.append((inter, n - 2, (i, j)))
+    once, twice, _ = overlaps(members)
+    cells = [(((1 << rep.d) - 1) & ~once, n + 1, ())]
+    cells += [(h & ~twice, n + 1, (i,)) for i, h in enumerate(members)]
+    cells += [(inter, n - 2, (i, j)) for i, j, inter in _intersections(members)]
     return cells
 
 
@@ -144,13 +143,14 @@ def small_circuits(rep: QuasiRep) -> frozenset[int]:
     the complement closure; two representations give the same labeled matroid
     exactly when these sets (and d, n) agree."""
     n = rep.n
-    pairs = _qualifying_pairs(rep.members, n)
-    caps = [(pm, n - 1) for pm in pairs]
+    caps = _caps(rep)
+    type1 = [cap for cap in caps if cap[1] == n - 1]
     out: set[int] = set()
-    for pm in pairs:
-        out.update(subsets_of_size(pm, n - 1))
-    for h in rep.members:
-        out.update(capped_subsets(h, n, caps))
+    for inter, _ in type1:
+        out.update(subsets_of_size(inter, n - 1))
+    for h, t in caps:
+        if t == n:
+            out.update(capped_subsets(h, n, type1))
     return frozenset(out)
 
 
@@ -257,18 +257,12 @@ def type3_count(rep: QuasiRep) -> int:
 def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
     """Every circuit of the three-type construction in canonical order,
     refused when the candidate estimate passes the budget."""
-    n = rep.n
-    pairs = _qualifying_pairs(rep.members, n)
-    estimate = (
-        sum(comb(pm.bit_count(), n - 1) for pm in pairs)
-        + sum(comb(h.bit_count(), n) for h in rep.members)
-        + comb(rep.d, n + 1)
-    )
+    caps = _caps(rep)
+    estimate = sum(comb(mask.bit_count(), t) for mask, t in caps) + comb(rep.d, rep.n + 1)
     if estimate > budget:
         raise TooLarge("circuit materialization", f"about {estimate} candidates")
     small = sorted(small_circuits(rep), key=sort_key)
-    caps = [(pm, n - 1) for pm in pairs] + [(h, n) for h in rep.members]
-    return tuple(small + capped_subsets((1 << rep.d) - 1, n + 1, caps))
+    return tuple(small + capped_subsets((1 << rep.d) - 1, rep.n + 1, caps))
 
 
 def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
@@ -277,7 +271,6 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
     circuit counts by size come from circuit_profile, with no circuit
     listed."""
     n = rep.n
-    oracle = _independence_oracle(rep.members, n)
 
     def count_by_size() -> dict[int, int]:
         profile = circuit_profile(rep)
@@ -286,22 +279,14 @@ def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
 
     # The cell counts need n >= 2 and no element in three members; paving
     # hyperplanes reach here unchecked.
-    seen = twice = thrice = 0
-    for h in rep.members:
-        thrice |= twice & h
-        twice |= seen & h
-        seen |= h
-    tame = n >= 2 and not thrice
-    m = Matroid(
+    tame = n >= 2 and not overlaps(rep.members)[2]
+    return Matroid(
         rep.d,
-        0,
-        oracle=oracle,
+        oracle=cap_oracle(n, _caps(rep)),
         circuit_fn=lambda: quasi_circuits(rep, budget=budget),
         count_fn=count_by_size if tame else None,
         origin="quasi-rep",
     )
-    m.rank_value = m.rank()
-    return m
 
 
 def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
@@ -327,15 +312,8 @@ def quasi_deletion(rep: QuasiRep, z: int | Iterable[int]) -> tuple[QuasiRep, tup
 def pairwise_intersection_flats(rep: QuasiRep) -> list[tuple[int, int, int]]:
     """(i, j, intersection) for every nonempty pairwise intersection of size at
     least n-2; each such set is a flat of the matroid, uniform of rank n-2."""
-    n = rep.n
-    threshold = max(n - 2, 1)
-    out = []
-    for i in range(len(rep.members)):
-        for j in range(i + 1, len(rep.members)):
-            inter = rep.members[i] & rep.members[j]
-            if inter.bit_count() >= threshold:
-                out.append((i, j, inter))
-    return out
+    threshold = max(rep.n - 2, 1)
+    return [(i, j, inter) for i, j, inter in _intersections(rep.members) if inter.bit_count() >= threshold]
 
 
 def principal_extension(m: Matroid, flat: int | Iterable[int]) -> Matroid:
@@ -367,9 +345,10 @@ def principal_extension(m: Matroid, flat: int | Iterable[int]) -> Matroid:
 
 @dataclass(frozen=True)
 class ExtensionStep:
-    """One deleted element, the flat it extends (a mask in original labels,
-    the closure of the pairwise intersection minus the element), and the pair
-    of member indices whose intersection contained it."""
+    """One deleted element, the flat it extends (a mask in original labels:
+    the pairwise intersection minus the element at levels n >= 3, every loop
+    at level 2), and the pair of member indices whose intersection contained
+    it."""
 
     element: int
     flat: int
@@ -397,6 +376,16 @@ def decompose_to_tame(
     unambiguous. By default the largest eligible element is peeled first; the
     surviving core is the same for any order, so pick only affects labels of
     the recorded steps.
+
+    Each step's flat is read off the peeled members, with no closure taken.
+    At n >= 3 it is J = I - a, the rest of the intersection, of rank n-2: J
+    has n-2 or more elements, its (n-2)-subsets B are independent and its
+    (n-1)-subsets, if any, are type-1 circuits. For x outside J, B + x is
+    dependent only inside some pairwise intersection; that one meets B, and
+    no element lies in three members, so it is J. Hence J is a flat. At
+    n = 2 the rest of I is loops, and the flat is the rank-0 flat, the set
+    of all loops: the union of the pairwise intersections of the peeled
+    members.
     """
     n = rep.n
     if quasi_matroid(rep).rank_value != n:
@@ -405,28 +394,18 @@ def decompose_to_tame(
     steps: list[ExtensionStep] = []
     while True:
         eligible: dict[int, tuple[int, int]] = {}
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                inter = members[i] & members[j]
-                if inter.bit_count() >= n - 1:
-                    m = inter
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        eligible[low.bit_length() - 1] = (i, j)
+        for i, j, inter in _intersections(members):
+            if inter.bit_count() >= n - 1:
+                for e in bits(inter):
+                    eligible[e] = (i, j)
         if not eligible:
             break
         candidates = tuple(sorted(eligible))
         a = max(candidates) if pick is None else pick(candidates)
         i, j = eligible[a]
         bit = 1 << a
-        raw_flat = (members[i] & members[j]) ^ bit
         members = [h & ~bit for h in members]
-        # The raw set is already a flat when n >= 3; taking the closure also
-        # covers level 2, where rank-0 flats must absorb every loop.
-        oracle = _independence_oracle(tuple(members), n)
-        helper = Matroid(rep.d, 0, oracle=oracle, origin="quasi-rep")
-        flat = helper.closure(raw_flat)
+        flat = members[i] & members[j] if n >= 3 else overlaps(members)[1]
         steps.append(ExtensionStep(a, flat, (i, j)))
     deleted = 0
     for s in steps:

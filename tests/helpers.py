@@ -189,9 +189,7 @@ def slow_ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
         big = map(sum, combinations([1 << e for e in range(d)], n + 1))
         return tuple(minimal) + tuple(m for m in big if not contains_edge(m))
 
-    m = Matroid(d, 0, oracle=oracle, circuit_fn=materialize)
-    m.rank_value = m.rank()
-    return m
+    return Matroid(d, oracle=oracle, circuit_fn=materialize)
 
 
 def brute_paving_circuits(p: PavingMatroid) -> tuple[int, ...]:

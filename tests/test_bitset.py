@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pavemat import line_matroid, quasi_rep
-from pavemat.bitset import capped_subsets, subsets_of_size
+from pavemat.bitset import capped_subsets, overlaps, subsets_of_size
 
 
 def brute_capped(ground, r, caps):
@@ -66,3 +66,16 @@ def test_capped_subsets_leaves_no_garbage():
     assert out
     del out
     assert gc.collect() == 0
+
+
+def test_overlaps_matches_the_membership_counts():
+    rng = random.Random(17)
+    lists = [[]] + [
+        [rng.getrandbits(rng.randint(0, 12)) for _ in range(rng.randint(1, 6))] for _ in range(500)
+    ]
+    for masks in lists:
+        counts = [sum(m >> e & 1 for m in masks) for e in range(12)]
+        want = tuple(sum(1 << e for e, c in enumerate(counts) if c >= k) for k in (1, 2, 3))
+        assert overlaps(masks) == want, masks
+    assert overlaps([]) == (0, 0, 0)
+    assert overlaps(iter([0b011, 0b110, 0b111])) == (0b111, 0b111, 0b010)

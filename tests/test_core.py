@@ -261,6 +261,14 @@ def test_is_uniform_oracle_mode():
     assert is_uniform(holed) is None
 
 
+def test_rank_value_defaults_to_the_greedy_rank():
+    holed = Matroid(6, oracle=lambda s: s.bit_count() <= 2 and s & 0b11 != 0b11)
+    assert holed.rank_value == 2
+    assert Matroid(4, oracle=lambda s: s == 0).rank_value == 0
+    assert Matroid(6, circuits=(0b11, 0b111100)).rank_value == 4
+    assert Matroid(6, 3, oracle=lambda s: s.bit_count() <= 2).rank_value == 3  # given, not checked
+
+
 def test_rank_monotone_and_submodular():
     rng = random.Random(7)
     for _ in range(40):

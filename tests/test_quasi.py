@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -6,12 +7,15 @@ from operator import or_
 import pytest
 
 from pavemat import (
+    Matroid,
+    QuasiRep,
     check_circuit_axioms,
     decompose_to_tame,
     is_uniform,
     mask_of,
     matroid_from_circuits,
     pairwise_intersection_flats,
+    paving_from_hyperplanes,
     paving_to_matroid,
     principal_extension,
     quasi_deletion,
@@ -26,6 +30,7 @@ from pavemat.errors import LevelTooSmall, NotAFlat, RankDeficient, TripleInterse
 from pavemat.quasi import circuit_profile, type3_count
 
 from helpers import (
+    brute_independent,
     brute_paving_circuits,
     brute_quasi_circuits,
     brute_small_circuits,
@@ -234,6 +239,45 @@ def test_replay_random_orders_confluent():
                 assert replayed.is_independent(s) == m.is_independent(s)
 
 
+def _full_rank_tame_reps(seed, per_level):
+    """Seeded tame representations of full rank n, per_level of each level
+    from 2 to 5, on at most 9 elements."""
+    rng = random.Random(seed)
+    found = {n: [] for n in range(2, 6)}
+    while any(len(reps) < per_level for reps in found.values()):
+        rep = random_tame_rep(rng, max_d=9)
+        if len(found[rep.n]) < per_level and quasi_matroid(rep).rank_value == rep.n:
+            found[rep.n].append(rep)
+    return [rep for reps in found.values() for rep in reps]
+
+
+def test_decompose_to_tame_flats_are_the_closures():
+    # Each step's flat is the closure of the rest of the peeled intersection
+    # in the matroid of the peeled members, read off brute circuit lists; at
+    # level 2 that closure is every loop. The replay rebuilds the brute
+    # independence predicate on every subset.
+    steps_at = Counter()
+    grown = 0  # level-2 flats holding loops outside the peeled intersection
+    for rep in _full_rank_tame_reps(109, 60):
+        dec = decompose_to_tame(rep)
+        members = list(rep.members)
+        for step in dec.steps:
+            i, j = step.source_pair
+            bit = 1 << step.element
+            raw = (members[i] & members[j]) ^ bit
+            members = [h & ~bit for h in members]
+            peeled = Matroid(rep.d, circuits=brute_quasi_circuits(QuasiRep(rep.d, rep.n, tuple(members))))
+            assert step.flat == peeled.closure(raw), (rep, step)
+            steps_at[rep.n] += 1
+            grown += step.flat != raw
+        replayed = replay_extensions(dec, rep.d)
+        circuits = brute_quasi_circuits(rep)
+        for s in range(1 << rep.d):
+            assert replayed.is_independent(s) == brute_independent(circuits, s), (rep, s)
+    assert all(steps_at[n] >= 10 for n in range(2, 6)), steps_at
+    assert grown
+
+
 def test_quasi_deletion_example():
     rep = REP_B()
     smaller, kept = quasi_deletion(rep, m1(6, 7))
@@ -330,6 +374,24 @@ def test_small_circuits_match_brute_force():
 def test_quasi_circuits_match_brute_force_in_order():
     for rep in [*_random_tame_reps(73, 300), *_family_component_reps()]:
         assert quasi_matroid(rep).circuits() == brute_quasi_circuits(rep), rep
+
+
+def test_independence_oracle_matches_the_brute_circuits():
+    # The cap oracle itself, on every subset, against the brute circuit
+    # lists: tame representations at levels 2 to 5, random pavings, three
+    # concurrent lines and the Fano plane (elements on three hyperplanes).
+    rng = random.Random(107)
+    reps = [random_tame_rep(rng, max_d=9) for _ in range(200)]
+    assert {rep.n for rep in reps} == {2, 3, 4, 5}
+    cases = [(quasi_matroid(rep), brute_quasi_circuits(rep)) for rep in reps]
+    pavings = [random_paving(rng, max_d=9) for _ in range(60)]
+    pavings.append(paving_from_hyperplanes(7, 3, [m1(1, 2, 3), m1(1, 4, 5), m1(1, 6, 7)]))
+    fano = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+    pavings.append(paving_from_hyperplanes(7, 3, [m1(*line) for line in fano]))
+    cases += [(paving_to_matroid(p), brute_paving_circuits(p)) for p in pavings]
+    for m, circuits in cases:
+        for s in range(1 << m.d):
+            assert m.is_independent(s) == brute_independent(circuits, s), (m, circuits, s)
 
 
 def test_paving_circuits_match_brute_force_in_order():
