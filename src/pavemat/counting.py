@@ -242,6 +242,17 @@ def admissible_codes(
     yield from place(0, 0)
 
 
+def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:
+    """The block profiles of an RGS code, sorted: (x, y) for each block with
+    x items among the code's first a positions (sort 0) and y among the rest
+    (sort 1), as admissible_codes places them. The shapes of the codes it
+    yields are the leaves of vector_partitions' walk, as (a, b) pairs."""
+    profiles = [[0, 0] for _ in range(max(code, default=-1) + 1)]
+    for pos, block in enumerate(code):
+        profiles[block][pos >= a] += 1
+    return tuple(sorted(map(tuple, profiles)))
+
+
 @dataclass(frozen=True)
 class TruncatedEGF:
     """Truncated exponential generating function sum c_m x^m / m!, held as

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .bitset import overlaps, sort_key
 from .core import Matroid
-from .counting import grid_component_codes, line_component_codes
+from .counting import code_shape, grid_component_codes, line_component_codes
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from .families import GridLayout, LineArrangement
 from .partitions import blocks_to_rgs, iter_rgs, rgs_to_blocks
@@ -27,7 +27,7 @@ from .paving import (
     is_nilpotent,
     is_tame,
 )
-from .quasi import CircuitProfile, QuasiRep, circuit_profile, quasi_matroid
+from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile, quasi_matroid
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
@@ -286,23 +286,41 @@ def _decompose(
     params: dict,
     labels: tuple[str, ...],
     hyp_masks: tuple[int, ...],
+    rows: int,
     d: int,
     level: int,
     codes: Iterable[Sequence[int]],
 ) -> DecompositionResult:
     """One report per partition code, in the order given. Components are told
-    apart by their circuit_profile keys, which agree exactly when the small
-    circuits do."""
-    base_key = circuit_profile(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key)))).key
+    apart by their circuit_key, which agrees exactly when the small circuits
+    do; a key met twice raises InvariantViolated.
+
+    The first `rows` hyperplanes are the rows (or every line) and the rest
+    the columns. Permuting the lines, or the rows and the columns separately,
+    permutes the ground set and fixes the base. Two codes of one shape
+    (counting.code_shape: the sorted (rows, columns) profiles of their
+    blocks) are carried onto each other by such a permutation, and so are
+    their merged representations. So a component's circuit counts, rank and
+    classification depend only on its shape, and circuit_profile runs once
+    per shape; only the key is computed for every component.
+    """
+    base_key = circuit_key(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key))))
     m = len(hyp_masks)
     reports: list[ComponentReport] = []
     seen_keys: set[tuple] = set()
+    by_shape: dict[tuple, tuple[CircuitProfile, Classification]] = {}
     for code in codes:
         blocks = rgs_to_blocks(code)
         block_masks = tuple(tuple(hyp_masks[i] for i in block) for block in blocks)
         members = [_block_union(hyp_masks, block) for block in blocks]
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
-        profile = circuit_profile(rep)
+        shape = code_shape(code, rows)
+        first = by_shape.get(shape)
+        if first is None:
+            profile = circuit_profile(rep)
+            first = by_shape[shape] = (profile, _classify(d, level, profile, base_key))
+        else:
+            profile = first[0]._replace(key=circuit_key(rep))
         if profile.key in seen_keys:
             raise InvariantViolated(f"partition {tuple(code)} merges to a matroid already listed")
         seen_keys.add(profile.key)
@@ -312,7 +330,7 @@ def _decompose(
                 block_masks=block_masks,
                 rep=rep,
                 profile=profile,
-                classification=_classify(d, level, profile, base_key),
+                classification=first[1],
             )
         )
     return DecompositionResult(family, params, labels, hyp_masks, tuple(reports))
@@ -343,7 +361,7 @@ def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> Decompo
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
     hyp_masks = layout.row_masks() + layout.col_masks()
-    return _decompose("grid", {"k": k, "l": l}, labels, hyp_masks, k * l, 3, codes)
+    return _decompose("grid", {"k": k, "l": l}, labels, hyp_masks, k, k * l, 3, codes)
 
 
 def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionResult:
@@ -352,7 +370,7 @@ def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionR
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()
-    return _decompose("lines", {"n": n}, labels, hyp_masks, arr.point_count, 3, codes)
+    return _decompose("lines", {"n": n}, labels, hyp_masks, n, arr.point_count, 3, codes)
 
 
 def grid_component_partitions(k: int, l: int) -> Iterator[list[list[int]]]:

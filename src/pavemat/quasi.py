@@ -166,36 +166,23 @@ class CircuitProfile(NamedTuple):
     rank: int
 
 
-def circuit_profile(rep: QuasiRep) -> CircuitProfile:
-    """The key and the circuit counts of a tame representation, in closed
-    form over the cells.
+def circuit_key(rep: QuasiRep) -> tuple:
+    """A key equal for two tame representations of one ground size and level
+    exactly when their small circuits agree, read off the cell sizes alone.
 
-    Counting sets by how many elements they take from each cell is a product
-    of truncated binomial polynomials (Flajolet-Sedgewick, Analytic
-    Combinatorics, ch. II). The type-1 circuits are the (n-1)-subsets of the
-    qualifying intersections I (those of at least n-1 elements). The type-2
-    circuits of member H are its n-subsets with at most n-2 elements in each
-    I inside H, the coefficient inside[n] of the product over H's cells; no
-    set is type-2 in two members, since it would have n elements in their
-    intersection. H is active when it has type-2 circuits. An (n+1)-set
-    within every cell's cap is a type-3 circuit unless it holds n or more
-    elements of some member; two members holding n elements each would share
-    n-1 of them, above the cap of their intersection, so these member events
-    are disjoint and are subtracted one by one. Every cell polynomial has
-    constant term 1, so the product over the cells outside H starts
-    1 + (total[1] - inside[1])x.
-
-    The rank follows from the counts. Sets of at most n-2 elements are
-    always independent and (n+1)-sets never. An n-set is dependent exactly
-    when it breaks an intersection cap or is a type-2 circuit, so the rank is
-    n when total[n] > type2. Else it is n-1 when some (n-1)-set is no type-1
-    circuit (the I are disjoint, so none is counted twice), and else the
-    smaller of d and n-2.
+    The qualifying intersections I are those of at least n-1 elements; the
+    type-1 circuits are their (n-1)-subsets. The type-2 circuits of member H
+    are its n-subsets that take at most cap elements from each of its cells
+    (_cells: n+1 from its private part, n-2 from each intersection); no set
+    is type-2 in two members, since it would have n elements in their
+    intersection. H is active when it has type-2 circuits, that is when the
+    sum of min(|cell|, cap) over its cells is at least n: the sets that take
+    at most cap elements from each cell reach every size up to that sum.
 
     The key is (sorted I, sorted active H) for n >= 3, and (U, sorted H - U
     over the active H) for n = 2, where U is the union of the I. It fixes the
-    small circuits by the counts above; an I meeting H lies in H, since no
-    element is in three members. Conversely the small circuits fix the key:
+    small circuits: an I meeting H lies in H, since no element is in three
+    members. Conversely the small circuits fix the key:
 
     * the I are disjoint; for n >= 3 the (n-1)-subsets of one I, of two or
       more elements each, are linked by overlaps, so the I are the unions of
@@ -213,39 +200,69 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     type-2 circuits linked by exchanges.
     """
     n = rep.n
+    reach = [0] * len(rep.members)
+    qualifying = []
+    for mask, cap, owners in _cells(rep):
+        size = mask.bit_count()
+        if len(owners) == 2 and size >= n - 1:
+            qualifying.append(mask)
+        for i in owners:
+            reach[i] += min(size, cap)
+    qualifying.sort()
+    active = sorted(h for h, r in zip(rep.members, reach) if r >= n)
+    if n == 2:
+        loops = sum(qualifying)
+        return (loops, tuple(sorted(h & ~loops for h in active)))
+    return (tuple(qualifying), tuple(active))
+
+
+def circuit_profile(rep: QuasiRep) -> CircuitProfile:
+    """The key (circuit_key) and the circuit counts of a tame
+    representation, in closed form over the cells.
+
+    Counting sets by how many elements they take from each cell is a product
+    of truncated binomial polynomials (Flajolet-Sedgewick, Analytic
+    Combinatorics, ch. II). The type-1 circuits are the (n-1)-subsets of the
+    intersections. The type-2 circuits of member H are its n-subsets with at
+    most n-2 elements in each intersection inside H, the coefficient
+    inside[n] of the product over H's cells. An (n+1)-set within every
+    cell's cap is a type-3 circuit unless it holds n or more elements of
+    some member; two members holding n elements each would share n-1 of
+    them, above the cap of their intersection, so these member events are
+    disjoint and are subtracted one by one. Every cell polynomial has
+    constant term 1, so the product over the cells outside H starts
+    1 + (total[1] - inside[1])x.
+
+    The rank follows from the counts. Sets of at most n-2 elements are
+    always independent and (n+1)-sets never. An n-set is dependent exactly
+    when it breaks an intersection cap or is a type-2 circuit, so the rank is
+    n when total[n] > type2. Else it is n-1 when some (n-1)-set is no type-1
+    circuit (the intersections are disjoint, so none is counted twice), and
+    else the smaller of d and n-2.
+    """
+    n = rep.n
     top = n + 1
     cells = [
         (mask, owners, [comb(mask.bit_count(), t) for t in range(min(mask.bit_count(), cap) + 1)])
         for mask, cap, owners in _cells(rep)
     ]
-    qualifying = sorted(
-        mask for mask, owners, _ in cells if len(owners) == 2 and mask.bit_count() >= n - 1
-    )
-    type1 = sum(comb(i.bit_count(), n - 1) for i in qualifying)
+    type1 = sum(comb(mask.bit_count(), n - 1) for mask, owners, _ in cells if len(owners) == 2)
     type2 = 0
     total = _truncated_product((p for _, _, p in cells), top)
     type3 = total[top]
-    active = []
     for i, h in enumerate(rep.members):
         if h.bit_count() < n:
             continue
         inside = _truncated_product((p for _, owners, p in cells if i in owners), top)
         type2 += inside[n]
         type3 -= inside[n] * (total[1] - inside[1]) + inside[n + 1]
-        if inside[n]:
-            active.append(h)
     if total[n] > type2:
         rank = n
     elif comb(rep.d, n - 1) > type1:
         rank = n - 1
     else:
         rank = min(rep.d, n - 2)
-    if n == 2:
-        loops = sum(qualifying)
-        key = (loops, tuple(sorted(h & ~loops for h in active)))
-    else:
-        key = (tuple(qualifying), tuple(sorted(active)))
-    return CircuitProfile(key, type1, type2, type3, rank)
+    return CircuitProfile(circuit_key(rep), type1, type2, type3, rank)
 
 
 def type3_count(rep: QuasiRep) -> int:

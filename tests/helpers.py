@@ -113,6 +113,38 @@ def brute_small_circuits(rep: QuasiRep) -> frozenset[int]:
     return frozenset(out)
 
 
+def polynomial_circuit_key(rep: QuasiRep) -> tuple:
+    """quasi.circuit_key by the truncated-polynomial route: member H is active
+    when the coefficient of x^n is nonzero in the product of the truncated
+    binomials (1 + x)^|cell| over H's cells, up to x^cap, with cap n+1 on
+    H's private part and n-2 on each intersection with another member."""
+    n = rep.n
+    inters = [
+        (i, j, a & b) for (i, a), (j, b) in combinations(enumerate(rep.members), 2) if a & b
+    ]
+    qualifying = sorted(inter for _, _, inter in inters if inter.bit_count() >= n - 1)
+    active = []
+    for i, h in enumerate(rep.members):
+        mine = [inter for a, b, inter in inters if i in (a, b)]
+        private = h
+        for inter in mine:
+            private &= ~inter
+        inside = [1] + [0] * n
+        for mask, cap in [(private, n + 1)] + [(inter, n - 2) for inter in mine]:
+            size = mask.bit_count()
+            poly = [comb(size, t) for t in range(min(size, cap) + 1)]
+            inside = [
+                sum(poly[t] * inside[s - t] for t in range(min(s, len(poly) - 1) + 1))
+                for s in range(n + 1)
+            ]
+        if inside[n]:
+            active.append(h)
+    if n == 2:
+        loops = sum(qualifying)
+        return (loops, tuple(sorted(h & ~loops for h in active)))
+    return (tuple(qualifying), tuple(sorted(active)))
+
+
 def brute_type3_circuits(rep: QuasiRep) -> list[int]:
     """Type 3 by testing every (n+1)-subset of the ground set, in
     lexicographic order."""

@@ -3,6 +3,7 @@ import pytest
 from pavemat import (
     GridLayout,
     HyperplanePartition,
+    LineArrangement,
     Liftability,
     decompose_grid,
     decompose_lines,
@@ -21,6 +22,14 @@ from pavemat import (
     paving_from_hyperplanes,
     paving_to_matroid,
     quasi_rep,
+)
+from pavemat import decomposition
+from pavemat.counting import (
+    code_shape,
+    forbidden_sizes,
+    grid_forbidden,
+    line_component_codes,
+    vector_partitions,
 )
 from pavemat.decomposition import (
     _decompose,
@@ -279,7 +288,51 @@ def test_repeated_partition_raises_instead_of_listing_twice():
     labels = tuple(f"H{i}" for i in range(7))
     code = (0, 1, 2, 3, 4, 5, 6)
     with pytest.raises(InvariantViolated):
-        _decompose("grid", {}, labels, hyp_masks, 12, 3, [code, code])
+        _decompose("grid", {}, labels, hyp_masks, 3, 12, 3, [code, code])
+    # a code whose shape is already classified is still checked by its key
+    arr = LineArrangement(7)
+    shape = ((1, 0),) * 3 + ((4, 0),)
+    first, second = [c for c in line_component_codes(7) if code_shape(c, 7) == shape][:2]
+    args = ("lines", {}, tuple(f"L{i}" for i in range(7)), arr.line_masks(), 7, arr.point_count, 3)
+    assert len(_decompose(*args, [first, second]).components) == 2
+    with pytest.raises(InvariantViolated):
+        _decompose(*args, [first, second, second])
+
+
+# The distinct listed shapes: lines 4-10, then grids 4x5, 5x5, 5x6 and 6x6.
+LINE_SHAPES = dict(zip(range(4, 11), (2, 2, 3, 4, 6, 8, 11)))
+GRID_SHAPES = {(4, 5): 3, (5, 5): 5, (5, 6): 7, (6, 6): 10}
+
+
+def _formula_shapes(size):
+    """The leaves of the formula walk, as sorted (rows, columns) profiles,
+    without the ones holding an excluded block: an (n-1)-block of lines, or
+    a grid block with every row or every column that is not everything."""
+    if len(size) == 1:
+        (n,) = size
+        leaves = vector_partitions(n, forbidden_sizes({2, 3}))
+        return {tuple(sorted((v[0], 0) for v in parts)) for parts in leaves if (n - 1,) not in parts}
+    k, l = size
+
+    def excluded(v):
+        return (v[0] == k or v[1] == l) and v != (k, l)
+
+    leaves = vector_partitions((k, l), grid_forbidden())
+    return {tuple(sorted(parts)) for parts in leaves if not any(map(excluded, parts))}
+
+
+def test_listing_classifies_once_per_shape(monkeypatch):
+    calls = []
+    profile = decomposition.circuit_profile
+    monkeypatch.setattr(decomposition, "circuit_profile", lambda rep: calls.append(rep) or profile(rep))
+    cases = [(decompose_lines, (n,), n, want) for n, want in LINE_SHAPES.items()]
+    cases += [(decompose_grid, (k, l), k, want) for (k, l), want in GRID_SHAPES.items()]
+    for decompose, size, rows, want in cases:
+        calls.clear()
+        res = decompose(*size)
+        shapes = {code_shape(c.partition.rgs, rows) for c in res.components}
+        assert shapes == _formula_shapes(size), size
+        assert len(shapes) == len(calls) == want, size
 
 
 def test_order_and_rank_invariants():

@@ -27,7 +27,7 @@ from pavemat import (
 from pavemat.bitset import bits_tuple
 from pavemat.decomposition import _classify
 from pavemat.errors import LevelTooSmall, NotAFlat, RankDeficient, TripleIntersection
-from pavemat.quasi import circuit_profile, type3_count
+from pavemat.quasi import circuit_key, circuit_profile, type3_count
 
 from helpers import (
     brute_independent,
@@ -36,6 +36,7 @@ from helpers import (
     brute_small_circuits,
     brute_type3_circuits,
     m1,
+    polynomial_circuit_key,
     random_full_rank_rep,
     random_paving,
     random_quasi_rep,
@@ -428,6 +429,28 @@ def test_circuit_profile_rank_is_the_greedy_rank():
         assert rank == quasi_matroid(rep).rank_value, rep
         ranks.add((rep.n, rank))
     assert {(n, r) for n in range(2, 6) for r in range(n + 1)} <= ranks
+
+
+def test_circuit_key_is_the_polynomial_key():
+    # Every listed component of lines 4-10 and grids k <= l <= 6, and random
+    # tame reps: levels 2-5, equal members and empty members among them.
+    from pavemat import decompose_grid, decompose_lines
+
+    reps = _random_tame_reps(109, 800)
+    assert {rep.n for rep in reps} == {2, 3, 4, 5}
+    assert any(0 in rep.members for rep in reps)
+    assert any(len(set(rep.members)) < len(rep.members) for rep in reps if 0 not in rep.members)
+    results = [decompose_grid(k, l) for k in range(3, 7) for l in range(k, 7)]
+    results += [decompose_lines(n) for n in range(4, 11)]
+    reps += [report.rep for res in results for report in res.components]
+    actives = set()
+    for rep in reps:
+        key = circuit_key(rep)
+        assert key == polynomial_circuit_key(rep), rep
+        actives.add((rep.n, len(key[1])))
+    # some keys have no active member and some several, at every level
+    assert {(n, 0) for n in range(2, 6)} <= actives
+    assert {(n, 2) for n in range(2, 6)} <= actives
 
 
 def test_circuit_profile_keys_agree_exactly_when_small_circuits_do():
