@@ -4,11 +4,8 @@ listing, and exact component counting for the grid and line families."""
 
 from .bitset import as_mask, bits_tuple, mask_of
 from .core import (
-    DependencyVerdict,
     Matroid,
     check_circuit_axioms,
-    dependency_leq,
-    is_uniform,
     matroid_from_circuits,
     uniform,
 )
@@ -30,15 +27,10 @@ from .decomposition import (
     ComponentReport,
     DecompositionResult,
     HyperplanePartition,
-    Liftability,
-    LiftabilityVerdict,
     decompose_grid,
     decompose_lines,
-    is_component_partition,
     is_grid_component_partition,
     is_line_component_partition,
-    liftability_oracle,
-    merged_matroid,
     merged_rep,
 )
 from .errors import MatroidError
@@ -53,16 +45,8 @@ from .families import (
     line_matroid,
 )
 from .paving import (
-    CoreReduction,
-    NilpotentChain,
     PavingMatroid,
-    degree_one_core,
-    degrees,
-    hyperplane_submatroid,
-    hyperplanes_through,
-    is_nilpotent,
     is_tame,
-    nilpotent_chain,
     paving_from_hyperplanes,
 )
 from .quasi import (
@@ -70,13 +54,9 @@ from .quasi import (
     QuasiRep,
     TameDecomposition,
     decompose_to_tame,
-    pairwise_intersection_flats,
     paving_to_matroid,
-    principal_extension,
-    quasi_deletion,
     quasi_matroid,
     quasi_rep,
-    replay_extensions,
     small_circuits,
 )
 

@@ -122,7 +122,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         for rep in result.components:
             blocks = [
                 "{" + ",".join(result.hyperplane_labels[i] for i in block) + "}"
-                for block in rep.partition.blocks()
+                for block in rep.blocks
             ]
             kind = rep.classification.kind
             if rep.classification.uniform_params:

@@ -1,5 +1,5 @@
-"""Finite matroid kernel: circuits, independence, rank, closure, bases, deletion,
-and the dependency order.
+"""Finite matroid kernel: circuits, independence, rank, the exhaustive
+circuit-axiom check, and the uniform matroid.
 
 Ground sets are {0..d-1}; subsets are int bitmasks (see :mod:`pavemat.bitset`).
 A matroid is backed by one of two representations:
@@ -8,14 +8,14 @@ A matroid is backed by one of two representations:
 * an independence oracle (a predicate on masks), optionally with a function
   that lists the circuits when they are first asked for and one that counts
   them by size without listing them. The oracle answers independence
-  queries also once the circuits are listed.
+  queries also once the circuits are listed; a matroid given no way to list
+  its circuits refuses to.
 
 All objects are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Optional
 
@@ -23,8 +23,6 @@ from .bitset import (
     as_mask,
     bits_tuple,
     canonical_masks,
-    remap,
-    sort_key,
     subsets_of_size,
 )
 from .errors import (
@@ -32,7 +30,6 @@ from .errors import (
     BadParams,
     BadRank,
     ContainmentViolation,
-    GroundMismatch,
     InvariantViolated,
     OutOfRange,
     RankMismatch,
@@ -42,9 +39,6 @@ from .errors import (
 # Explicit circuit lists are refused above this size; families fall back to
 # oracle mode instead (a k*l grid has Theta((kl)^4) size-4 circuits).
 CIRCUIT_BUDGET = 5_000_000
-
-# bases() guard: C(d, rank) enumeration is refused above this ground size.
-BASES_GROUND_LIMIT = 24
 
 # The circuit axioms are decided on bitsets over all 2^d subsets up to this
 # ground size, where the check takes at most about 0.5 s and 40 MB (2-core
@@ -105,76 +99,27 @@ class Matroid:
 
     # -- rank machinery --------------------------------------------------------
 
-    def _greedy_basis(self, s: int) -> int:
-        """A maximal independent subset of s, grown greedily in ascending element order.
-
-        The exchange axiom makes any greedy order reach the same size, so this
-        computes rank(s) correctly.
-        """
-        indep = 0
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            if self.is_independent(indep | low):
-                indep |= low
-        return indep
-
     def rank(self, s: int | Iterable[int] | None = None) -> int:
+        """The size of a maximal independent subset of s (of the ground set
+        when s is None), grown greedily in ascending element order. The
+        exchange axiom makes any greedy order reach the same size."""
         s = (1 << self.d) - 1 if s is None else as_mask(s)
         if s >> self.d:
             raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
-        return self._greedy_basis(s).bit_count()
-
-    def closure(self, s: int | Iterable[int]) -> int:
-        """All x with rank(s + x) == rank(s).
-
-        rank(s + x) exceeds rank(s) exactly when basis + x is independent for a
-        maximal independent basis of s, so one greedy basis suffices.
-        """
-        s = as_mask(s)
-        basis = self._greedy_basis(s)
-        out = s
-        rest = ((1 << self.d) - 1) ^ s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not self.is_independent(basis | low):
-                out |= low
-        return out
-
-    # -- enumeration -----------------------------------------------------------
-
-    def bases(self) -> tuple[int, ...]:
-        if self.d > BASES_GROUND_LIMIT:
-            raise TooLarge("bases ground limit", f"d={self.d} > {BASES_GROUND_LIMIT}")
-        r = self.rank_value
-        if comb(self.d, r) > CIRCUIT_BUDGET:
-            raise TooLarge("bases enumeration", f"C({self.d},{r}) too large")
-        return tuple(m for m in subsets_of_size((1 << self.d) - 1, r) if self.is_independent(m))
+        indep = 0
+        while s:
+            low = s & -s
+            s ^= low
+            if self.is_independent(indep | low):
+                indep |= low
+        return indep.bit_count()
 
     def circuits(self) -> tuple[int, ...]:
         if self._circuits is None:
-            if self._circuit_fn is not None:
-                self._circuits = self._circuit_fn()
-            else:
-                self._circuits = self._search_circuits()
+            if self._circuit_fn is None:
+                raise BadParams("a matroid given only an independence oracle cannot list its circuits")
+            self._circuits = self._circuit_fn()
         return self._circuits
-
-    def _search_circuits(self) -> tuple[int, ...]:
-        """Minimal dependent sets by size-graded search (small grounds only)."""
-        total = sum(comb(self.d, r) for r in range(1, self.rank_value + 2))
-        if total > CIRCUIT_BUDGET:
-            raise TooLarge("circuit search", f"{total} candidate subsets")
-        found: list[int] = []
-        for r in range(1, self.rank_value + 2):
-            for m in subsets_of_size((1 << self.d) - 1, r):
-                if self.is_independent(m):
-                    continue
-                if any(c & m == c for c in found):
-                    continue
-                found.append(m)
-        return tuple(sorted(found, key=sort_key))
 
     def circuit_count_by_size(self) -> dict[int, int]:
         """Circuits per size, sizes without circuits left out; from count_fn
@@ -186,57 +131,9 @@ class Matroid:
             hist[c.bit_count()] = hist.get(c.bit_count(), 0) + 1
         return hist
 
-    # -- minors ----------------------------------------------------------------
-
-    def delete(self, z: int | Iterable[int]) -> tuple["Matroid", tuple[int, ...]]:
-        """Delete z; returns the re-indexed matroid plus kept[new_index] = old_index."""
-        z = as_mask(z)
-        if z >> self.d:
-            raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
-        kept = tuple(e for e in range(self.d) if not (z >> e) & 1)
-        pos = {old: new for new, old in enumerate(kept)}
-        nd = len(kept)
-
-        if self._circuits is not None:
-            new_circuits = tuple(remap(c, pos) for c in self._circuits if c & z == 0)
-            return Matroid(nd, circuits=new_circuits, origin=self.origin), kept
-        return Matroid(nd, oracle=lambda s: self.is_independent(remap(s, kept)), origin=self.origin), kept
-
-    def relabel(self, perm: tuple[int, ...]) -> "Matroid":
-        """Apply the permutation old_index -> perm[old_index] to all labels."""
-        if sorted(perm) != list(range(self.d)):
-            raise BadParams("relabel needs a permutation of the ground set")
-
-        if self._circuits is not None:
-            return Matroid(
-                self.d,
-                self.rank_value,
-                circuits=tuple(sorted((remap(c, perm) for c in self._circuits), key=sort_key)),
-                origin=self.origin,
-            )
-        inverse = [0] * self.d
-        for old, new in enumerate(perm):
-            inverse[new] = old
-
-        return Matroid(
-            self.d,
-            self.rank_value,
-            oracle=lambda s: self.is_independent(remap(s, inverse)),
-            origin=self.origin,
-        )
-
     def __repr__(self) -> str:
         mode = "circuits" if self._circuits is not None else "oracle"
         return f"Matroid(d={self.d}, rank={self.rank_value}, {mode}, origin={self.origin!r})"
-
-
-@dataclass(frozen=True)
-class DependencyVerdict:
-    """Outcome of a dependency-order comparison; witness is a circuit of the
-    smaller matroid that stays independent in the larger one."""
-
-    leq: bool
-    witness: Optional[int]
 
 
 def _without(d: int) -> list[int]:
@@ -430,35 +327,3 @@ def uniform(n: int, d: int) -> Matroid:
     if count > CIRCUIT_BUDGET:
         return Matroid(d, n, oracle=lambda s: s.bit_count() <= n, origin="explicit")
     return Matroid(d, n, circuits=tuple(subsets_of_size((1 << d) - 1, n + 1)), origin="explicit")
-
-
-def is_uniform(m: Matroid) -> Optional[tuple[int, int]]:
-    """(n, d) when m is exactly the labeled uniform matroid, else None."""
-    r, d = m.rank_value, m.d
-    if m._circuits is not None:
-        cs = m._circuits
-        if all(c.bit_count() == r + 1 for c in cs) and len(cs) == comb(d, r + 1):
-            return (r, d)
-        return None
-    if r == d:
-        return (r, d)
-    total = comb(d, r) + comb(d, r + 1)
-    if total > CIRCUIT_BUDGET:
-        raise TooLarge("uniformity check", f"{total} subsets")
-    ground = (1 << d) - 1
-    if not all(m.is_independent(s) for s in subsets_of_size(ground, r)):
-        return None
-    if any(m.is_independent(s) for s in subsets_of_size(ground, r + 1)):
-        return None
-    return (r, d)
-
-
-def dependency_leq(n1: Matroid, n2: Matroid) -> DependencyVerdict:
-    """Decide n2 >= n1 in the dependency order: every dependent set of n1 is
-    dependent in n2, equivalently every circuit of n1 is dependent in n2."""
-    if n1.d != n2.d:
-        raise GroundMismatch(f"ground sizes differ: {n1.d} vs {n2.d}")
-    for c in n1.circuits():
-        if n2.is_independent(c):
-            return DependencyVerdict(False, c)
-    return DependencyVerdict(True, None)

@@ -3,139 +3,26 @@
 Merging each block of a hyperplane partition into one hypergraph member and
 applying the three-type construction yields a matroid above the base in the
 dependency order. The partitions whose merged matroids appear as components
-of the grid and line families admit closed-form tests; a structural
-liftability oracle covers the generic case and says so when it cannot decide.
+of the grid and line families admit closed-form tests, and the listing
+generates exactly the partitions that pass them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bitset import overlaps, sort_key
-from .core import Matroid
+from .bitset import sort_key
 from .counting import code_shape, grid_component_codes, line_component_codes
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from .families import GridLayout, LineArrangement
-from .partitions import blocks_to_rgs, iter_rgs, rgs_to_blocks
-from .paving import (
-    PavingMatroid,
-    degree_one_core,
-    hyperplane_submatroid,
-    is_nilpotent,
-    is_tame,
-)
-from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile, quasi_matroid
+from .partitions import blocks_to_rgs, rgs_to_blocks
+from .paving import PavingMatroid, is_tame
+from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
-
-
-class Liftability(Enum):
-    LIFTABLE = "liftable"
-    NOT_LIFTABLE = "not-liftable"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class LiftabilityVerdict:
-    status: Liftability
-    reason: str
-
-
-def _grid_core_shape(p: PavingMatroid) -> Optional[tuple[int, int]]:
-    """(a, b) when p is exactly an a x b grid matroid up to labels: the
-    hyperplanes split into two pairwise-disjoint families, cross pairs meet in
-    exactly one element, and every element has degree two."""
-    hyps = p.hyperplanes
-    m = len(hyps)
-    if m < 2:
-        return None
-    _, twice, thrice = overlaps(hyps)
-    if twice != p.ground_mask or thrice:
-        return None
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not hyps[i] & hyps[j]:
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for i in range(m):
-        comps.setdefault(find(i), []).append(i)
-    if len(comps) != 2:
-        return None
-    side_a, side_b = comps.values()
-    for side in (side_a, side_b):
-        for x in range(len(side)):
-            for y in range(x + 1, len(side)):
-                if hyps[side[x]] & hyps[side[y]]:
-                    return None
-    for i in side_a:
-        for j in side_b:
-            if (hyps[i] & hyps[j]).bit_count() != 1:
-                return None
-    return (len(side_a), len(side_b))
-
-
-def _line_core_shape(p: PavingMatroid) -> Optional[int]:
-    """m when p is the m-line arrangement matroid up to labels: every element
-    has degree two and any two hyperplanes meet in exactly one element."""
-    hyps = p.hyperplanes
-    m = len(hyps)
-    if m < 4:
-        return None
-    _, twice, thrice = overlaps(hyps)
-    if twice != p.ground_mask or thrice:
-        return None
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (hyps[i] & hyps[j]).bit_count() != 1:
-                return None
-    return m
-
-
-def liftability_oracle(p: PavingMatroid) -> LiftabilityVerdict:
-    """Liftability by the proven closed-form verdicts only.
-
-    Nilpotent systems are liftable. Otherwise the degree-<=1 reduction core is
-    examined: grid cores are liftable exactly for the 3 x 3 shape, line cores
-    of at least four lines are not liftable. Degree-1 removals transport the
-    verdict both ways; degree-0 removals transport only the liftable
-    direction, so a negative core verdict behind one is reported as unknown.
-    """
-    if is_nilpotent(p):
-        return LiftabilityVerdict(Liftability.LIFTABLE, "nilpotent")
-    red = degree_one_core(p)
-    if red.core is None:
-        return LiftabilityVerdict(Liftability.LIFTABLE, "degree-one-collapse")
-    if red.core.n != 3:
-        # the grid and line verdicts are rank-3 facts
-        return LiftabilityVerdict(Liftability.UNKNOWN, f"core-rank({red.core.n})")
-    shape = _grid_core_shape(red.core)
-    if shape is not None:
-        a, b = shape
-        if a == 3 and b == 3:
-            return LiftabilityVerdict(Liftability.LIFTABLE, "grid-core(3,3)")
-        if min(a, b) < 3:
-            return LiftabilityVerdict(Liftability.UNKNOWN, f"small-grid-core({a},{b})")
-        if red.removed_degree0:
-            return LiftabilityVerdict(Liftability.UNKNOWN, f"grid-core({a},{b})-behind-degree-0")
-        return LiftabilityVerdict(Liftability.NOT_LIFTABLE, f"grid-core({a},{b})")
-    lines = _line_core_shape(red.core)
-    if lines is not None:
-        if red.removed_degree0:
-            return LiftabilityVerdict(Liftability.UNKNOWN, f"line-core({lines})-behind-degree-0")
-        return LiftabilityVerdict(Liftability.NOT_LIFTABLE, f"line-core({lines})")
-    return LiftabilityVerdict(Liftability.UNKNOWN, "unrecognized-core")
 
 
 @dataclass(frozen=True)
@@ -173,10 +60,6 @@ def merged_rep(p: PavingMatroid, partition: HyperplanePartition) -> QuasiRep:
     return QuasiRep(p.d, p.n, tuple(sorted(members, key=sort_key)))
 
 
-def merged_matroid(p: PavingMatroid, partition: HyperplanePartition) -> Matroid:
-    return quasi_matroid(merged_rep(p, partition))
-
-
 def is_grid_component_partition(k: int, l: int, blocks: Iterable[Iterable[int]]) -> bool:
     """Closed-form test over the k+l grid hyperplanes (rows 0..k-1, then
     columns k..k+l-1): every block of size >= 2 needs at least 3 rows, at
@@ -202,34 +85,6 @@ def is_line_component_partition(n: int, blocks: Iterable[Iterable[int]]) -> bool
     return all(len(list(b)) not in (2, 3, n - 1) for b in blocks)
 
 
-def is_component_partition(
-    p: PavingMatroid, partition: HyperplanePartition
-) -> Optional[bool]:
-    """Generic test: no outside hyperplane may fall inside a block's union, and
-    every block of two or more hyperplanes must be non-liftable. None when the
-    liftability oracle cannot decide some block."""
-    if not is_tame(p):
-        raise NotTame("component partitions are defined for tame bases only")
-    blocks = partition.blocks()
-    for block in blocks:
-        union = _block_union(p.hyperplanes, block)
-        in_block = set(block)
-        for idx, l in enumerate(p.hyperplanes):
-            if idx not in in_block and l & union == l:
-                return False
-    unknown = False
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        sub, _ = hyperplane_submatroid(p, block)
-        verdict = liftability_oracle(sub)
-        if verdict.status is Liftability.LIFTABLE:
-            return False
-        if verdict.status is Liftability.UNKNOWN:
-            unknown = True
-    return None if unknown else True
-
-
 @dataclass(frozen=True)
 class Classification:
     """How a component compares to known shapes: uniform(r, d), equal to the
@@ -242,11 +97,12 @@ class Classification:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """One listed component: its partition, the merged representation and
-    what circuit_profile reads off it (circuit counts, key, rank)."""
+    """One listed component: its partition, as a code and as its blocks of
+    hyperplane indices, the merged representation and what circuit_profile
+    reads off it (circuit counts, key, rank)."""
 
     partition: HyperplanePartition
-    block_masks: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, ...], ...]
     rep: QuasiRep
     profile: CircuitProfile
     classification: Classification
@@ -311,7 +167,6 @@ def _decompose(
     by_shape: dict[tuple, tuple[CircuitProfile, Classification]] = {}
     for code in codes:
         blocks = rgs_to_blocks(code)
-        block_masks = tuple(tuple(hyp_masks[i] for i in block) for block in blocks)
         members = [_block_union(hyp_masks, block) for block in blocks]
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
         shape = code_shape(code, rows)
@@ -327,7 +182,7 @@ def _decompose(
         reports.append(
             ComponentReport(
                 partition=HyperplanePartition(m, tuple(code)),
-                block_masks=block_masks,
+                blocks=tuple(map(tuple, blocks)),
                 rep=rep,
                 profile=profile,
                 classification=first[1],
@@ -371,19 +226,3 @@ def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionR
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()
     return _decompose("lines", {"n": n}, labels, hyp_masks, n, arr.point_count, 3, codes)
-
-
-def grid_component_partitions(k: int, l: int) -> Iterator[list[list[int]]]:
-    """Plain filter over all partitions of the k+l hyperplanes; used as an
-    unpruned cross-check of the counting routes."""
-    for code in iter_rgs(k + l):
-        blocks = rgs_to_blocks(code)
-        if is_grid_component_partition(k, l, blocks):
-            yield blocks
-
-
-def line_component_partitions(n: int) -> Iterator[list[list[int]]]:
-    for code in iter_rgs(n):
-        blocks = rgs_to_blocks(code)
-        if is_line_component_partition(n, blocks):
-            yield blocks

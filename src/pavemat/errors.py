@@ -61,10 +61,6 @@ class RankMismatch(MatroidError):
         super().__init__(f"declared rank {declared} but computed rank {computed}")
 
 
-class GroundMismatch(MatroidError):
-    pass
-
-
 class HyperplaneTooSmall(MatroidError):
     def __init__(self, hyperplane: int, n: int):
         self.hyperplane = hyperplane
@@ -84,10 +80,6 @@ class DegenerateGround(MatroidError):
     pass
 
 
-class TooFewHyperplanes(MatroidError):
-    pass
-
-
 class TripleIntersection(MatroidError):
     def __init__(self, i: int, j: int, r: int, element: int):
         self.indices = (i, j, r)
@@ -97,12 +89,6 @@ class TripleIntersection(MatroidError):
 
 class LevelTooSmall(MatroidError):
     pass
-
-
-class NotAFlat(MatroidError):
-    def __init__(self, subset: int):
-        self.subset = subset
-        super().__init__(f"{bits_tuple(subset)} is not a flat")
 
 
 class RankDeficient(MatroidError):

@@ -127,14 +127,6 @@ class LineArrangement:
         # points (0,1), (0,2), ..., (0,n-1), (1,2), ... in lex order
         return i * self.n - i * (i + 1) // 2 + (j - i - 1)
 
-    def point_pair(self, idx: int) -> tuple[int, int]:
-        for i in range(self.n):
-            row = self.n - 1 - i
-            if idx < row:
-                return (i, i + 1 + idx)
-            idx -= row
-        raise BadParams("point index out of range")
-
     def line_mask(self, i: int) -> int:
         m = 0
         for j in range(self.n):

@@ -11,12 +11,11 @@ from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
 from .families import MinorGenerator
-from .paving import PavingMatroid, paving_from_hyperplanes
 from .quasi import QuasiRep, quasi_circuits, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
 # The readers refuse larger grounds: building a matroid costs time quadratic
-# in d (core._greedy_basis), about 0.3 s at this limit on a 2-core Xeon VM.
+# in d (core.Matroid.rank), about 0.3 s at this limit on a 2-core Xeon VM.
 GROUND_SIZE_LIMIT = 4096
 
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
@@ -135,24 +134,6 @@ def matroid_from_dict(obj: dict, *, validate: bool = True) -> Matroid:
     return matroid_from_circuits(d, rank, masks, validate=validate)
 
 
-def paving_to_dict(p: PavingMatroid) -> dict:
-    return {
-        "d": p.d,
-        "n": p.n,
-        "hyperplanes": [mask_to_labels(l) for l in p.hyperplanes],
-    }
-
-
-def paving_from_dict(obj: dict) -> PavingMatroid:
-    try:
-        d = _ground_size(obj)
-        n = _integer(obj["n"], "n")
-        hyps = obj["hyperplanes"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BadParams(f"paving file needs d, n, hyperplanes: {exc}")
-    return paving_from_hyperplanes(d, n, _label_lists("hyperplanes", hyps, d))
-
-
 def quasi_to_dict(rep: QuasiRep) -> dict:
     return {"d": rep.d, "n": rep.n, "H": [mask_to_labels(h) for h in rep.members]}
 
@@ -186,7 +167,7 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
             matroid_obj["circuits"] = MaskRows(quasi_circuits(report.rep))
         components.append(
             {
-                "partition": [[labels[i] for i in block] for block in report.partition.blocks()],
+                "partition": [[labels[i] for i in block] for block in report.blocks],
                 "classification": classification,
                 "matroid": matroid_obj,
             }

@@ -12,7 +12,8 @@ own hyperplane system: hyperplanes share at most n-2 elements, so there are no
 type-1 circuits, and types 2 and 3 are its n- and (n+1)-circuits. Every
 level-n instance of full rank n is a chain of principal extensions over
 rank-(n-2) flats of a tame paving core; this module implements the
-construction, the reduction to that core, and its replay.
+construction and the reduction to that core (decompose_to_tame), whose steps
+name the flats. The tests replay the steps by principal extensions.
 
 Each circuit condition is a cap (mask, t): a set of at most n elements is
 independent exactly when it holds fewer than t elements of every cap. The
@@ -39,18 +40,8 @@ from .bitset import (
     subsets_of_size,
 )
 from .core import CIRCUIT_BUDGET, Matroid
-from .errors import (
-    LevelTooSmall,
-    NotAFlat,
-    OutOfRange,
-    RankDeficient,
-    TooLarge,
-    TripleIntersection,
-)
+from .errors import LevelTooSmall, OutOfRange, RankDeficient, TooLarge, TripleIntersection
 from .paving import PavingMatroid, _paving_relaxed
-
-# Principal extensions enumerate explicit bases; keep the ground small.
-EXTENSION_GROUND_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -61,11 +52,6 @@ class QuasiRep:
     d: int
     n: int
     members: tuple[int, ...]
-
-    @property
-    def inert_member_indices(self) -> tuple[int, ...]:
-        """Members too small to generate any circuit."""
-        return tuple(i for i, h in enumerate(self.members) if h.bit_count() < self.n - 1)
 
 
 def quasi_rep(d: int, n: int, members: Iterable[int | Iterable[int]]) -> QuasiRep:
@@ -199,17 +185,18 @@ def circuit_key(rep: QuasiRep) -> tuple:
     So the active H (the H - U at n = 2) are the unions of the classes of
     type-2 circuits linked by exchanges.
     """
-    n = rep.n
-    reach = [0] * len(rep.members)
+    n, members = rep.n, rep.members
+    twice = overlaps(members)[1]
+    reach = [min((h & ~twice).bit_count(), n + 1) for h in members]
     qualifying = []
-    for mask, cap, owners in _cells(rep):
-        size = mask.bit_count()
-        if len(owners) == 2 and size >= n - 1:
-            qualifying.append(mask)
-        for i in owners:
-            reach[i] += min(size, cap)
+    for i, j, inter in _intersections(members):
+        size = inter.bit_count()
+        if size >= n - 1:
+            qualifying.append(inter)
+        reach[i] += min(size, n - 2)
+        reach[j] += min(size, n - 2)
     qualifying.sort()
-    active = sorted(h for h, r in zip(rep.members, reach) if r >= n)
+    active = sorted(h for h, r in zip(members, reach) if r >= n)
     if n == 2:
         loops = sum(qualifying)
         return (loops, tuple(sorted(h & ~loops for h in active)))
@@ -313,53 +300,6 @@ def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matr
     return quasi_matroid(QuasiRep(p.d, p.n, p.hyperplanes), budget=budget)
 
 
-def quasi_deletion(rep: QuasiRep, z: int | Iterable[int]) -> tuple[QuasiRep, tuple[int, ...]]:
-    """Delete z from the ground set: each member just loses those elements.
-    Returns the re-indexed representation plus kept[new_index] = old_index."""
-    z = as_mask(z)
-    if z >> rep.d:
-        raise OutOfRange(f"subset leaves the ground set [{rep.d}]")
-    kept = tuple(e for e in range(rep.d) if not (z >> e) & 1)
-    pos = {old: new for new, old in enumerate(kept)}
-
-    new_members = tuple(sorted((remap(h & ~z, pos) for h in rep.members), key=sort_key))
-    return QuasiRep(len(kept), rep.n, new_members), kept
-
-
-def pairwise_intersection_flats(rep: QuasiRep) -> list[tuple[int, int, int]]:
-    """(i, j, intersection) for every nonempty pairwise intersection of size at
-    least n-2; each such set is a flat of the matroid, uniform of rank n-2."""
-    threshold = max(rep.n - 2, 1)
-    return [(i, j, inter) for i, j, inter in _intersections(rep.members) if inter.bit_count() >= threshold]
-
-
-def principal_extension(m: Matroid, flat: int | Iterable[int]) -> Matroid:
-    """Add a new element (index d) freely inside the given flat: the bases are
-    those of m plus every (basis - b) + new for b ranging over basis & flat.
-    A set is independent when it lies in one of these bases."""
-    flat = as_mask(flat)
-    if m.closure(flat) != flat:
-        raise NotAFlat(flat)
-    if m.d + 1 > EXTENSION_GROUND_LIMIT:
-        raise TooLarge("principal extension ground", f"d={m.d + 1} > {EXTENSION_GROUND_LIMIT}")
-    bases = m.bases()
-    new_bit = 1 << m.d
-    out = set(bases)
-    for lam in bases:
-        inter = lam & flat
-        while inter:
-            low = inter & -inter
-            inter ^= low
-            out.add((lam ^ low) | new_bit)
-    extended = frozenset(out)
-    return Matroid(
-        m.d + 1,
-        m.rank_value,
-        oracle=lambda s: any(s & b == s for b in extended),
-        origin="extension",
-    )
-
-
 @dataclass(frozen=True)
 class ExtensionStep:
     """One deleted element, the flat it extends (a mask in original labels:
@@ -434,17 +374,3 @@ def decompose_to_tame(
     hyps = tuple(remap(h, pos) for h in members if h.bit_count() >= n)
     core = _paving_relaxed(len(elements), n, hyps)
     return TameDecomposition(core, elements, tuple(steps))
-
-
-def replay_extensions(dec: TameDecomposition, d: int) -> Matroid:
-    """Rebuild the represented matroid on the original ground set [d] by
-    re-adding the peeled elements in reverse order via principal extensions."""
-    current = paving_to_matroid(dec.core)
-    labels = list(dec.core_elements)
-    for step in reversed(dec.steps):
-        pos = {old: new for new, old in enumerate(labels)}
-        current = principal_extension(current, remap(step.flat, pos))
-        labels.append(step.element)
-    if len(labels) != d:
-        raise OutOfRange("replay did not restore the full ground set")
-    return current.relabel(tuple(labels))

@@ -11,7 +11,6 @@ from pavemat import (
     decompose_grid,
     decompose_lines,
     decompose_to_tame,
-    dependency_leq,
     forbidden_sizes,
     grid_component_count,
     grid_excluded_count,
@@ -24,10 +23,8 @@ from pavemat import (
     paving_to_matroid,
     quasi_matroid,
     quasi_rep,
-    replay_extensions,
 )
 from pavemat.counting import GRID_FORMULA_MIN, LINE_FORMULA_MIN
-from pavemat.decomposition import grid_component_partitions
 
 from helpers import (
     iter_set_partitions,
@@ -37,6 +34,7 @@ from helpers import (
     random_quasi_rep,
     set_partitions,
 )
+from oracles import dependency_leq, grid_component_partitions, replay_extensions
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
 TABLE_LINES = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}
@@ -98,7 +96,7 @@ def test_criterion_4_worked_examples():
 
     res6 = decompose_lines(6)
     assert len(res6.components) == 17
-    size4 = [c for c in res6.components if any(len(b) == 4 for b in c.block_masks)]
+    size4 = [c for c in res6.components if any(len(b) == 4 for b in c.blocks)]
     assert len(size4) == 15
 
     res33 = decompose_grid(3, 3)
@@ -166,14 +164,15 @@ def test_criterion_7_order_and_rank_invariants():
             m = quasi_matroid(comp.rep)
             if not dependency_leq(base, m).leq:
                 violations += 1
-            for block in comp.block_masks:
+            block_masks = [[res.hyperplane_masks[i] for i in block] for block in comp.blocks]
+            for block in block_masks:
                 for l_mask in block:
                     if m.rank(l_mask) != base_paving.n - 1:
                         violations += 1
-            for b1 in range(len(comp.block_masks)):
-                for b2 in range(b1 + 1, len(comp.block_masks)):
-                    for l1 in comp.block_masks[b1]:
-                        for l2 in comp.block_masks[b2]:
+            for b1 in range(len(block_masks)):
+                for b2 in range(b1 + 1, len(block_masks)):
+                    for l1 in block_masks[b1]:
+                        for l2 in block_masks[b2]:
                             if m.rank(l1 | l2) != base_paving.n:
                                 violations += 1
             checked += 1

@@ -8,8 +8,6 @@ from pavemat.cli import main
 from pavemat.io import (
     matroid_from_dict,
     matroid_to_dict,
-    paving_from_dict,
-    paving_to_dict,
     quasi_from_dict,
     quasi_to_dict,
     to_json,
@@ -31,11 +29,6 @@ def test_matroid_json_roundtrip():
     back = matroid_from_dict(json.loads(to_json(obj)))
     assert back.circuits() == m.circuits()
     assert back.rank_value == m.rank_value
-
-
-def test_paving_json_roundtrip():
-    p = grid_matroid(4, 4)
-    assert paving_from_dict(paving_to_dict(p)) == p
 
 
 def test_quasi_json_roundtrip():
@@ -223,17 +216,80 @@ def test_generators_over_the_budget_exit_1(capsys):
     assert err == "error: budget 'ci generators': requested 790400 exceeds limit 50000\n"
 
 
+# The hypergraph that the CI workflow exports and peels.
+CI_EXAMPLE_INPUT = {"d": 8, "n": 3, "H": [[1, 2, 3, 4], [3, 4, 5, 6], [6, 7, 8]]}
+
+# decompose-to-tame's text, and the sha256 of its JSON, at each level,
+# recorded before the replay checks moved out of the library.
+DECOMPOSE_TO_TAME_TEXT = {
+    ("tame", 2): (
+        "extension steps (3):\n"
+        "  element 7 over flat {1 6}\n"
+        "  element 6 over flat {1}\n"
+        "  element 1 over flat {}\n"
+        "core on elements [2, 3, 4, 5]:\n"
+        "  2 3\n"
+        "  4 5\n"
+    ),
+    ("tame", 3): (
+        "extension steps (2):\n"
+        "  element 7 over flat {1 6}\n"
+        "  element 6 over flat {1}\n"
+        "core on elements [1, 2, 3, 4, 5]:\n"
+        "  1 2 3\n"
+        "  1 4 5\n"
+    ),
+    ("tame", 4): (
+        "extension steps (1):\n"
+        "  element 7 over flat {1 6}\n"
+        "core on elements [1, 2, 3, 4, 5, 6]:\n"
+        "  1 2 3 6\n"
+        "  1 4 5 6\n"
+    ),
+    ("ci", 2): (
+        "extension steps (3):\n"
+        "  element 6 over flat {3 4}\n"
+        "  element 4 over flat {3}\n"
+        "  element 3 over flat {}\n"
+        "core on elements [1, 2, 5, 7, 8]:\n"
+        "  1 2\n"
+        "  7 8\n"
+    ),
+    ("ci", 3): (
+        "extension steps (1):\n"
+        "  element 4 over flat {3}\n"
+        "core on elements [1, 2, 3, 5, 6, 7, 8]:\n"
+        "  1 2 3\n"
+        "  3 5 6\n"
+        "  6 7 8\n"
+    ),
+    ("ci", 4): (
+        "extension steps (0):\n"
+        "core on elements [1, 2, 3, 4, 5, 6, 7, 8]:\n"
+        "  1 2 3 4\n"
+        "  3 4 5 6\n"
+    ),
+}
+DECOMPOSE_TO_TAME_JSON = {
+    ("tame", 2): "f1ac8cbb3a51ebdf5848c38474ae4848460537ae96580dd2f5844d1053f9e668",
+    ("tame", 3): "513442c538b34e35633075bfaabba8f452776e9d46287b2e8add71ec410b8da6",
+    ("tame", 4): "f9fb0fde4922985ff8f01376ec246b05a7d7c82d2afbcaff270e6fc35c23d048",
+    ("ci", 2): "75688bfff70182af5e78d63664884652e513bda4608c00f9ba97e2dc464a3d86",
+    ("ci", 3): "3ea9197d0f3ec72545a31c8c3f7dfb26883fa5bc3da4c6a192b4d170354a3000",
+    ("ci", 4): "ae34794310d8157f08018f9f1b73db7f408047aa34b49f046688150db204ff25",
+}
+
+
 def test_decompose_to_tame_cli(tmp_path, capsys):
-    rep = quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)])
-    path = tmp_path / "rep.json"
-    path.write_text(json.dumps(quasi_to_dict(rep)))
-    code, out, _ = run(capsys, "decompose-to-tame", "--file", str(path))
-    assert code == 0
-    assert "element 7" in out and "element 6" in out
-    code, out, _ = run(capsys, "decompose-to-tame", "--file", str(path), "--format", "json")
-    obj = json.loads(out)
-    assert [s["element"] for s in obj["steps"]] == [7, 6]
-    assert obj["core"]["hyperplanes"] == [[1, 2, 3], [1, 4, 5]]
+    for name, obj in (("tame", TAME_INPUT), ("ci", CI_EXAMPLE_INPUT)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        for n in (2, 3, 4):
+            argv = ("decompose-to-tame", "--file", str(path), "--n", str(n))
+            assert run(capsys, *argv) == (0, DECOMPOSE_TO_TAME_TEXT[name, n], "")
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_TO_TAME_JSON[name, n]
 
 
 def test_usage_error_exit_2(capsys):

@@ -26,7 +26,6 @@ from pavemat.counting import (
     grid_excluded_series,
     line_component_codes,
 )
-from pavemat.decomposition import grid_component_partitions, line_component_partitions
 from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
 from pavemat.partitions import blocks_to_rgs
 
@@ -38,6 +37,7 @@ from helpers import (
     iter_set_partitions,
     set_partitions,
 )
+from oracles import grid_component_partitions, line_component_partitions
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
 TABLE_LINES = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}

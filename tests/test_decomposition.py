@@ -4,20 +4,14 @@ from pavemat import (
     GridLayout,
     HyperplanePartition,
     LineArrangement,
-    Liftability,
     decompose_grid,
     decompose_lines,
-    dependency_leq,
     grid_component_count,
     grid_matroid,
-    is_component_partition,
     is_grid_component_partition,
     is_line_component_partition,
-    is_uniform,
     line_component_count,
     line_matroid,
-    liftability_oracle,
-    merged_matroid,
     merged_rep,
     paving_from_hyperplanes,
     paving_to_matroid,
@@ -31,11 +25,7 @@ from pavemat.counting import (
     line_component_codes,
     vector_partitions,
 )
-from pavemat.decomposition import (
-    _decompose,
-    grid_component_partitions,
-    line_component_partitions,
-)
+from pavemat.decomposition import _decompose
 from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from pavemat.partitions import blocks_to_rgs
 from pavemat.quasi import circuit_profile, quasi_matroid, small_circuits
@@ -46,6 +36,17 @@ from helpers import (
     listed_signatures,
     m1,
     signature_classification,
+)
+from oracles import (
+    Liftability,
+    dependency_leq,
+    grid_component_partitions,
+    hyperplane_submatroid,
+    is_component_partition,
+    is_nilpotent,
+    is_uniform,
+    line_component_partitions,
+    liftability_oracle,
 )
 
 QS = [m1(1, 2, 3), m1(1, 5, 6), m1(3, 4, 5), m1(2, 4, 6)]
@@ -66,7 +67,7 @@ def test_merged_rows_make_parallel_classes():
     # merging the three rows of the 3x3 grid yields rank 2 with the columns as
     # parallel classes
     p, part = _grid_partition(3, 3, [[0, 1, 2], [3], [4], [5]])
-    m = merged_matroid(p, part)
+    m = quasi_matroid(merged_rep(p, part))
     assert m.rank_value == 2
     for col in ([1, 2], [1, 3], [2, 3], [4, 5], [7, 9]):
         assert not m.is_independent(m1(*col))
@@ -75,12 +76,12 @@ def test_merged_rows_make_parallel_classes():
 
 def test_merged_trivial_is_uniform():
     p, part = _grid_partition(3, 4, [list(range(7))])
-    assert is_uniform(merged_matroid(p, part)) == (2, 12)
+    assert is_uniform(quasi_matroid(merged_rep(p, part))) == (2, 12)
 
 
 def test_merged_discrete_is_base():
     p, part = _grid_partition(3, 4, [[i] for i in range(7)])
-    m = merged_matroid(p, part)
+    m = quasi_matroid(merged_rep(p, part))
     base = paving_to_matroid(p)
     assert m.circuits() == base.circuits()
 
@@ -208,7 +209,7 @@ def test_decompose_grid_4_5():
     # singleton, and one block of the remaining seven hyperplanes
     for c in res.components:
         if c.classification.kind == "other":
-            sizes = sorted(len(b) for b in c.block_masks)
+            sizes = sorted(len(b) for b in c.blocks)
             assert sizes == [1, 1, 7]
 
 
@@ -224,7 +225,7 @@ def test_decompose_lines():
     res6 = decompose_lines(6)
     assert len(res6.components) == 17
     with_size4 = [
-        c for c in res6.components if any(len(b) == 4 for b in c.block_masks)
+        c for c in res6.components if any(len(b) == 4 for b in c.blocks)
     ]
     assert len(with_size4) == 15
 
@@ -347,13 +348,14 @@ def test_order_and_rank_invariants():
         for comp in res.components:
             m = quasi_matroid(comp.rep)
             assert dependency_leq(base_explicit, m).leq
-            for block in comp.block_masks:
+            block_masks = [[res.hyperplane_masks[i] for i in block] for block in comp.blocks]
+            for block in block_masks:
                 for l_mask in block:
                     assert m.rank(l_mask) == base_paving.n - 1
-            for b1 in range(len(comp.block_masks)):
-                for b2 in range(b1 + 1, len(comp.block_masks)):
-                    for l1 in comp.block_masks[b1]:
-                        for l2 in comp.block_masks[b2]:
+            for b1 in range(len(block_masks)):
+                for b2 in range(b1 + 1, len(block_masks)):
+                    for l1 in block_masks[b1]:
+                        for l2 in block_masks[b2]:
                             assert m.rank(l1 | l2) == base_paving.n
 
 
@@ -368,13 +370,12 @@ def test_dependency_order_on_non_component_merge():
     # components, e.g. merging the rows of the 3x3 grid
     p, part = _grid_partition(3, 3, [[0, 1, 2], [3], [4], [5]])
     base = paving_to_matroid(p)
-    assert dependency_leq(base, merged_matroid(p, part)).leq
+    assert dependency_leq(base, quasi_matroid(merged_rep(p, part))).leq
 
 
 def test_nilpotent_implies_liftable_verdict():
     import random
 
-    from pavemat import is_nilpotent
     from helpers import random_paving
 
     rng = random.Random(67)
@@ -390,7 +391,6 @@ def test_nilpotent_implies_liftable_verdict():
 def test_submatroid_validation_never_fails_random():
     import random
 
-    from pavemat import hyperplane_submatroid
     from helpers import random_paving
 
     rng = random.Random(71)
@@ -420,4 +420,4 @@ def test_merged_matroid_always_above_base():
         base = paving_to_matroid(p)
         for blocks in iter_set_partitions(len(p.hyperplanes)):
             part = HyperplanePartition.from_blocks(len(p.hyperplanes), blocks)
-            assert dependency_leq(base, merged_matroid(p, part)).leq
+            assert dependency_leq(base, quasi_matroid(merged_rep(p, part))).leq

@@ -10,10 +10,7 @@ from pavemat import (
     ci_hypergraph,
     ci_ideal_generators,
     ci_matroid,
-    degree_one_core,
-    degrees,
     grid_matroid,
-    hyperplane_submatroid,
     is_tame,
     line_matroid,
     mask_of,
@@ -22,6 +19,7 @@ from pavemat import (
 from pavemat.errors import BadParams, DegenerateGround, HypothesisViolated, TooFewLines
 
 from helpers import m1, slow_ci_matroid
+from oracles import degree_one_core, degrees, hyperplane_submatroid
 
 
 def test_grid_layout_numbering():
@@ -115,9 +113,9 @@ def test_line_arrangement_indexing():
     assert arr.point_count == 10
     assert arr.point_index(0, 1) == 0
     assert arr.point_index(3, 4) == 9
-    for idx in range(10):
-        i, j = arr.point_pair(idx)
-        assert arr.point_index(i, j) == idx
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert [arr.point_index(i, j) for i, j in pairs] == list(range(10))
+    assert [arr.point_index(j, i) for i, j in pairs] == list(range(10))
 
 
 def test_line_matroid_structure():
