@@ -2,10 +2,12 @@
 
 * enumerate: walk the partitions of the hyperplanes whose blocks all have
   allowed profiles, the family's excluded blocks forbidden too, cutting a
-  subtree once its blocks owe more than the hyperplanes left can give;
+  subtree once its blocks owe more than the hyperplanes left can give; the
+  walk backtracks in one generator frame;
 * formula: multinomial-weighted sums over vector partitions avoiding the
   forbidden block profiles, minus the closed-form count of partitions whose
-  one big block swallows all rows or all columns;
+  one big block swallows all rows or all columns; the walk takes a forced
+  multiplicity in one step;
 * egf: truncated exponential generating functions, held as the integer
   counts m! [x^m] that the labelled-exp recurrence computes, minus the
   counts of the excluded partitions.
@@ -111,36 +113,51 @@ def _weighted_partitions(
 
     Vectors are taken as (a, b) pairs, b = 0 in dimension 1, in decreasing
     lexicographic order, each with its whole multiplicity at once. So the
-    parts with a above what remains form a prefix, which bisect skips, and a
-    choice that leaves a coordinate no later part can fill is not followed.
+    parts with a above what remains form a prefix, which bisect skips, and
+    the parts past the last one that can fill a remaining coordinate are
+    never tried. At that last part the multiplicity is forced, the one that
+    empties the coordinate, and is taken in one step with denom * v!^m * m!.
+    A leaf is yielded from its parent's frame, with no generator of its own.
     """
     vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
     pairs = [(v[0], v[1] if forbidden.dim == 2 else 0) for v in vecs]
     facts = [factorial(a) * factorial(b) for a, b in pairs]
     neg_a = [-a for a, _ in pairs]  # ascending, for bisect
-    n_a = sum(1 for a, _ in pairs if a)  # the parts with a > 0 come first
+    n = len(pairs)
+    last_a = sum(1 for a, _ in pairs if a) - 1  # the parts with a > 0 come first
     last_b = max((i for i, (_, b) in enumerate(pairs) if b), default=-1)
 
     def rec(ra: int, rb: int, start: int, path, denom: int) -> Iterator[tuple[tuple | None, int]]:
-        if not ra and not rb:
-            yield path, denom
-            return
-        for idx in range(max(start, bisect_left(neg_a, -ra)), len(pairs)):
+        stop = min(last_a + 1 if ra else n, last_b + 1 if rb else n)
+        for idx in range(max(start, bisect_left(neg_a, -ra)), stop):
             a, b = pairs[idx]
             if b > rb:
                 continue
             v, f = vecs[idx], facts[idx]
-            fill_a, fill_b = idx + 1 < n_a, idx < last_b
+            if idx == last_a or idx == last_b:
+                m = ra // a if idx == last_a else rb // b
+                ma, mb = ra - m * a, rb - m * b
+                if ma < 0 or mb < 0 or idx == last_a and ma or idx == last_b and mb:
+                    continue
+                d = denom * f**m * factorial(m)
+                if ma or mb:
+                    yield from rec(ma, mb, idx + 1, (v, m, path), d)
+                else:
+                    yield (v, m, path), d
+                continue
             m, d, ma, mb = 1, denom * f, ra - a, rb - b
             while ma >= 0 and mb >= 0:
-                if (fill_a or not ma) and (fill_b or not mb):
+                if ma or mb:
                     yield from rec(ma, mb, idx + 1, (v, m, path), d)
+                else:
+                    yield (v, m, path), d
                 m += 1
                 d *= f * m
                 ma -= a
                 mb -= b
 
-    return rec(tgt[0], tgt[1] if forbidden.dim == 2 else 0, 0, None, 1)
+    ra, rb = tgt[0], tgt[1] if forbidden.dim == 2 else 0
+    return rec(ra, rb, 0, None, 1) if ra or rb else iter([(None, 1)])
 
 
 def vector_partitions(
@@ -192,12 +209,20 @@ def admissible_codes(
     exceeds a+b where none can be reached. Blocks are disjoint, so a child is
     followed only while the owed sum is at most the sort-s items still to
     place. The sum is recomputed at the first sort-1 item, and it is 0 at
-    every leaf, so every leaf is admissible. Nothing, not even the tables, is
+    every leaf, so every leaf is admissible.
+
+    The walk backtracks in this one frame (as in Knuth's restricted-growth
+    string generator, TAOCP 7.2.1.5): per position it keeps the code, whether
+    the item opened a block and the sum owed on entry, and the last position
+    yields its leaves without descending. Nothing, not even the tables, is
     computed before the first code is asked for.
     """
     tgt = _as_vector(target, forbidden.dim)
     a, b = tgt[0], tgt[1] if forbidden.dim == 2 else 0
     m, width = a + b, b + 1
+    if not m:
+        yield ()
+        return
 
     def deficit(flags: list[bool]) -> list[int]:
         """Distance from each index to the next set flag at or after it."""
@@ -212,34 +237,57 @@ def admissible_codes(
     ]
     owe0 = [owe for owe in deficit([any(row) for row in allowed]) for _ in range(width)]
     owe1 = [owe for row in allowed for owe in deficit(row)]
+    # per position: its deficit table, the index step of joining a block, and
+    # the items of its sort left to place after it
+    owes = [owe0] * a + [owe1] * b
+    steps = [width] * a + [1] * b
+    lefts = [*range(a - 1, -1, -1), *range(b - 1, -1, -1)]
     code = [0] * m
+    opened = [False] * m
+    owed_in = [0] * m
     blocks: list[int] = []  # the profile index of each block
-
-    def place(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            yield tuple(code)
-            return
-        if pos == a:
-            owed = sum(owe1[p] for p in blocks)
-        if pos < a:
-            owe, step, left = owe0, width, a - pos - 1
+    last = m - 1
+    pos, j = 0, 0  # j: the next choice to try at pos, len(blocks) opening a block
+    while True:
+        owe, step, left, owed = owes[pos], steps[pos], lefts[pos], owed_in[pos]
+        if pos == last:
+            for j, p in enumerate(blocks):
+                if owed - owe[p] + owe[p + step] <= left:
+                    code[pos] = j
+                    yield tuple(code)
+            if owed + owe[step] <= left:
+                code[pos] = len(blocks)
+                yield tuple(code)
         else:
-            owe, step, left = owe1, 1, m - pos - 1
-        for j, p in enumerate(blocks):
-            after = owed - owe[p] + owe[p + step]
-            if after <= left:
-                blocks[j] = p + step
-                code[pos] = j
-                yield from place(pos + 1, after)
-                blocks[j] = p
-        after = owed + owe[step]
-        if after <= left:
-            code[pos] = len(blocks)
-            blocks.append(step)
-            yield from place(pos + 1, after)
+            nb = len(blocks)
+            while j < nb:
+                p = blocks[j]
+                after = owed - owe[p] + owe[p + step]
+                if after <= left:
+                    blocks[j] = p + step
+                    break
+                j += 1
+            else:
+                after = owed + owe[step]
+                if j == nb and after <= left:
+                    blocks.append(step)
+                else:
+                    j = -1  # no child left: backtrack
+            if j >= 0:
+                code[pos], opened[pos] = j, j == nb
+                pos += 1
+                owed_in[pos] = sum(owe1[p] for p in blocks) if pos == a else after
+                j = 0
+                continue
+        pos -= 1
+        if pos < 0:
+            return
+        j = code[pos]
+        if opened[pos]:
             blocks.pop()
-
-    yield from place(0, 0)
+        else:
+            blocks[j] -= steps[pos]
+        j += 1
 
 
 def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:

@@ -6,6 +6,8 @@ Each stands beside a closed form that the library runs:
   merged block non-liftable, from the nilpotent chain and the degree-one
   core), against the closed-form grid and line tests;
 * the unpruned partition filters, against the pruned partition search;
+* the recursive partition walks, one generator frame per node, against the
+  single-frame walks of the enumerate and formula routes;
 * the replay of decompose_to_tame's peeling by principal extensions, against
   the construction's independence predicate;
 * the dependency order and uniformity, read off circuits and independence;
@@ -18,15 +20,18 @@ helpers.brute_closure.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import combinations
+from math import factorial
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from pavemat import Matroid, MatroidError, QuasiRep
 from pavemat.bitset import as_mask, bits_tuple, canonical_masks, overlaps, remap, sort_key, subsets_of_size
+from pavemat.counting import ForbiddenProfiles, Vector, _as_vector, _boxed_vectors
 from pavemat.decomposition import (
     HyperplanePartition,
     is_grid_component_partition,
@@ -404,3 +409,93 @@ def grid_component_partitions(k: int, l: int) -> Iterator[list[list[int]]]:
 
 def line_component_partitions(n: int) -> Iterator[list[list[int]]]:
     return (b for b in iter_set_partitions(n) if is_line_component_partition(n, b))
+
+
+# -- the recursive partition walks -----------------------------------------------
+
+
+def recursive_admissible_codes(
+    target: int | Vector, forbidden: ForbiddenProfiles
+) -> Iterator[tuple[int, ...]]:
+    """counting.admissible_codes as one generator per node: the same tables,
+    the same summed-deficit rule and its recomputation at the first sort-1
+    item, each leaf passed up through every frame above it."""
+    tgt = _as_vector(target, forbidden.dim)
+    a, b = tgt[0], tgt[1] if forbidden.dim == 2 else 0
+    m, width = a + b, b + 1
+
+    def deficit(flags: list[bool]) -> list[int]:
+        out, dist = [], m + 1
+        for ok in reversed(flags):
+            dist = 0 if ok else dist + 1
+            out.append(dist)
+        return out[::-1]
+
+    allowed = [
+        [forbidden.allows((x, y)[: forbidden.dim]) for y in range(width)] for x in range(a + 1)
+    ]
+    owe0 = [owe for owe in deficit([any(row) for row in allowed]) for _ in range(width)]
+    owe1 = [owe for row in allowed for owe in deficit(row)]
+    code = [0] * m
+    blocks: list[int] = []
+
+    def place(pos: int, owed: int) -> Iterator[tuple[int, ...]]:
+        if pos == m:
+            yield tuple(code)
+            return
+        if pos == a:
+            owed = sum(owe1[p] for p in blocks)
+        if pos < a:
+            owe, step, left = owe0, width, a - pos - 1
+        else:
+            owe, step, left = owe1, 1, m - pos - 1
+        for j, p in enumerate(blocks):
+            after = owed - owe[p] + owe[p + step]
+            if after <= left:
+                blocks[j] = p + step
+                code[pos] = j
+                yield from place(pos + 1, after)
+                blocks[j] = p
+        after = owed + owe[step]
+        if after <= left:
+            code[pos] = len(blocks)
+            blocks.append(step)
+            yield from place(pos + 1, after)
+            blocks.pop()
+
+    yield from place(0, 0)
+
+
+def recursive_weighted_partitions(
+    tgt: Vector, forbidden: ForbiddenProfiles
+) -> Iterator[tuple[tuple | None, int]]:
+    """counting._weighted_partitions stepping every multiplicity m = 1, 2, ...
+    with one multiply each, testing at each step whether later parts can fill
+    what is left, and recursing into every leaf."""
+    vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
+    pairs = [(v[0], v[1] if forbidden.dim == 2 else 0) for v in vecs]
+    facts = [factorial(a) * factorial(b) for a, b in pairs]
+    neg_a = [-a for a, _ in pairs]
+    n_a = sum(1 for a, _ in pairs if a)
+    last_b = max((i for i, (_, b) in enumerate(pairs) if b), default=-1)
+
+    def rec(ra: int, rb: int, start: int, path, denom: int) -> Iterator[tuple[tuple | None, int]]:
+        if not ra and not rb:
+            yield path, denom
+            return
+        for idx in range(max(start, bisect_left(neg_a, -ra)), len(pairs)):
+            a, b = pairs[idx]
+            if b > rb:
+                continue
+            v, f = vecs[idx], facts[idx]
+            fill_a, fill_b = idx + 1 < n_a, idx < last_b
+            m, d, ma, mb = 1, denom * f, ra - a, rb - b
+            while ma >= 0 and mb >= 0:
+                if (fill_a or not ma) and (fill_b or not mb):
+                    yield from rec(ma, mb, idx + 1, (v, m, path), d)
+                m += 1
+                d *= f * m
+                ma -= a
+                mb -= b
+
+    return rec(tgt[0], tgt[1] if forbidden.dim == 2 else 0, 0, None, 1)

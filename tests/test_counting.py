@@ -21,6 +21,7 @@ from pavemat.counting import (
     _boxed_vectors,
     _exp_1d,
     _exp_2d,
+    _weighted_partitions,
     admissible_codes,
     grid_component_codes,
     grid_excluded_series,
@@ -37,7 +38,12 @@ from helpers import (
     iter_set_partitions,
     set_partitions,
 )
-from oracles import grid_component_partitions, line_component_partitions
+from oracles import (
+    grid_component_partitions,
+    line_component_partitions,
+    recursive_admissible_codes,
+    recursive_weighted_partitions,
+)
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
 TABLE_LINES = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}
@@ -382,9 +388,13 @@ def test_exp_kernels_match_fraction_recurrence_on_integer_weights():
                 assert Fraction(counts[a][b], factorial(a) * factorial(b)) == oracle2[a][b]
 
 
+# The edge targets that both random-profile walk tests take before their random ones.
+EDGE_TARGETS = [(0,), (0, 0), (1,), (1, 0), (0, 1), (0, 4), (5, 0)]
+
+
 def test_vector_partitions_match_brute_walk_on_random_profiles():
     rng = random.Random(4102)
-    targets = [(0,), (0, 0)]
+    targets = list(EDGE_TARGETS)
     targets += [(rng.randint(1, 25),) for _ in range(12)]
     targets += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(12)]
     for tgt in targets:
@@ -396,11 +406,13 @@ def test_vector_partitions_match_brute_walk_on_random_profiles():
             assert list(p) == sorted(p, reverse=True)
         assert sorted(parts) == sorted(brute_vector_partitions(tgt, forb))
         assert admissible_partition_count(target, forb) == brute_admissible_count(tgt, forb)
+        # in order, each leaf's parts and multiplicities (smallest part first) and denom
+        assert list(_weighted_partitions(tgt, forb)) == list(recursive_weighted_partitions(tgt, forb))
 
 
 def test_admissible_codes_match_filtered_rgs_on_random_profiles():
     rng = random.Random(4104)
-    targets = [(0,), (0, 0), (0, 4), (5, 0)]
+    targets = list(EDGE_TARGETS)
     targets += [(rng.randint(1, 9),) for _ in range(12)]
     targets += [(rng.randint(0, 5), rng.randint(0, 4)) for _ in range(16)]
     for tgt in targets:
@@ -418,5 +430,49 @@ def test_admissible_codes_match_filtered_rgs_on_random_profiles():
         ]
         target = tgt[0] if len(tgt) == 1 else tgt
         codes = list(admissible_codes(target, forb))
-        assert codes == plain
+        assert codes == plain == list(recursive_admissible_codes(target, forb))
         assert len(codes) == admissible_partition_count(target, forb)
+
+
+def test_weighted_partitions_force_the_multiplicity_of_the_last_column_filler():
+    # (0, 3) is the only allowed part with columns, so its multiplicity is
+    # forced by the columns left: a multiple of 3, or no partition
+    forb = ForbiddenProfiles(2, lambda v: v[1] and v != (0, 3))
+    for tgt in [(4, 6), (4, 7), (0, 9), (3, 0), (2, 3)]:
+        walk = list(_weighted_partitions(tgt, forb))
+        assert walk == list(recursive_weighted_partitions(tgt, forb))
+        assert bool(walk) == (tgt[1] % 3 == 0)
+        if tgt[1]:  # the smallest part, (0, 3), with its forced multiplicity
+            assert {path[:2] for path, _ in walk} <= {((0, 3), tgt[1] // 3)}
+        assert sorted(vector_partitions(tgt, forb)) == sorted(brute_vector_partitions(tgt, forb))
+
+
+def test_walks_match_recursive_walks_on_family_targets(monkeypatch):
+    """Grid 3x3 to 7x7 and lines 4 to 11: the formula walk on the families'
+    profiles, and the enumerate walk on the profiles that grid_component_codes
+    and line_component_codes hand to admissible_codes."""
+    grids = [(k, l) for k in range(3, 8) for l in range(k, 8)]
+    lines = range(4, 12)
+    for tgt, forb in [(g, grid_forbidden()) for g in grids] + [((n,), forbidden_sizes({2, 3})) for n in lines]:
+        assert list(_weighted_partitions(tgt, forb)) == list(recursive_weighted_partitions(tgt, forb))
+    monkeypatch.setattr(counting, "admissible_codes", lambda target, forb: (target, forb))
+    handed = [grid_component_codes(k, l) for k, l in grids] + [line_component_codes(n) for n in lines]
+    monkeypatch.undo()
+    for target, forb in handed:
+        assert list(admissible_codes(target, forb)) == list(recursive_admissible_codes(target, forb))
+
+
+def test_admissible_codes_is_lazy():
+    calls = []
+
+    def forbids(v):
+        calls.append(v)
+        return v[0] == 2
+
+    codes = admissible_codes(6, ForbiddenProfiles(1, forbids))
+    assert calls == []  # grid_component_count checks its budget at this point
+    assert next(codes) == (0, 0, 0, 0, 0, 0) and calls
+    # two walks of one target, interleaved, keep their own state
+    alone = list(admissible_codes((4, 5), grid_forbidden()))
+    pairs = list(zip(admissible_codes((4, 5), grid_forbidden()), admissible_codes((4, 5), grid_forbidden())))
+    assert [x for x, _ in pairs] == [y for _, y in pairs] == alone
