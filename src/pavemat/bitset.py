@@ -6,9 +6,9 @@ size; popcounts use ``int.bit_count``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, cycle, filterfalse, repeat
-from operator import getitem
+from operator import getitem, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -118,19 +118,24 @@ def subsets_of_size(mask: int, r: int) -> Iterator[int]:
     return map(sum, combinations([1 << e for e in bits(mask)], r))
 
 
-def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list[int]:
+def capped_subsets(
+    ground: int, r: int, caps: Iterable[tuple[int, int]], within: Sequence[int] | None = None
+) -> list[int]:
     """The r-subsets of ground holding fewer than t elements of each capped
-    mask, for every (mask, t) in caps, in lexicographic order.
+    mask, for every (mask, t) in caps, and lying inside one of the masks in
+    within (with within None, no such condition), in lexicographic order.
 
     A depth-first walk over the elements of ground in ascending order, which
     never forms a set that breaks a cap. A cap is full once the set holds
     t - 1 of its elements, and from then on its mask is blocked for the rest
-    of that branch; a cap with t = 1 is blocked from the start. The last
-    element of each set is taken from the unblocked elements above the one
-    before it by one C-level extend, and a branch is entered only while
-    enough unblocked elements are left above it. A cap holding fewer than t
-    elements of ground never binds and is dropped; a cap with t <= 0 is
-    broken by every set, so the result is empty.
+    of that branch; a cap with t = 1 is blocked from the start. Likewise the
+    room of a set is the union of the within masks that contain it, and the
+    elements outside its room are blocked. The last element of each set is
+    taken from the unblocked elements above the one before it by one C-level
+    extend, and a branch is entered only while enough unblocked elements are
+    left above it. A cap holding fewer than t elements of ground never binds
+    and is dropped; a cap with t <= 0 is broken by every set, and an empty
+    within list holds no set, so the result is then empty.
     """
     live: list[tuple[int, int]] = []
     blocked = 0
@@ -144,18 +149,27 @@ def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list
             blocked |= inside
         else:
             live.append((inside, t - 1))
+    owners = 0  # the within masks containing the set so far, as index bits
+    if within is not None:
+        if not within:
+            return []
+        owners = (1 << len(within)) - 1
+        blocked |= ground & ~reduce(or_, within, 0)
     if r <= 1:
         return list(subsets_of_size(ground & ~blocked, r))
     elems = [1 << e for e in bits(ground)]
     d = len(elems)
     # For each element: the caps holding it, with their full counts; the
-    # elements above it, as a list and as a mask.
+    # within masks holding it, as index bits; the elements above it, as a
+    # list and as a mask.
     holders = [[cap for cap in live if cap[0] & b] for b in elems]
+    homes = [sum(1 << j for j, w in enumerate(within) if w & b) for b in elems] if owners else []
     tails = [elems[i + 1 :] for i in range(d)]
     above = [ground & ~((b << 1) - 1) for b in elems]
+    outside: dict[int, int] = {}  # index bits -> the elements of ground outside their union
     out: list[int] = []
 
-    def walk(start: int, acc: int, need: int, blocked: int) -> None:
+    def walk(start: int, acc: int, need: int, blocked: int, owners: int) -> None:
         # Extend acc by need >= 2 unblocked elements from index start on.
         for i in range(start, d - need + 1):
             b = elems[i]
@@ -166,12 +180,20 @@ def capped_subsets(ground: int, r: int, caps: Iterable[tuple[int, int]]) -> list
             for mask, full in holders[i]:
                 if (acc_b & mask).bit_count() == full:
                     inner |= mask
+            own = owners
+            if owners:
+                own = owners & homes[i]
+                if own != owners:
+                    shut = outside.get(own)
+                    if shut is None:
+                        shut = outside[own] = ground & ~reduce(or_, (within[j] for j in bits(own)), 0)
+                    inner |= shut
             if need == 2:
                 out.extend(map(acc_b.__or__, filterfalse(inner.__and__, tails[i])))
             elif (above[i] & ~inner).bit_count() >= need - 1:
-                walk(i + 1, acc_b, need - 1, inner)
+                walk(i + 1, acc_b, need - 1, inner, own)
 
-    walk(0, 0, r, blocked)
+    walk(0, 0, r, blocked, owners)
     del walk  # the closure refers to itself: break the cycle, free it now
     return out
 

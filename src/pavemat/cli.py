@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import counting, decomposition, io
-from .bitset import label_rows, remap
+from .bitset import remap
 from .errors import MatroidError
 from .families import ci_ideal_generators, grid_matroid, line_matroid
 from .quasi import decompose_to_tame, paving_to_matroid, quasi_matroid
@@ -60,12 +60,18 @@ def _load_json(path: str):
 
 
 def _print_json(obj: dict) -> None:
-    print(io.to_json(obj))
+    """obj as indented JSON and a newline, written piece by piece."""
+    write = sys.stdout.write
+    for piece in io.json_pieces(obj):
+        write(piece)
+    write("\n")
 
 
 def _print_rows(masks) -> None:
     """One line per mask: two spaces, then its 1-based labels separated by spaces."""
-    sys.stdout.write(label_rows(masks, "  ", " ", "\n"))
+    write = sys.stdout.write
+    for piece in io.label_pieces(masks, "  ", " ", "\n"):
+        write(piece)
 
 
 def _cmd_matroid(args: argparse.Namespace) -> int:

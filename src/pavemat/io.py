@@ -4,14 +4,15 @@ in memory is 0-based. Writers emit canonical ordering, readers are lenient."""
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import bit_list, label_rows, mask_of
 from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
 from .families import MinorGenerator
-from .quasi import QuasiRep, quasi_circuits, quasi_rep
+from .quasi import QuasiRep, check_circuit_budget, quasi_circuits, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
 # The readers refuse larger grounds: building a matroid costs time quadratic
@@ -19,10 +20,15 @@ CIRCUIT_LIST_INLINE_LIMIT = 20_000
 GROUND_SIZE_LIMIT = 4096
 
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+# Rows per piece of written label text: about 180 kB for 4-element rows at
+# the depth of a listing's circuits.
+_ROWS_PER_PIECE = 2048
 
 
 class MaskRows:
-    """A list of masks that to_json writes as a list of 1-based label lists.
+    """A list of masks that json_pieces writes as a list of 1-based label
+    lists, or the function that lists them, called when the writer reaches
+    the list.
 
     It is not a list or tuple, so that ``json.dumps`` refuses it instead of
     writing the masks as bare ints.
@@ -30,42 +36,70 @@ class MaskRows:
 
     __slots__ = ("masks",)
 
-    def __init__(self, masks: Sequence[int]):
+    def __init__(self, masks: Sequence[int] | Callable[[], Sequence[int]]):
         self.masks = masks
 
 
-def to_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with each
-    MaskRows written as its list of label lists.
+def label_pieces(masks: Sequence[int], before: str, sep: str, end: str) -> Iterator[str]:
+    """``bitset.label_rows`` of the masks, written _ROWS_PER_PIECE rows at a
+    time."""
+    for start in range(0, len(masks), _ROWS_PER_PIECE):
+        yield label_rows(masks[start : start + _ROWS_PER_PIECE], before, sep, end)
+
+
+def json_pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for
+    byte, in pieces, with each MaskRows written as its list of label lists.
 
     Dicts with str keys and lists are walked here. A MaskRows, the form of
     every circuit and hyperplane list, is written straight from its masks by
-    ``bitset.label_rows``. Everything else is left to the stdlib encoder with
-    the same settings.
+    ``bitset.label_rows``, a bounded number of rows per piece. Everything
+    else is left to the stdlib encoder with the same settings.
     """
     return _encode(obj, "\n")
 
 
-def _encode(value, newline: str) -> str:
+def _encode(value, newline: str) -> Iterator[str]:
     """value as indented JSON, with newline ("\\n" plus the indentation of the
     line value starts on) ending each of its lines but the last."""
     inner = newline + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        items = (_INDENTED.encode(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, MaskRows):
-        if not value.masks:
-            return "[]"
-        row = inner + "  "
-        rows = label_rows(value.masks, "[" + row, "," + row, inner + "]," + inner)
-        text = "[" + inner + rows[: -len(inner) - 1] + newline + "]"
-        if 0 in value.masks:  # the empty list is written [] on one line
-            text = text.replace("[" + row + inner + "]", "[]")
-        return text
-    if isinstance(value, (list, tuple)) and value:
-        items = (_encode(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return _INDENTED.encode(value).replace("\n", newline)
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            yield sep + _INDENTED.encode(k) + ": "
+            yield from _encode(v, inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(value, MaskRows):
+        yield from _mask_rows(value, newline)
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[" + inner
+        for v in value:
+            yield sep
+            yield from _encode(v, inner)
+            sep = "," + inner
+        yield newline + "]"
+    else:
+        yield _INDENTED.encode(value).replace("\n", newline)
+
+
+def _mask_rows(rows: MaskRows, newline: str) -> Iterator[str]:
+    """The pieces of one MaskRows. Each row is written with the separator in
+    front of it, so only the first piece is trimmed: its leading "," becomes
+    the list's "[". A list made by a function lives until its last piece is
+    written."""
+    masks = rows.masks() if callable(rows.masks) else rows.masks
+    if not masks:
+        yield "[]"
+        return
+    inner = newline + "  "
+    row = inner + "  "
+    empty = "[" + row + inner + "]"  # the empty list is written [] on one line
+    pieces = label_pieces(masks, "," + inner + "[" + row, "," + row, inner + "]")
+    yield "[" + next(pieces)[1:].replace(empty, "[]")
+    for piece in pieces:
+        yield piece.replace(empty, "[]")
+    yield newline + "]"
 
 
 def mask_to_labels(mask: int) -> list[int]:
@@ -164,7 +198,9 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
         profile = report.profile
         matroid_obj: dict = {"d": report.rep.d, "rank": profile.rank}
         if include_circuits and profile.type1 + profile.type2 + profile.type3 <= CIRCUIT_LIST_INLINE_LIMIT:
-            matroid_obj["circuits"] = MaskRows(quasi_circuits(report.rep))
+            # refused here, before anything is written, and listed by the writer
+            check_circuit_budget(report.rep)
+            matroid_obj["circuits"] = MaskRows(partial(quasi_circuits, report.rep))
         components.append(
             {
                 "partition": [[labels[i] for i in block] for block in report.blocks],

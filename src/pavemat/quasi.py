@@ -37,7 +37,6 @@ from .bitset import (
     overlaps,
     remap,
     sort_key,
-    subsets_of_size,
 )
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import LevelTooSmall, OutOfRange, RankDeficient, TooLarge, TripleIntersection
@@ -123,21 +122,25 @@ def _truncated_product(polys: Iterable[list[int]], top: int) -> list[int]:
     return out
 
 
+def _small_circuit_list(rep: QuasiRep, caps: list[tuple[int, int]]) -> list[int]:
+    """The circuits of size <= n in canonical order, read from the caps of rep:
+    the type-1 circuits, the (n-1)-subsets lying within one qualifying
+    intersection, then the type-2 circuits, the n-subsets lying within one
+    member of at least n elements under the type-1 caps. Each type has one
+    size and comes from one lexicographic walk, so no sort is needed."""
+    n, ground = rep.n, (1 << rep.d) - 1
+    type1 = [cap for cap in caps if cap[1] == n - 1]
+    out = capped_subsets(ground, n - 1, (), within=[inter for inter, _ in type1])
+    out += capped_subsets(ground, n, type1, within=[h for h, t in caps if t == n])
+    return out
+
+
 def small_circuits(rep: QuasiRep) -> frozenset[int]:
     """The circuits of size <= n (types 1 and 2). Together with the level these
     determine the whole dependence predicate, since type 3 is definitionally
     the complement closure; two representations give the same labeled matroid
     exactly when these sets (and d, n) agree."""
-    n = rep.n
-    caps = _caps(rep)
-    type1 = [cap for cap in caps if cap[1] == n - 1]
-    out: set[int] = set()
-    for inter, _ in type1:
-        out.update(subsets_of_size(inter, n - 1))
-    for h, t in caps:
-        if t == n:
-            out.update(capped_subsets(h, n, type1))
-    return frozenset(out)
+    return frozenset(_small_circuit_list(rep, _caps(rep)))
 
 
 class CircuitProfile(NamedTuple):
@@ -258,15 +261,24 @@ def type3_count(rep: QuasiRep) -> int:
     return circuit_profile(rep).type3
 
 
-def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
-    """Every circuit of the three-type construction in canonical order,
-    refused when the candidate estimate passes the budget."""
-    caps = _caps(rep)
-    estimate = sum(comb(mask.bit_count(), t) for mask, t in caps) + comb(rep.d, rep.n + 1)
+def check_circuit_budget(rep: QuasiRep, budget: int = CIRCUIT_BUDGET) -> None:
+    """Refuse to list rep's circuits when the candidate estimate passes the
+    budget: the subsets of each cap's size in its mask, and every (n+1)-set."""
+    estimate = sum(comb(mask.bit_count(), t) for mask, t in _caps(rep)) + comb(rep.d, rep.n + 1)
     if estimate > budget:
         raise TooLarge("circuit materialization", f"about {estimate} candidates")
-    small = sorted(small_circuits(rep), key=sort_key)
-    return tuple(small + capped_subsets((1 << rep.d) - 1, rep.n + 1, caps))
+
+
+def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
+    """Every circuit of the three-type construction in canonical order,
+    refused by check_circuit_budget. Types 1, 2 and 3 have sizes n-1, n and
+    n+1, and each comes from one lexicographic walk, so the order needs no
+    sort."""
+    check_circuit_budget(rep, budget)
+    caps = _caps(rep)
+    circuits = _small_circuit_list(rep, caps)
+    circuits += capped_subsets((1 << rep.d) - 1, rep.n + 1, caps)
+    return tuple(circuits)
 
 
 def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:

@@ -19,6 +19,7 @@ from pavemat import Matroid, QuasiRep, merged_rep, quasi_rep, small_circuits
 from pavemat.bitset import mask_of, sort_key
 from pavemat.counting import ForbiddenProfiles, Vector, _boxed_vectors
 from pavemat.decomposition import Classification
+from pavemat.io import json_pieces
 from pavemat.partitions import iter_rgs, rgs_to_blocks
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 from pavemat.quasi import type3_count
@@ -32,6 +33,11 @@ def m1(*elems: int) -> int:
 def json_oracle(obj) -> str:
     """The stdlib's indented JSON, the layout every JSON export follows."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def joined_json(obj) -> str:
+    """The whole text that io.json_pieces writes in pieces."""
+    return "".join(json_pieces(obj))
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

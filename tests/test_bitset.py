@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,8 +8,13 @@ from pavemat import line_matroid, quasi_rep
 from pavemat.bitset import capped_subsets, overlaps, subsets_of_size
 
 
-def brute_capped(ground, r, caps):
-    return [s for s in subsets_of_size(ground, r) if all((s & m).bit_count() < t for m, t in caps)]
+def brute_capped(ground, r, caps, within=None):
+    return [
+        s
+        for s in subsets_of_size(ground, r)
+        if all((s & m).bit_count() < t for m, t in caps)
+        and (within is None or any(s & ~w == 0 for w in within))
+    ]
 
 
 def test_capped_subsets_matches_the_brute_force_filter():
@@ -51,6 +57,49 @@ def test_capped_subsets_matches_the_brute_force_filter():
 )
 def test_capped_subsets_edge_cases(ground, r, caps):
     assert capped_subsets(ground, r, caps) == brute_capped(ground, r, caps)
+
+
+def test_capped_subsets_within_matches_the_brute_force_filter():
+    rng = random.Random(19)
+    kinds = Counter()
+    for _ in range(4000):
+        d = rng.randint(0, 12)
+        ground = rng.getrandbits(d) if rng.random() < 0.5 else (1 << d) - 1
+        r = rng.randint(0, 4)
+        caps = [(rng.getrandbits(d + 2), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        kind = rng.choice(["none", "empty", "masks", "equal"])
+        within = None if kind == "none" else []
+        if kind in ("masks", "equal"):
+            # masks may reach past the ground set, and overlap
+            within = [rng.getrandbits(d + 1) | rng.getrandbits(d + 1) for _ in range(rng.randint(1, 5))]
+            if kind == "equal":
+                within.insert(rng.randrange(len(within)), rng.choice(within))
+        got = capped_subsets(ground, r, caps, within)
+        assert got == brute_capped(ground, r, caps, within), (ground, r, caps, within)
+        kinds[kind, r, bool(got)] += 1
+    # every kind at every r, and the masks kinds with sets listed at every r
+    for r in range(5):
+        assert all(kinds[kind, r, False] + kinds[kind, r, True] for kind in ("none", "empty"))
+        assert all(kinds[kind, r, True] for kind in ("masks", "equal"))
+
+
+@pytest.mark.parametrize(
+    "ground, r, within",
+    [
+        (0b1111, 0, []),  # no mask holds even the empty set
+        (0b1111, 2, []),
+        (0b1111, 0, [0]),  # the empty set lies in every mask
+        (0b1111, 1, [0]),
+        (0b1111, 0, None),
+        (0b111111, 3, [0b000111, 0b000111]),  # equal masks: each set once
+        (0b111111, 3, [0b001111, 0b111100]),  # overlapping masks
+        (0b111111, 2, [0b110011, 0b011110, 0b000111]),
+        (0b11111111, 3, [0b00001111, 0b11110000, 0b00111100]),
+        (0b1011, 2, [0b1111]),  # a mask wider than the ground set
+    ],
+)
+def test_capped_subsets_within_edge_cases(ground, r, within):
+    assert capped_subsets(ground, r, [], within) == brute_capped(ground, r, [], within)
 
 
 def test_capped_subsets_leaves_no_garbage():

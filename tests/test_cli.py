@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import weakref
 
 import pytest
 
@@ -10,11 +12,12 @@ from pavemat.io import (
     matroid_to_dict,
     quasi_from_dict,
     quasi_to_dict,
-    to_json,
 )
-from pavemat.quasi import quasi_circuits
+from pavemat.core import CIRCUIT_BUDGET
+from pavemat.errors import TooLarge
+from pavemat.quasi import check_circuit_budget, quasi_circuits
 
-from helpers import json_oracle, m1
+from helpers import joined_json, json_oracle, m1
 
 
 def run(capsys, *argv):
@@ -26,7 +29,7 @@ def run(capsys, *argv):
 def test_matroid_json_roundtrip():
     m = paving_to_matroid(grid_matroid(3, 4))
     obj = matroid_to_dict(m)
-    back = matroid_from_dict(json.loads(to_json(obj)))
+    back = matroid_from_dict(json.loads(joined_json(obj)))
     assert back.circuits() == m.circuits()
     assert back.rank_value == m.rank_value
 
@@ -103,7 +106,7 @@ def test_validate_good_file(tmp_path, capsys):
     # U(4,17) has more circuit pairs than the pair budget, but no pair is scanned
     for n, d, count in ((2, 5, 10), (4, 17, 6188)):
         path = tmp_path / "m.json"
-        path.write_text(to_json(matroid_to_dict(uniform(n, d))))
+        path.write_text(joined_json(matroid_to_dict(uniform(n, d))))
         code, out, _ = run(capsys, "validate", "--file", str(path))
         assert code == 0
         assert out == f"valid matroid: d={d} rank={n} circuits={count}\n"
@@ -199,6 +202,94 @@ def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch
     listed = [len(m["circuits"]) if "circuits" in m else None for m in matroids]
     assert listed == [count if count <= 455 else None for count in counts]
     assert len(built) == 16
+
+
+class _RecordedStdout:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+    def text(self) -> str:
+        return "".join(self.writes)
+
+
+def test_export_is_written_in_small_pieces(tmp_path, monkeypatch):
+    # the level-4 hypergraph of the benchmark's list workload: member i shares
+    # 3 elements with member i+1 for i < 5, each has 1 of its own, 26 elements
+    members = [[] for _ in range(7)]
+    labels = iter(range(1, 27))
+    for i in range(5):
+        for e in (next(labels), next(labels), next(labels)):
+            members[i].append(e)
+            members[i + 1].append(e)
+    for member in members:
+        member.append(next(labels))
+    path = tmp_path / "level4.json"
+    path.write_text(json.dumps({"d": 26, "n": 4, "H": members}))
+    stdout = _RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["matroid", "quasi", "--file", str(path), "--circuits", "--format", "json"])
+    monkeypatch.undo()
+    text = stdout.text()
+    assert code == 0 and len(text) > 3_000_000
+    assert len(json.loads(text)["circuits"]) > 40_000
+    assert max(map(len, stdout.writes)) < len(text) / 20
+
+
+class _Listed(list):
+    """A circuit list that a weak reference can follow."""
+
+
+def test_listing_builds_each_circuit_list_after_the_last_is_written(capsys, monkeypatch):
+    code, expected, _ = run(capsys, "decompose", "lines", "--n", "7", "--list", "--format", "json", "--circuits")
+    assert code == 0
+    stdout = _RecordedStdout()
+    built = []
+
+    def listed(rep):
+        # the writer has reached this component's list, every earlier list
+        # is written, and none of them is still alive
+        text = stdout.text()
+        assert text.endswith('"circuits": ')
+        assert text.count('"circuits": ') == len(built) + 1
+        assert all(ref() is None for ref in built)
+        circuits = _Listed(quasi_circuits(rep))
+        built.append(weakref.ref(circuits))
+        return circuits
+
+    monkeypatch.setattr(io, "quasi_circuits", listed)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["decompose", "lines", "--n", "7", "--list", "--format", "json", "--circuits"])
+    monkeypatch.undo()
+    assert code == 0 and len(built) == 58
+    assert stdout.text() == expected
+
+
+def test_a_refused_circuit_list_writes_nothing(capsys, monkeypatch):
+    # The third component's list is refused, as the candidate estimate does
+    # above its budget: the run exits 1 before any output, and no list is built.
+    checked, built = [], []
+
+    def refuse_the_third(rep):
+        checked.append(rep)
+        check_circuit_budget(rep, 0 if len(checked) == 3 else CIRCUIT_BUDGET)
+
+    monkeypatch.setattr(io, "check_circuit_budget", refuse_the_third)
+    monkeypatch.setattr(io, "quasi_circuits", lambda rep: built.append(rep) or quasi_circuits(rep))
+    code, out, err = run(capsys, "decompose", "lines", "--n", "7", "--list", "--format", "json", "--circuits")
+    assert code == 1 and out == "" and len(checked) == 3 and built == []
+    with pytest.raises(TooLarge) as refused:
+        check_circuit_budget(checked[2], 0)
+    assert err == f"error: {refused.value}\n"
+    assert err.startswith("error: budget 'circuit materialization' exceeded: about ")
 
 
 def test_generators_csv(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from pavemat import grid_matroid, paving_to_matroid
 from pavemat.bitset import bit_list, bits, bits_tuple, label_rows, sort_key
-from pavemat.io import MaskRows, mask_to_labels, matroid_to_dict, to_json
+from pavemat.io import _ROWS_PER_PIECE, MaskRows, json_pieces, mask_to_labels, matroid_to_dict
 
-from helpers import json_oracle
+from helpers import joined_json, json_oracle
 
 EDGE_VALUES = [
     [[[1, 2]], 5],
@@ -38,7 +38,7 @@ EDGE_VALUES = [
 
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
 def test_to_json_matches_stdlib_on_edge_values(value):
-    assert to_json(value) == json_oracle(value)
+    assert joined_json(value) == json_oracle(value)
 
 
 def _random_value(rng: random.Random, depth: int):
@@ -74,7 +74,7 @@ def test_to_json_matches_stdlib_on_random_values():
     rng = random.Random(61)
     for _ in range(2000):
         value = _random_value(rng, 0)
-        assert to_json(value) == json_oracle(value)
+        assert joined_json(value) == json_oracle(value)
 
 
 def test_bit_list_matches_bits_generator():
@@ -150,7 +150,7 @@ def test_mask_rows_match_stdlib_on_label_lists(d):
     rng = random.Random(8000 + d)
     for _ in range(60):
         for value in _layouts(MaskRows(_random_masks(rng, d))):
-            assert to_json(value) == json_oracle(_with_labels(value))
+            assert joined_json(value) == json_oracle(_with_labels(value))
 
 
 @pytest.mark.parametrize(
@@ -160,7 +160,38 @@ def test_mask_rows_match_stdlib_on_label_lists(d):
 )
 def test_mask_rows_edge_lists(masks):
     for value in _layouts(MaskRows(masks)):
-        assert to_json(value) == json_oracle(_with_labels(value))
+        assert joined_json(value) == json_oracle(_with_labels(value))
+
+
+P = _ROWS_PER_PIECE
+
+
+def _piece_masks(rng: random.Random, length: int) -> list[int]:
+    """length random masks on 40 elements, with the empty mask as the first
+    and the last row of each piece."""
+    masks = [rng.getrandbits(40) | 1 for _ in range(length)]
+    for start in range(0, length, P):
+        masks[start] = masks[min(start + P, length) - 1] = 0
+    return masks
+
+
+@pytest.mark.parametrize("length", [0, 1, P - 1, P, P + 1, 2 * P + 1])
+def test_json_pieces_write_mask_rows_in_pieces(length):
+    masks = _piece_masks(random.Random(89 + length), length)
+    calls = []
+
+    def listed():
+        calls.append(1)
+        return masks
+
+    for eager, made in zip(_layouts(MaskRows(masks)), _layouts(MaskRows(listed))):
+        expected = json_oracle(_with_labels(eager))
+        assert joined_json(eager) == expected
+        assert joined_json(made) == expected
+    assert len(calls) == 6  # once per list written: two layouts hold two
+    # "[" and the first rows, the later pieces of rows, "\n]"
+    pieces = list(json_pieces(MaskRows(masks)))
+    assert len(pieces) == (-(-length // P) + 1 if length else 1)
 
 
 def test_label_rows_text_lines():

@@ -10,6 +10,8 @@ from pavemat import (
     QuasiRep,
     check_circuit_axioms,
     decompose_to_tame,
+    grid_matroid,
+    line_matroid,
     mask_of,
     matroid_from_circuits,
     paving_from_hyperplanes,
@@ -18,10 +20,10 @@ from pavemat import (
     quasi_rep,
     small_circuits,
 )
-from pavemat.bitset import bits_tuple
+from pavemat.bitset import bits_tuple, overlaps
 from pavemat.decomposition import _classify
 from pavemat.errors import LevelTooSmall, RankDeficient, TripleIntersection
-from pavemat.quasi import circuit_key, circuit_profile, type3_count
+from pavemat.quasi import circuit_key, circuit_profile, quasi_circuits, type3_count
 
 from helpers import (
     brute_closure,
@@ -372,9 +374,37 @@ def test_small_circuits_match_brute_force():
         assert small_circuits(rep) == brute_small_circuits(rep), rep
 
 
+def _canonical_order_reps() -> list[QuasiRep]:
+    """Inputs for the walks that give quasi_circuits its order with no sort:
+    members equal in pairs, level 2 (where type 1 is the loops), the
+    hyperplanes of the family pavings, and pavings with an element in three
+    or more hyperplanes (three concurrent lines, the Fano plane, random
+    systems)."""
+    reps = [
+        quasi_rep(8, 3, [m1(1, 2, 3, 4), m1(1, 2, 3, 4), m1(5, 6, 7)]),
+        quasi_rep(9, 3, [m1(1, 2, 3), m1(1, 2, 3), m1(4, 5, 6, 7), m1(6, 7, 8, 9)]),
+        quasi_rep(7, 2, [m1(1, 2), m1(1, 2), m1(3, 4, 5)]),
+        quasi_rep(8, 4, [m1(1, 2, 3, 4, 5), m1(1, 2, 3, 4, 5), m1(6, 7, 8)]),
+    ]
+    rng = random.Random(113)
+    reps += [QuasiRep(rep.d, 2, rep.members) for rep in (random_tame_rep(rng) for _ in range(200))]
+    pavings = [grid_matroid(k, l) for k, l in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
+    pavings += [line_matroid(n) for n in range(4, 8)]
+    pavings.append(paving_from_hyperplanes(7, 3, [m1(1, 2, 3), m1(1, 4, 5), m1(1, 6, 7)]))
+    fano = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+    pavings.append(paving_from_hyperplanes(7, 3, [m1(*line) for line in fano]))
+    pavings += [random_paving(rng, max_d=10) for _ in range(60)]
+    reps += [QuasiRep(p.d, p.n, p.hyperplanes) for p in pavings]
+    assert any(len(set(rep.members)) < len(rep.members) for rep in reps)
+    assert any(overlaps(rep.members)[2] for rep in reps)
+    return reps
+
+
 def test_quasi_circuits_match_brute_force_in_order():
     for rep in [*_random_tame_reps(73, 300), *_family_component_reps()]:
         assert quasi_matroid(rep).circuits() == brute_quasi_circuits(rep), rep
+    for rep in _canonical_order_reps():
+        assert quasi_circuits(rep) == brute_quasi_circuits(rep), rep
 
 
 def test_independence_oracle_matches_the_brute_circuits():
