@@ -12,18 +12,16 @@
   counts m! [x^m] that the labelled-exp recurrence computes, minus the
   counts of the excluded partitions.
 
-Everything here is exact integer arithmetic; a Fraction is built only when
-TruncatedEGF.coefficient is asked for a coefficient.
+Everything here is exact integer arithmetic: no Fraction and no float is
+built on any route.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial, prod
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 
@@ -54,17 +52,21 @@ LINE_EGF_BUDGET = 800  # max n for the egf route
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ForbiddenProfiles:
-    """Block profiles that may not occur: a predicate on nonzero vectors of
-    fixed dimension (1 for plain sizes, 2 for row/column counts)."""
-
+class _Profiles(NamedTuple):
     dim: int
     forbids: Callable[[Vector], bool]
 
-    def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise BadParams(f"profiles have dimension 1 or 2, not {self.dim}")
+
+class ForbiddenProfiles(_Profiles):
+    """Block profiles that may not occur: a predicate on nonzero vectors of
+    fixed dimension (1 for plain sizes, 2 for row/column counts)."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, forbids: Callable[[Vector], bool]) -> "ForbiddenProfiles":
+        if dim not in (1, 2):
+            raise BadParams(f"profiles have dimension 1 or 2, not {dim}")
+        return super().__new__(cls, dim, forbids)
 
     def allows(self, v: Vector) -> bool:
         return any(v) and not self.forbids(v)
@@ -301,15 +303,17 @@ def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(map(tuple, profiles)))
 
 
-@dataclass(frozen=True)
-class TruncatedEGF:
+class TruncatedEGF(NamedTuple):
     """Truncated exponential generating function sum c_m x^m / m!, held as
     its integer counts c_m = m! [x^m] within the given componentwise bounds:
     a tuple in dimension 1, a tuple of row tuples in dimension 2. m! is the
     product of the factorials of m's coordinates."""
 
     bounds: Vector
-    counts: tuple = field(repr=False)
+    counts: tuple
+
+    def __repr__(self) -> str:
+        return f"TruncatedEGF(bounds={self.bounds!r})"
 
     @property
     def dim(self) -> int:
@@ -322,11 +326,6 @@ class TruncatedEGF:
         if self.dim == 1:
             return self.counts[v[0]]
         return self.counts[v[0]][v[1]]
-
-    def coefficient(self, n: int | Vector) -> Fraction:
-        """[x^n] of the series: count(n) / n!."""
-        v = _as_vector(n, self.dim)
-        return Fraction(self.count(v), prod(map(factorial, v)))
 
 
 def _binomials(top: int) -> list[list[int]]:

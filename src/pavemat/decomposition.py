@@ -9,9 +9,8 @@ generates exactly the partitions that pass them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bitset import sort_key
 from .counting import code_shape, grid_component_codes, line_component_codes
@@ -25,8 +24,7 @@ GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
 
 
-@dataclass(frozen=True)
-class HyperplanePartition:
+class HyperplanePartition(NamedTuple):
     """A partition of hyperplane indices 0..size-1 in canonical RGS encoding."""
 
     size: int
@@ -85,8 +83,7 @@ def is_line_component_partition(n: int, blocks: Iterable[Iterable[int]]) -> bool
     return all(len(list(b)) not in (2, 3, n - 1) for b in blocks)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """How a component compares to known shapes: uniform(r, d), equal to the
     base matroid, or other (with its circuit-size histogram when computed)."""
 
@@ -95,8 +92,7 @@ class Classification:
     histogram: Optional[dict[int, int]] = None
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """One listed component: its partition, as a code and as its blocks of
     hyperplane indices, the merged representation and what circuit_profile
     reads off it (circuit counts, key, rank)."""
@@ -108,8 +104,7 @@ class ComponentReport:
     classification: Classification
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     family: str
     params: dict
     hyperplane_labels: tuple[str, ...]

@@ -7,9 +7,9 @@ Grid cells are numbered column-major: cell(i, j) = j*k + i internally
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .bitset import canonical_masks, cap_oracle, capped_subsets, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
@@ -22,8 +22,7 @@ from .paving import PavingMatroid, paving_from_hyperplanes
 GENERATOR_BUDGET = 50_000
 
 
-@dataclass(frozen=True)
-class GridLayout:
+class GridLayout(NamedTuple):
     """Index bookkeeping for a k x l grid of cells."""
 
     k: int
@@ -112,8 +111,7 @@ def grid_matroid(k: int, l: int) -> PavingMatroid:
     return paving_from_hyperplanes(k * l, 3, hyps)
 
 
-@dataclass(frozen=True)
-class LineArrangement:
+class LineArrangement(NamedTuple):
     """n lines in general position with their pairwise meeting points; the
     points are the unordered index pairs, ranked lexicographically."""
 
@@ -151,8 +149,7 @@ def line_matroid(n: int) -> PavingMatroid:
     return paving_from_hyperplanes(arr.point_count, 3, arr.line_masks())
 
 
-@dataclass(frozen=True)
-class MinorGenerator:
+class MinorGenerator(NamedTuple):
     """Row set A and column set B (0-based) of one determinantal generator."""
 
     rows: tuple[int, ...]

@@ -12,15 +12,13 @@ masks, :func:`pavemat.bitset.overlaps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bitset import as_mask, bits_tuple, canonical_masks, overlaps
 from .errors import DegenerateGround, HyperplaneTooSmall, IntersectionTooLarge, OutOfRange
 
 
-@dataclass(frozen=True)
-class PavingMatroid:
+class PavingMatroid(NamedTuple):
     """Ground size d, rank n, and the canonical list of dependent hyperplanes."""
 
     d: int

@@ -24,7 +24,6 @@ oracle and both circuit lists read that one list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -43,8 +42,7 @@ from .errors import LevelTooSmall, OutOfRange, RankDeficient, TooLarge, TripleIn
 from .paving import PavingMatroid, _paving_relaxed
 
 
-@dataclass(frozen=True)
-class QuasiRep:
+class QuasiRep(NamedTuple):
     """Hypergraph representation: ground size d, level n, members in canonical
     order (equal members are kept, their multiplicity matters)."""
 
@@ -312,8 +310,7 @@ def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matr
     return quasi_matroid(QuasiRep(p.d, p.n, p.hyperplanes), budget=budget)
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(NamedTuple):
     """One deleted element, the flat it extends (a mask in original labels:
     the pairwise intersection minus the element at levels n >= 3, every loop
     at level 2), and the pair of member indices whose intersection contained
@@ -324,8 +321,7 @@ class ExtensionStep:
     source_pair: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TameDecomposition:
+class TameDecomposition(NamedTuple):
     core: PavingMatroid
     core_elements: tuple[int, ...]
     steps: tuple[ExtensionStep, ...]

@@ -12,12 +12,12 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator
 
 from pavemat import Matroid, QuasiRep, merged_rep, quasi_rep, small_circuits
 from pavemat.bitset import mask_of, sort_key
-from pavemat.counting import ForbiddenProfiles, Vector, _boxed_vectors
+from pavemat.counting import ForbiddenProfiles, TruncatedEGF, Vector, _boxed_vectors
 from pavemat.decomposition import Classification
 from pavemat.io import json_pieces
 from pavemat.partitions import iter_rgs, rgs_to_blocks
@@ -339,6 +339,13 @@ def brute_admissible_count(tgt: Vector, forbidden: ForbiddenProfiles) -> int:
         assert r == 0
         total += q
     return total
+
+
+def coefficient(series: TruncatedEGF, n: int | Vector) -> Fraction:
+    """[x^n] of a truncated series: its count at n over n!, the product of
+    the factorials of n's coordinates."""
+    v = (n,) if isinstance(n, int) else tuple(n)
+    return Fraction(series.count(v), prod(map(factorial, v)))
 
 
 def fraction_exp_1d(alpha: list[Fraction], bound: int) -> list[Fraction]:

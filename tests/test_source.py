@@ -1,8 +1,28 @@
-"""Checks on the library source itself."""
+"""Checks on the library source itself: what it asserts, what it defines,
+what importing it loads, and how its record types behave."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from pavemat import (
+    ExtensionStep,
+    GridLayout,
+    HyperplanePartition,
+    LineArrangement,
+    MinorGenerator,
+    TameDecomposition,
+    decompose_grid,
+    forbidden_sizes,
+    grid_matroid,
+    partition_count_series,
+    quasi_rep,
+)
+from pavemat.decomposition import Classification
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "pavemat"
 
@@ -57,3 +77,54 @@ def test_every_library_name_has_a_library_or_benchmark_user():
         and node.name not in named
     }
     assert unused == set(TEST_ONLY_NAMES)
+
+
+# Modules a CLI run has no use for: dataclasses pulls in inspect (and with it
+# ast, dis and tokenize) and runs generated code for every class; fractions
+# pulls in decimal.
+STARTUP_FREE = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # a fresh interpreter without site, so that nothing but pavemat imports
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import pavemat.cli; print(sorted(set(sys.argv[2:]) & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SOURCE.parent), *STARTUP_FREE],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout == "[]\n"
+
+
+RECORDS = {
+    "PavingMatroid": lambda: grid_matroid(4, 4),
+    "QuasiRep": lambda: quasi_rep(6, 3, [[0, 1, 2], [3, 4, 5]]),
+    "ExtensionStep": lambda: ExtensionStep(0, 0b110, (0, 1)),
+    "TameDecomposition": lambda: TameDecomposition(grid_matroid(4, 4), tuple(range(16)), ()),
+    "HyperplanePartition": lambda: HyperplanePartition(2, (0, 1)),
+    "Classification": lambda: Classification("equals-base"),
+    "ComponentReport": lambda: decompose_grid(4, 4).components[0],
+    "DecompositionResult": lambda: decompose_grid(4, 4),
+    "GridLayout": lambda: GridLayout(2, 3),
+    "LineArrangement": lambda: LineArrangement(4),
+    "MinorGenerator": lambda: MinorGenerator((0,), (1,)),
+    "ForbiddenProfiles": lambda: forbidden_sizes({2, 3}),
+    "TruncatedEGF": lambda: partition_count_series(forbidden_sizes({2, 3}), 4),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_truncated_egf_repr_leaves_out_its_counts():
+    series = partition_count_series(forbidden_sizes({2, 3}), 4)
+    assert repr(series) == "TruncatedEGF(bounds=(4,))"
