@@ -1,7 +1,8 @@
 """Command-line surface: family construction, component listing, counting,
 reference-table checks, file validation, and exports.
 
-Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
+Exit codes: 0 success, 1 validation or computation failure, 2 usage error,
+141 when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -239,90 +240,130 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Options as add_argument's arguments.
+_INT = {"type": int, "required": True}
+_GRID = (("--k", _INT), ("--l", _INT))
+_LINES = (("--n", _INT),)
+_FILE = ("--file", {"required": True})
+_LEVEL = ("--n", {"type": int, "default": None, "help": "override the level stored in the file"})
+_TEXT_OR_JSON = ("--format", {"choices": ("text", "json"), "default": "text"})
+_TEXT_OR_CSV = ("--format", {"choices": ("text", "csv"), "default": "text"})
+_BUDGET = (
+    "--budget",
+    {"type": int, "default": None, "help": f"enumeration budget override (env {BUDGET_ENV})"},
+)
+
+# Each command's help, handler, options and families. A command with families
+# takes its family as a second argument; each family's parser holds the
+# family's own options and then the command's.
+_COMMANDS: dict[str, tuple] = {
+    "matroid": (
+        "construct a family matroid and print it",
+        _cmd_matroid,
+        (("--circuits", {"action": "store_true", "help": "print the full circuit list"}), _TEXT_OR_JSON),
+        {"grid": _GRID, "lines": _LINES, "quasi": (_FILE, _LEVEL)},
+    ),
+    "decompose": (
+        "list or count the components of a family",
+        _cmd_decompose,
+        (
+            ("--list", {"action": "store_true", "help": "emit every component, not just the count"}),
+            ("--circuits", {"action": "store_true", "help": "inline circuit lists in JSON output"}),
+            _TEXT_OR_JSON,
+            _BUDGET,
+        ),
+        {"grid": _GRID, "lines": _LINES},
+    ),
+    "count": (
+        "count components by one method",
+        _cmd_count,
+        (("--method", {"choices": ("enumerate", "formula", "egf"), "default": "enumerate"}), _TEXT_OR_CSV),
+        {"grid": _GRID, "lines": _LINES},
+    ),
+    "tables": ("recompute the reference tables and report PASS/FAIL", _cmd_tables, (_TEXT_OR_CSV,), None),
+    "validate": ("check the circuit axioms of a matroid JSON file", _cmd_validate, (_FILE,), None),
+    "ci-generators": (
+        "export determinantal generators as CSV 'A;B' lines",
+        _cmd_generators,
+        _GRID + (("--s", _INT), ("--t", _INT), ("--n", _INT), ("--out", {"default": None})),
+        None,
+    ),
+    "decompose-to-tame": (
+        "peel a hypergraph file down to its tame paving core",
+        _cmd_decompose_to_tame,
+        (_FILE, _LEVEL, _TEXT_OR_JSON),
+        None,
+    ),
+}
+# How the full tree lists the commands in its usage line.
+_COMMAND_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+
+
+def _add_options(parser: argparse.ArgumentParser, options: tuple) -> None:
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser for argv (sys.argv[1:] when None), holding only what
+    parsing argv visits.
+
+    When argv[0] names a command, only that command is registered, with all
+    of its families, and only the family argv[1] names gets its options (all
+    of them do when argv[1] names none). Any other argv gets the whole tree.
+    Both read the same on every usage line and error message.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    selected = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="pavemat",
         description="exact constructions, decompositions, and counts for grid and line matroid families",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mat = sub.add_parser("matroid", help="construct a family matroid and print it")
-    mat_sub = p_mat.add_subparsers(dest="family", required=True)
-    m_grid = mat_sub.add_parser("grid")
-    m_grid.add_argument("--k", type=int, required=True)
-    m_grid.add_argument("--l", type=int, required=True)
-    m_lines = mat_sub.add_parser("lines")
-    m_lines.add_argument("--n", type=int, required=True)
-    m_quasi = mat_sub.add_parser("quasi")
-    m_quasi.add_argument("--file", required=True)
-    m_quasi.add_argument("--n", type=int, default=None, help="override the level stored in the file")
-    for p in (m_grid, m_lines, m_quasi):
-        p.add_argument("--circuits", action="store_true", help="print the full circuit list")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=_cmd_matroid)
-
-    p_dec = sub.add_parser("decompose", help="list or count the components of a family")
-    dec_sub = p_dec.add_subparsers(dest="family", required=True)
-    d_grid = dec_sub.add_parser("grid")
-    d_grid.add_argument("--k", type=int, required=True)
-    d_grid.add_argument("--l", type=int, required=True)
-    d_lines = dec_sub.add_parser("lines")
-    d_lines.add_argument("--n", type=int, required=True)
-    for p in (d_grid, d_lines):
-        p.add_argument("--list", action="store_true", help="emit every component, not just the count")
-        p.add_argument("--circuits", action="store_true", help="inline circuit lists in JSON output")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=None, help=f"enumeration budget override (env {BUDGET_ENV})")
-        p.set_defaults(func=_cmd_decompose)
-
-    p_count = sub.add_parser("count", help="count components by one method")
-    count_sub = p_count.add_subparsers(dest="family", required=True)
-    c_grid = count_sub.add_parser("grid")
-    c_grid.add_argument("--k", type=int, required=True)
-    c_grid.add_argument("--l", type=int, required=True)
-    c_lines = count_sub.add_parser("lines")
-    c_lines.add_argument("--n", type=int, required=True)
-    for p in (c_grid, c_lines):
-        p.add_argument("--method", choices=("enumerate", "formula", "egf"), default="enumerate")
-        p.add_argument("--format", choices=("text", "csv"), default="text")
-        p.set_defaults(func=_cmd_count)
-
-    p_tables = sub.add_parser("tables", help="recompute the reference tables and report PASS/FAIL")
-    p_tables.add_argument("--format", choices=("text", "csv"), default="text")
-    p_tables.set_defaults(func=_cmd_tables)
-
-    p_val = sub.add_parser("validate", help="check the circuit axioms of a matroid JSON file")
-    p_val.add_argument("--file", required=True)
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_gen = sub.add_parser("ci-generators", help="export determinantal generators as CSV 'A;B' lines")
-    for flag in ("--k", "--l", "--s", "--t", "--n"):
-        p_gen.add_argument(flag, type=int, required=True)
-    p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=_cmd_generators)
-
-    p_dtt = sub.add_parser(
-        "decompose-to-tame", help="peel a hypergraph file down to its tame paving core"
+    # With one command registered, the metavar keeps all seven in the usage
+    # line, as the full tree writes it. It would also rename the "required:
+    # command" error, but only the full tree, built for an empty argv, raises it.
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=_COMMAND_CHOICES if selected else None
     )
-    p_dtt.add_argument("--file", required=True)
-    p_dtt.add_argument("--n", type=int, default=None, help="override the level stored in the file")
-    p_dtt.add_argument("--format", choices=("text", "json"), default="text")
-    p_dtt.set_defaults(func=_cmd_decompose_to_tame)
-
+    for name in (selected,) if selected else _COMMANDS:
+        help_text, run, options, families = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=run)
+        if families is None:
+            _add_options(p, options)
+            continue
+        family_sub = p.add_subparsers(dest="family", required=True)
+        family = argv[1] if selected and len(argv) > 1 and argv[1] in families else None
+        for family_name, own in families.items():
+            f = family_sub.add_parser(family_name)
+            if family in (None, family_name):
+                _add_options(f, own + options)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:  # after help or a usage error
+            code = int(exc.code) if exc.code else 0
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # so that a reader gone before the last write shows here
+        return code
     except MatroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: stop quietly, and point
+        # stdout at devnull so that the interpreter's final flush stays quiet.
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except OSError:  # stdout has no file descriptor
+            pass
+        return 141  # 128 + SIGPIPE, as a shell reports for a writer killed by it
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -150,15 +150,19 @@ def _without(d: int) -> list[int]:
     return out
 
 
-def _dependent_sets(d: int, circuits: tuple[int, ...], without: list[int]) -> int:
-    """The bitset over all 2^d subsets with bit S set when S holds a circuit."""
+def _marked(d: int, masks: Iterable[int]) -> int:
+    """The bitset over all 2^d subsets with bit S set when S is one of masks."""
     table = bytearray(((1 << d) + 7) >> 3)
-    for c in circuits:
-        table[c >> 3] |= 1 << (c & 7)
-    dep = int.from_bytes(table, "little")
+    for m in masks:
+        table[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(table, "little")
+
+
+def _upward_closure(sets: int, without: list[int]) -> int:
+    """The bitset of the subsets holding a set in the bitset sets."""
     for e, no_e in enumerate(without):
-        dep |= (dep & no_e) << (1 << e)
-    return dep
+        sets |= (sets & no_e) << (1 << e)
+    return sets
 
 
 def _rank_axioms_hold(d: int, dep: int, without: list[int]) -> bool:
@@ -249,21 +253,12 @@ def _check_elimination(circuits: tuple[int, ...], dependent: Callable[[int], int
                     raise AxiomViolation(c1, c2, low.bit_length() - 1)
 
 
-def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
-    """Verify minimality and circuit elimination exhaustively.
-
-    Raises ContainmentViolation or AxiomViolation with a witness. Minimality
-    is checked over all pairs of circuit sizes. For d up to _DP_GROUND_LIMIT
-    the rest is decided on bitsets over all 2^d subsets
-    (:func:`_rank_axioms_hold`); only when that check fails are the circuit
-    pairs scanned, to name the first failing pair, reading the dependent sets
-    from the same bitset. Larger grounds scan the pairs directly, testing
-    each union for a contained circuit (:func:`_containment_test`).
-    """
+def _check_containment(circuits: tuple[int, ...]) -> None:
+    """Raise ContainmentViolation at the first circuit contained in a larger
+    one, scanning the pairs of sizes in ascending order, then the smaller
+    circuit, then the larger, each in list order."""
     by_size: dict[int, list[int]] = {}
     for c in circuits:
-        if c == 0:
-            raise BadParams("the empty set cannot be a circuit")
         by_size.setdefault(c.bit_count(), []).append(c)
     sizes = sorted(by_size)
     for i, small_size in enumerate(sizes):
@@ -273,18 +268,41 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
                     if small & big == small:
                         raise ContainmentViolation(small, big)
 
+
+def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
+    """Verify minimality and circuit elimination exhaustively.
+
+    Raises ContainmentViolation or AxiomViolation with a witness. For d up to
+    _DP_GROUND_LIMIT both are decided on bitsets over all 2^d subsets: a
+    circuit is not minimal exactly when removing one of its elements leaves
+    a dependent set, and the rest is :func:`_rank_axioms_hold`. Only when a
+    decision fails are the circuits scanned, to name the first failing pair
+    (:func:`_check_containment`, or circuit elimination reading the dependent
+    sets from the same bitset). Larger grounds scan the pairs directly,
+    testing each union for a contained circuit (:func:`_containment_test`).
+    """
+    if 0 in circuits:
+        raise BadParams("the empty set cannot be a circuit")
     if not circuits:
         return
 
     over_budget = d > _PAIR_BUDGET_GROUND and len(circuits) ** 2 > _VALIDATION_PAIR_BUDGET
     if d > _DP_GROUND_LIMIT:
+        _check_containment(circuits)
         if over_budget:
             raise TooLarge("axiom validation", f"{len(circuits)} circuits on d={d}")
         _check_elimination(circuits, _containment_test(circuits))
         return
 
     without = _without(d)
-    dep = _dependent_sets(d, circuits, without)
+    marked = _marked(d, circuits)
+    dep = _upward_closure(marked, without)
+    above = 0  # the sets holding a dependent set one element smaller
+    for e, no_e in enumerate(without):
+        above |= (dep & no_e) << (1 << e)
+    if marked & above:
+        _check_containment(circuits)
+        raise InvariantViolated("the bitset minimality check failed but no circuit holds another")
     if _rank_axioms_hold(d, dep, without):
         return
     if over_budget:

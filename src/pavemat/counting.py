@@ -43,9 +43,9 @@ GRID_FORMULA_BUDGET = 40  # max k+l for the formula route
 LINE_FORMULA_BUDGET = 60  # max n for the formula route
 
 # The egf route is polynomial: about (k*l)^2 big-int products on the grid,
-# most for k = l at a given k+l, and n^2 on the lines. At either limit
-# (grid 60x60, lines 800) a run takes about a second on a 2-core Xeon VM
-# with Python 3.11.
+# most for k = l at a given k+l, and n^2 on the lines. At either limit a
+# run takes 0.3-0.6 s (lines 800) or 0.5-0.75 s (grid 60x60) on a 2-core
+# Xeon VM with Python 3.11, whose speed swings by up to 2x.
 GRID_EGF_BUDGET = 120  # max k+l for the egf route
 LINE_EGF_BUDGET = 800  # max n for the egf route
 

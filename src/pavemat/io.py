@@ -86,19 +86,21 @@ def _encode(value, newline: str) -> Iterator[str]:
 def _mask_rows(rows: MaskRows, newline: str) -> Iterator[str]:
     """The pieces of one MaskRows. Each row is written with the separator in
     front of it, so only the first piece is trimmed: its leading "," becomes
-    the list's "[". A list made by a function lives until its last piece is
-    written."""
+    the list's "[". Only the empty mask, which no circuit is, makes an empty
+    row, written [] on one line. A list made by a function lives until its
+    last piece is written."""
     masks = rows.masks() if callable(rows.masks) else rows.masks
     if not masks:
         yield "[]"
         return
     inner = newline + "  "
     row = inner + "  "
-    empty = "[" + row + inner + "]"  # the empty list is written [] on one line
     pieces = label_pieces(masks, "," + inner + "[" + row, "," + row, inner + "]")
-    yield "[" + next(pieces)[1:].replace(empty, "[]")
-    for piece in pieces:
-        yield piece.replace(empty, "[]")
+    if 0 in masks:
+        empty = "[" + row + inner + "]"
+        pieces = (piece.replace(empty, "[]") for piece in pieces)
+    yield "[" + next(pieces)[1:]
+    yield from pieces
     yield newline + "]"
 
 

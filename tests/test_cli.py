@@ -1,11 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from pavemat import decompose_lines, grid_matroid, io, paving_to_matroid, quasi_rep, uniform
+from pavemat import cli, decompose_lines, grid_matroid, io, paving_to_matroid, quasi_rep, uniform
 from pavemat.cli import main
 from pavemat.io import (
     matroid_from_dict,
@@ -18,6 +22,8 @@ from pavemat.errors import TooLarge
 from pavemat.quasi import check_circuit_budget, quasi_circuits
 
 from helpers import joined_json, json_oracle, m1
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -610,3 +616,114 @@ def test_json_output_is_the_stdlib_indented_layout(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv.format(**paths).split())
     assert code == 0 and err == ""
     assert out == json_oracle(json.loads(out)) + "\n"
+
+
+# Calls that each command's own parser must answer as the full tree does:
+# every command and family, help at each level, and each kind of usage error.
+# {h} is a hypergraph file, {m} a matroid file.
+PARSER_CORPUS = [
+    "matroid grid --k 3 --l 3",
+    "matroid lines --n 4 --format json",
+    "matroid quasi --file {h} --circuits",
+    "decompose grid --k 3 --l 4 --list",
+    "decompose lines --n 5 --budget 12",
+    "count grid --k 4 --l 4 --method formula",
+    "count lines --n 6 --format csv",
+    "tables --format csv",
+    "validate --file {m}",
+    "ci-generators --k 2 --l 3 --s 2 --t 2 --n 3",
+    "decompose-to-tame --file {h} --format json",
+    "-h",
+    "--help",
+    "count -h",
+    "matroid --help",
+    "decompose-to-tame -h",
+    "count grid -h",
+    "decompose lines --help",
+    "matroid quasi -h",
+    "",
+    "bogus",
+    "count",
+    "count squares --n 4",
+    "decompose --list",
+    "matroid lines",
+    "count grid --k 3",
+    "ci-generators --k 2 --l 3",
+    "count grid --k x --l 3",
+    "validate --file",
+    "count grid --k 3 --l 3 --method guess",
+    "tables --format xml",
+    "count grid --k 3 --l 3 --bogus",
+    "count lines --n 5 --k 3",
+    "count grid --k 3 --l 3 extra",
+    "count --method egf grid --k 3 --l 3",
+    "-- count grid --k 3 --l 3",
+    "count -- grid --k 3 --l 3",
+    "count grid -- --k 3 --l 3",
+    "--k 3 count grid --l 3",
+    "-h count grid",
+    "count grid --me egf --k 4 --l 5",
+    "decompose grid --k 3 --l 3 --li",
+    "matroid quasi --f {h}",
+]
+
+
+@pytest.fixture
+def corpus_files(tmp_path):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(TAME_INPUT))
+    m = tmp_path / "m.json"
+    m.write_text(joined_json(matroid_to_dict(uniform(2, 4))))
+    return {"h": h, "m": m}
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS)
+def test_each_call_answers_as_the_full_parser(corpus_files, capsys, monkeypatch, argv):
+    argv = argv.format(**corpus_files).split()
+    got = run(capsys, *argv)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build([]))
+    assert run(capsys, *argv) == got
+
+
+def test_the_full_parser_names_a_missing_command(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("\npavemat: error: the following arguments are required: command\n")
+
+
+def test_a_call_builds_only_its_command_and_family():
+    parser = cli.build_parser(["count", "grid", "--k", "3", "--l", "3"])
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == ["count"]
+    (families,) = [a for a in commands.choices["count"]._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(families.choices) == ["grid", "lines"]
+    assert "--k" in families.choices["grid"]._option_string_actions
+    assert "--n" not in families.choices["lines"]._option_string_actions
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        ("decompose lines --n 10 --list", b"4010 components\n"),
+        ("decompose lines --n 10", None),
+        ("count grid --help", None),
+    ],
+)
+def test_a_closed_reader_ends_the_call_quietly(argv, first_line):
+    # exit 141, 128 + SIGPIPE, with nothing on stderr: once `head -1` has read
+    # the first line of a listing far larger than a pipe's buffer, and when
+    # the reader is gone before a buffered stdout first writes a count or help
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pavemat.cli", *argv.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")

@@ -130,6 +130,48 @@ def test_axiom_decision_on_every_clutter(monkeypatch):
     assert accepted == [2, 5, 16, 68, 406]
 
 
+def _first_contained_pair(circuits):
+    """The pair scan: sizes in ascending pairs, then the smaller circuit, then
+    the larger, each in list order."""
+    sizes = sorted({c.bit_count() for c in circuits})
+    for i, small_size in enumerate(sizes):
+        for big_size in sizes[i + 1 :]:
+            for small in (c for c in circuits if c.bit_count() == small_size):
+                for big in (c for c in circuits if c.bit_count() == big_size):
+                    if small & big == small:
+                        return small, big
+    return None
+
+
+def test_bitset_minimality_names_the_pair_scan_witness():
+    # random clutters on up to 12 elements, half of them with a planted
+    # superset or subset of one of their members, in random order
+    rng = random.Random(211)
+    found = 0
+    for _ in range(400):
+        d = rng.randint(2, 12)
+        circuits = []
+        for c in (rng.randrange(1, 1 << d) for _ in range(rng.randint(1, 15))):
+            if all(k & c not in (k, c) for k in circuits):
+                circuits.append(c)
+        if rng.randrange(2):
+            c = rng.choice(circuits)
+            circuits.append(rng.choice([c | rng.randrange(1 << d), c & rng.randrange(1 << d) or c]))
+        rng.shuffle(circuits)
+        circuits = tuple(circuits)
+        expected = _first_contained_pair(circuits)
+        try:
+            check_circuit_axioms(d, circuits)
+            got = None
+        except ContainmentViolation as exc:
+            got = exc.small, exc.big
+        except AxiomViolation:
+            got = None
+        assert got == expected, (d, circuits)
+        found += expected is not None
+    assert 100 < found < 200
+
+
 @pytest.mark.parametrize("build", [lambda: grid_matroid(4, 5), lambda: line_matroid(7)])
 def test_axiom_check_on_grounds_20_and_21(build):
     m = paving_to_matroid(build())
