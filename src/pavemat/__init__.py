@@ -26,7 +26,6 @@ from .counting import (
 from .decomposition import (
     ComponentReport,
     DecompositionResult,
-    HyperplanePartition,
     decompose_grid,
     decompose_lines,
     is_grid_component_partition,

@@ -123,9 +123,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if not args.list:
         print(sum(1 for _ in listing(*size, budget=budget)))
         return 0
+    # each component is written as it is listed, so an error partway through
+    # leaves the components before it on stdout
     result = decompose(*size, budget=budget)
     if args.format == "text":
-        print(f"{len(result.components)} components")
+        print(f"{result.component_count} components")
         for rep in result.components:
             blocks = [
                 "{" + ",".join(result.hyperplane_labels[i] for i in block) + "}"

@@ -16,26 +16,12 @@ from .bitset import sort_key
 from .counting import code_shape, grid_component_codes, line_component_codes
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
 from .families import GridLayout, LineArrangement
-from .partitions import blocks_to_rgs, rgs_to_blocks
+from .partitions import rgs_to_blocks
 from .paving import PavingMatroid, is_tame
 from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
-
-
-class HyperplanePartition(NamedTuple):
-    """A partition of hyperplane indices 0..size-1 in canonical RGS encoding."""
-
-    size: int
-    rgs: tuple[int, ...]
-
-    @staticmethod
-    def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "HyperplanePartition":
-        return HyperplanePartition(size, blocks_to_rgs(size, blocks))
-
-    def blocks(self) -> list[list[int]]:
-        return rgs_to_blocks(self.rgs)
 
 
 def _block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
@@ -46,15 +32,16 @@ def _block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
     return union
 
 
-def merged_rep(p: PavingMatroid, partition: HyperplanePartition) -> QuasiRep:
+def merged_rep(p: PavingMatroid, blocks: Iterable[Iterable[int]]) -> QuasiRep:
     """Hypergraph whose members are the unions of the hyperplanes in each
-    block; tameness of p makes it automatically valid (no element can reach
-    three members)."""
+    block of a partition of p's hyperplane indices; tameness of p makes it
+    automatically valid (no element can reach three members)."""
     if not is_tame(p):
         raise NotTame("merged matroids are defined for tame bases only")
-    if partition.size != len(p.hyperplanes):
-        raise BadParams("partition size does not match the hyperplane count")
-    members = [_block_union(p.hyperplanes, block) for block in partition.blocks()]
+    blocks = [list(block) for block in blocks]
+    if sorted(i for block in blocks for i in block) != list(range(len(p.hyperplanes))):
+        raise BadParams("blocks do not partition the hyperplane indices")
+    members = [_block_union(p.hyperplanes, block) for block in blocks]
     return QuasiRep(p.d, p.n, tuple(sorted(members, key=sort_key)))
 
 
@@ -93,11 +80,10 @@ class Classification(NamedTuple):
 
 
 class ComponentReport(NamedTuple):
-    """One listed component: its partition, as a code and as its blocks of
-    hyperplane indices, the merged representation and what circuit_profile
-    reads off it (circuit counts, key, rank)."""
+    """One listed component: its partition, as blocks of hyperplane indices
+    in first-element order, the merged representation and what
+    circuit_profile reads off it (circuit counts, key, rank)."""
 
-    partition: HyperplanePartition
     blocks: tuple[tuple[int, ...], ...]
     rep: QuasiRep
     profile: CircuitProfile
@@ -105,11 +91,16 @@ class ComponentReport(NamedTuple):
 
 
 class DecompositionResult(NamedTuple):
+    """A family's listing: component_count components, and a generator that
+    builds one report per component, in listing order, as it is read. The
+    generator can be read only once."""
+
     family: str
     params: dict
     hyperplane_labels: tuple[str, ...]
     hyperplane_masks: tuple[int, ...]
-    components: tuple[ComponentReport, ...]
+    component_count: int
+    components: Iterator[ComponentReport]
 
 
 def _uniform_from_counts(d: int, rank: int, level: int, small: dict[int, int]) -> Optional[tuple[int, int]]:
@@ -133,18 +124,12 @@ def _classify(d: int, level: int, profile: CircuitProfile, base_key: tuple) -> C
 
 
 def _decompose(
-    family: str,
-    params: dict,
-    labels: tuple[str, ...],
-    hyp_masks: tuple[int, ...],
-    rows: int,
-    d: int,
-    level: int,
-    codes: Iterable[Sequence[int]],
-) -> DecompositionResult:
-    """One report per partition code, in the order given. Components are told
-    apart by their circuit_key, which agrees exactly when the small circuits
-    do; a key met twice raises InvariantViolated.
+    hyp_masks: tuple[int, ...], rows: int, d: int, level: int, codes: Iterable[Sequence[int]]
+) -> Iterator[ComponentReport]:
+    """One report per partition code, in the order given, each built as it
+    is read. Components are told apart by their circuit_key, which agrees
+    exactly when the small circuits do; a key met twice raises
+    InvariantViolated.
 
     The first `rows` hyperplanes are the rows (or every line) and the rest
     the columns. Permuting the lines, or the rows and the columns separately,
@@ -156,8 +141,6 @@ def _decompose(
     per shape; only the key is computed for every component.
     """
     base_key = circuit_key(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key))))
-    m = len(hyp_masks)
-    reports: list[ComponentReport] = []
     seen_keys: set[tuple] = set()
     by_shape: dict[tuple, tuple[CircuitProfile, Classification]] = {}
     for code in codes:
@@ -174,16 +157,9 @@ def _decompose(
         if profile.key in seen_keys:
             raise InvariantViolated(f"partition {tuple(code)} merges to a matroid already listed")
         seen_keys.add(profile.key)
-        reports.append(
-            ComponentReport(
-                partition=HyperplanePartition(m, tuple(code)),
-                blocks=tuple(map(tuple, blocks)),
-                rep=rep,
-                profile=profile,
-                classification=first[1],
-            )
+        yield ComponentReport(
+            blocks=tuple(map(tuple, blocks)), rep=rep, profile=profile, classification=first[1]
         )
-    return DecompositionResult(family, params, labels, hyp_masks, tuple(reports))
 
 
 def grid_listing(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
@@ -206,18 +182,22 @@ def line_listing(n: int, *, budget: int = LINE_ENUM_BUDGET) -> Iterator[tuple[in
 
 def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> DecompositionResult:
     """Components of the k x l grid: one merged matroid per partition passing
-    the closed-form test, in RGS-lex order."""
-    codes = grid_listing(k, l, budget=budget)
+    the closed-form test, in RGS-lex order. The count comes from a first walk
+    of the codes, the reports from a second."""
+    count = sum(1 for _ in grid_listing(k, l, budget=budget))
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
     hyp_masks = layout.row_masks() + layout.col_masks()
-    return _decompose("grid", {"k": k, "l": l}, labels, hyp_masks, k, k * l, 3, codes)
+    reports = _decompose(hyp_masks, k, k * l, 3, grid_component_codes(k, l))
+    return DecompositionResult("grid", {"k": k, "l": l}, labels, hyp_masks, count, reports)
 
 
 def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionResult:
-    """Components of the n-line arrangement, in RGS-lex order."""
-    codes = line_listing(n, budget=budget)
+    """Components of the n-line arrangement, in RGS-lex order, counted as
+    decompose_grid counts them."""
+    count = sum(1 for _ in line_listing(n, budget=budget))
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()
-    return _decompose("lines", {"n": n}, labels, hyp_masks, n, arr.point_count, 3, codes)
+    reports = _decompose(hyp_masks, n, arr.point_count, 3, line_component_codes(n))
+    return DecompositionResult("lines", {"n": n}, labels, hyp_masks, count, reports)

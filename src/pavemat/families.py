@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .bitset import canonical_masks, cap_oracle, capped_subsets, subsets_of_size
+from .bitset import bit_list, canonical_masks, cap_oracle, capped_subsets, subsets_of_size
 from .core import CIRCUIT_BUDGET, Matroid
 from .errors import BadParams, DegenerateGround, EnumerationBudgetExceeded, HypothesisViolated, TooFewLines
 from .paving import PavingMatroid, paving_from_hyperplanes
@@ -168,12 +168,7 @@ def ci_ideal_generators(k: int, l: int, s: int, t: int, n: int) -> list[MinorGen
     edges = ci_hypergraph(k, l, s, t)
     out: list[MinorGenerator] = []
     for b in edges:
-        cols = []
-        m = b
-        while m:
-            low = m & -m
-            m ^= low
-            cols.append(low.bit_length() - 1)
+        cols = bit_list(b)
         for rows in combinations(range(n), len(cols)):
             out.append(MinorGenerator(tuple(rows), tuple(cols)))
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from types import GeneratorType
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import bit_list, label_rows, mask_of
@@ -51,10 +52,11 @@ def json_pieces(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for
     byte, in pieces, with each MaskRows written as its list of label lists.
 
-    Dicts with str keys and lists are walked here. A MaskRows, the form of
-    every circuit and hyperplane list, is written straight from its masks by
-    ``bitset.label_rows``, a bounded number of rows per piece. Everything
-    else is left to the stdlib encoder with the same settings.
+    Dicts with str keys, lists and generators are walked here; a generator
+    is written as a list, each item encoded as it is drawn. A MaskRows, the
+    form of every circuit and hyperplane list, is written straight from its
+    masks by ``bitset.label_rows``, a bounded number of rows per piece.
+    Everything else is left to the stdlib encoder with the same settings.
     """
     return _encode(obj, "\n")
 
@@ -72,13 +74,13 @@ def _encode(value, newline: str) -> Iterator[str]:
         yield newline + "}"
     elif isinstance(value, MaskRows):
         yield from _mask_rows(value, newline)
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, GeneratorType)):
         sep = "[" + inner
         for v in value:
             yield sep
             yield from _encode(v, inner)
             sep = "," + inner
-        yield newline + "]"
+        yield "[]" if sep[0] == "[" else newline + "]"
     else:
         yield _INDENTED.encode(value).replace("\n", newline)
 
@@ -185,8 +187,23 @@ def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:
 
 
 def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool = False) -> dict:
+    """The listing as a dict whose components are a generator, each
+    component's dict made when json_pieces reaches it."""
     labels = result.hyperplane_labels
-    components = []
+    return {
+        "family": result.family,
+        "params": result.params,
+        "hyperplanes": {
+            label: mask_to_labels(mask)
+            for label, mask in zip(labels, result.hyperplane_masks)
+        },
+        "component_count": result.component_count,
+        "components": _component_dicts(result, include_circuits),
+    }
+
+
+def _component_dicts(result: DecompositionResult, include_circuits: bool) -> Iterator[dict]:
+    labels = result.hyperplane_labels
     for report in result.components:
         classification: dict = {"kind": report.classification.kind}
         if report.classification.uniform_params is not None:
@@ -200,26 +217,14 @@ def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool
         profile = report.profile
         matroid_obj: dict = {"d": report.rep.d, "rank": profile.rank}
         if include_circuits and profile.type1 + profile.type2 + profile.type3 <= CIRCUIT_LIST_INLINE_LIMIT:
-            # refused here, before anything is written, and listed by the writer
+            # refused here, before this component is written, and listed by the writer
             check_circuit_budget(report.rep)
             matroid_obj["circuits"] = MaskRows(partial(quasi_circuits, report.rep))
-        components.append(
-            {
-                "partition": [[labels[i] for i in block] for block in report.blocks],
-                "classification": classification,
-                "matroid": matroid_obj,
-            }
-        )
-    return {
-        "family": result.family,
-        "params": result.params,
-        "hyperplanes": {
-            label: mask_to_labels(mask)
-            for label, mask in zip(labels, result.hyperplane_masks)
-        },
-        "component_count": len(result.components),
-        "components": components,
-    }
+        yield {
+            "partition": [[labels[i] for i in block] for block in report.blocks],
+            "classification": classification,
+            "matroid": matroid_obj,
+        }
 
 
 def generators_to_csv(gens: Iterable[MinorGenerator]) -> str:

@@ -7,7 +7,7 @@ order, from the one-block partition to the discrete one.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 def iter_rgs(m: int) -> Iterator[list[int]]:
@@ -41,30 +41,3 @@ def rgs_to_blocks(code: Sequence[int]) -> list[list[int]]:
             blocks.append([])
         blocks[c].append(i)
     return blocks
-
-
-def blocks_to_rgs(m: int, blocks: Iterable[Iterable[int]]) -> tuple[int, ...]:
-    """Canonical RGS of a partition given as blocks; validates disjoint cover."""
-    owner = [-1] * m
-    for bid, block in enumerate(blocks):
-        empty = True
-        for e in block:
-            empty = False
-            if e < 0 or e >= m:
-                raise ValueError(f"item {e} outside range({m})")
-            if owner[e] != -1:
-                raise ValueError(f"item {e} appears in two blocks")
-            owner[e] = bid
-        if empty:
-            raise ValueError("empty block")
-    if any(o == -1 for o in owner):
-        raise ValueError("blocks do not cover all items")
-    relabel: dict[int, int] = {}
-    code = []
-    for e in range(m):
-        bid = owner[e]
-        if bid not in relabel:
-            relabel[bid] = len(relabel)
-        code.append(relabel[bid])
-    return tuple(code)
-

@@ -171,16 +171,16 @@ def brute_quasi_circuits(rep: QuasiRep) -> tuple[int, ...]:
     return tuple(sorted(brute_small_circuits(rep), key=sort_key)) + tuple(brute_type3_circuits(rep))
 
 
-def listed_reps(res) -> list[QuasiRep]:
-    """The representation of each component of a level-3 listing, rebuilt by
-    merged_rep from its partition of the listing's hyperplanes."""
-    base = PavingMatroid(res.components[0].rep.d, 3, res.hyperplane_masks)
-    return [merged_rep(base, c.partition) for c in res.components]
+def listed_reps(res, reports) -> list[QuasiRep]:
+    """The representation of each report read from a level-3 listing res,
+    rebuilt by merged_rep from its blocks of the listing's hyperplanes."""
+    base = PavingMatroid(reports[0].rep.d, 3, res.hyperplane_masks)
+    return [merged_rep(base, c.blocks) for c in reports]
 
 
-def listed_signatures(res) -> list[frozenset[int]]:
-    """quasi.small_circuits of each component of a level-3 listing."""
-    return [small_circuits(rep) for rep in listed_reps(res)]
+def listed_signatures(res, reports) -> list[frozenset[int]]:
+    """quasi.small_circuits of each report read from a level-3 listing."""
+    return [small_circuits(rep) for rep in listed_reps(res, reports)]
 
 
 def signature_classification(rep: QuasiRep, sig: frozenset[int], base_sig: frozenset[int], rank: int):

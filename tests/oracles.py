@@ -32,11 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from pavemat import Matroid, MatroidError, QuasiRep
 from pavemat.bitset import as_mask, bits_tuple, canonical_masks, overlaps, remap, sort_key, subsets_of_size
 from pavemat.counting import ForbiddenProfiles, Vector, _as_vector, _boxed_vectors
-from pavemat.decomposition import (
-    HyperplanePartition,
-    is_grid_component_partition,
-    is_line_component_partition,
-)
+from pavemat.decomposition import is_grid_component_partition, is_line_component_partition
 from pavemat.errors import NotTame, OutOfRange
 from pavemat.paving import PavingMatroid, _paving_relaxed, is_tame, paving_from_hyperplanes
 from pavemat.quasi import TameDecomposition, paving_to_matroid
@@ -373,13 +369,13 @@ def liftability_oracle(p: PavingMatroid) -> LiftabilityVerdict:
     return LiftabilityVerdict(Liftability.UNKNOWN, "unrecognized-core")
 
 
-def is_component_partition(p: PavingMatroid, partition: HyperplanePartition) -> Optional[bool]:
-    """Generic test: no outside hyperplane may fall inside a block's union, and
-    every block of two or more hyperplanes must be non-liftable. None when the
+def is_component_partition(p: PavingMatroid, blocks: list[list[int]]) -> Optional[bool]:
+    """Generic test on a partition of p's hyperplane indices, given as its
+    blocks: no outside hyperplane may fall inside a block's union, and every
+    block of two or more hyperplanes must be non-liftable. None when the
     liftability oracle cannot decide some block."""
     if not is_tame(p):
         raise NotTame("component partitions are defined for tame bases only")
-    blocks = partition.blocks()
     for block in blocks:
         union = reduce(or_, (p.hyperplanes[i] for i in block))
         for idx, l in enumerate(p.hyperplanes):

@@ -2,14 +2,16 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
 import pytest
 
-from pavemat import cli, decompose_lines, grid_matroid, io, paving_to_matroid, quasi_rep, uniform
+from pavemat import cli, decompose_lines, decomposition, grid_matroid, io, paving_to_matroid, quasi_rep, uniform
 from pavemat.cli import main
 from pavemat.io import (
     matroid_from_dict,
@@ -18,6 +20,7 @@ from pavemat.io import (
     quasi_to_dict,
 )
 from pavemat.core import CIRCUIT_BUDGET
+from pavemat.counting import line_component_codes
 from pavemat.errors import TooLarge
 from pavemat.quasi import check_circuit_budget, quasi_circuits
 
@@ -201,7 +204,7 @@ def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8121f6498c8d02ca6fc3af907aaf325db3c7a255e7dc20246ed18651d3cdb4e3"
     )
-    reports = decompose_lines(6).components
+    reports = list(decompose_lines(6).components)
     counts = [c.profile.type1 + c.profile.type2 + c.profile.type3 for c in reports]
     assert len(counts) == 17 and 455 in counts and 795 in counts
     matroids = [c["matroid"] for c in json.loads(out)["components"]]
@@ -279,9 +282,14 @@ def test_listing_builds_each_circuit_list_after_the_last_is_written(capsys, monk
     assert stdout.text() == expected
 
 
-def test_a_refused_circuit_list_writes_nothing(capsys, monkeypatch):
+def test_a_refused_circuit_list_ends_the_listing_after_the_components_before_it(capsys, monkeypatch):
     # The third component's list is refused, as the candidate estimate does
-    # above its budget: the run exits 1 before any output, and no list is built.
+    # above its budget. The listing streams, so the run exits 1 with the first
+    # two components written, as an unrefused run writes them, and the third
+    # neither written nor its list built.
+    argv = ("decompose", "lines", "--n", "7", "--list", "--format", "json", "--circuits")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
     checked, built = [], []
 
     def refuse_the_third(rep):
@@ -290,12 +298,58 @@ def test_a_refused_circuit_list_writes_nothing(capsys, monkeypatch):
 
     monkeypatch.setattr(io, "check_circuit_budget", refuse_the_third)
     monkeypatch.setattr(io, "quasi_circuits", lambda rep: built.append(rep) or quasi_circuits(rep))
-    code, out, err = run(capsys, "decompose", "lines", "--n", "7", "--list", "--format", "json", "--circuits")
-    assert code == 1 and out == "" and len(checked) == 3 and built == []
+    code, out, err = run(capsys, *argv)
+    # each component is a dict at depth 2 of the document, closed by "\n    }"
+    closed = [m.end() for m in re.finditer("\n    }", expected)]
+    assert len(closed) == 58
+    assert code == 1 and out == expected[: closed[1]]
+    assert len(checked) == 3 and built == checked[:2]
     with pytest.raises(TooLarge) as refused:
         check_circuit_budget(checked[2], 0)
     assert err == f"error: {refused.value}\n"
     assert err.startswith("error: budget 'circuit materialization' exceeded: about ")
+
+
+class _Report(types.SimpleNamespace):
+    """A component report that a weak reference can follow."""
+
+
+def test_a_listing_is_written_as_it_is_walked(capsys, monkeypatch):
+    code, expected, _ = run(capsys, "decompose", "lines", "--n", "7", "--list")
+    assert code == 0
+    header, first = expected.splitlines(keepends=True)[:2]
+    made, before_last = [], []
+
+    class Watched(_RecordedStdout):
+        def write(self, text: str) -> int:
+            if text.startswith("  {"):
+                # the report of this line is the only one alive
+                assert [ref() is not None for ref in made] == [False] * (len(made) - 1) + [True]
+            return super().write(text)
+
+    stdout = Watched()
+
+    def walk(n):
+        # stdout as each walk of the codes is about to yield its last code
+        codes = list(line_component_codes(n))
+        yield from codes[:-1]
+        before_last.append(stdout.text())
+        yield codes[-1]
+
+    def report(**fields):
+        made.append(weakref.ref(made_report := _Report(**fields)))
+        return made_report
+
+    monkeypatch.setattr(decomposition, "line_component_codes", walk)
+    monkeypatch.setattr(decomposition, "ComponentReport", report)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["decompose", "lines", "--n", "7", "--list"])
+    monkeypatch.undo()
+    assert code == 0 and stdout.text() == expected
+    assert len(made) == 58 and all(ref() is None for ref in made)
+    # the count's walk, then the listing's, which has written the header and
+    # the first component before it yields its last code
+    assert before_last[0] == "" and before_last[-1].startswith(header + first)
 
 
 def test_generators_csv(capsys):

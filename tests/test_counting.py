@@ -28,7 +28,7 @@ from pavemat.counting import (
     line_component_codes,
 )
 from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
-from pavemat.partitions import blocks_to_rgs
+from pavemat.partitions import iter_rgs, rgs_to_blocks
 
 from helpers import (
     brute_admissible_count,
@@ -227,8 +227,8 @@ def test_grid_count_enumerate_matches_plain_filter():
         for l in range(3, 7):
             if k + l > 10:
                 continue
-            plain = [blocks_to_rgs(k + l, b) for b in grid_component_partitions(k, l)]
-            assert list(grid_component_codes(k, l)) == plain
+            plain = list(grid_component_partitions(k, l))
+            assert [rgs_to_blocks(c) for c in grid_component_codes(k, l)] == plain
             assert grid_component_count(k, l, "enumerate") == len(plain)
 
 
@@ -263,8 +263,8 @@ def test_line_count_formula_bound():
 
 def test_line_count_enumerate_matches_plain_filter():
     for n in range(4, 11):
-        plain = [blocks_to_rgs(n, b) for b in line_component_partitions(n)]
-        assert list(line_component_codes(n)) == plain
+        plain = list(line_component_partitions(n))
+        assert [rgs_to_blocks(c) for c in line_component_codes(n)] == plain
         assert line_component_count(n, "enumerate") == len(plain)
 
 
@@ -425,9 +425,9 @@ def test_admissible_codes_match_filtered_rgs_on_random_profiles():
             return forb.allows((sort0, len(block) - sort0)[: len(tgt)])
 
         plain = [
-            blocks_to_rgs(m, blocks)
-            for blocks in iter_set_partitions(m)
-            if all(allowed(block) for block in blocks)
+            tuple(code)
+            for code in iter_rgs(m)
+            if all(allowed(block) for block in rgs_to_blocks(code))
         ]
         target = tgt[0] if len(tgt) == 1 else tgt
         codes = list(admissible_codes(target, forb))

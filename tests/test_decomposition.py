@@ -2,7 +2,6 @@ import pytest
 
 from pavemat import (
     GridLayout,
-    HyperplanePartition,
     LineArrangement,
     decompose_grid,
     decompose_lines,
@@ -27,7 +26,6 @@ from pavemat.counting import (
 )
 from pavemat.decomposition import _decompose
 from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
-from pavemat.partitions import blocks_to_rgs
 from pavemat.quasi import circuit_profile, quasi_matroid, small_circuits
 
 from helpers import (
@@ -59,8 +57,7 @@ def _grid_partition(k, l, logical_blocks):
     layout = GridLayout(k, l)
     logical = layout.row_masks() + layout.col_masks()
     to_canon = {i: p.hyperplanes.index(mask) for i, mask in enumerate(logical)}
-    blocks = [[to_canon[i] for i in block] for block in logical_blocks]
-    return p, HyperplanePartition.from_blocks(k + l, blocks)
+    return p, [[to_canon[i] for i in block] for block in logical_blocks]
 
 
 def test_merged_rows_make_parallel_classes():
@@ -91,7 +88,7 @@ def test_merged_requires_tame():
         7, 3, [m1(1, 2, 4), m1(1, 3, 7), m1(1, 5, 6), m1(2, 3, 5), m1(2, 6, 7), m1(3, 4, 6), m1(4, 5, 7)]
     )
     with pytest.raises(NotTame):
-        merged_rep(fano, HyperplanePartition.from_blocks(7, [[i] for i in range(7)]))
+        merged_rep(fano, [[i] for i in range(7)])
 
 
 def test_liftability_nilpotent():
@@ -170,10 +167,7 @@ def test_generic_agrees_with_closed_forms_grids():
         to_canon = {i: p.hyperplanes.index(mask) for i, mask in enumerate(logical)}
         for blocks in iter_set_partitions(k + l):
             closed = is_grid_component_partition(k, l, blocks)
-            part = HyperplanePartition.from_blocks(
-                k + l, [[to_canon[i] for i in b] for b in blocks]
-            )
-            generic = is_component_partition(p, part)
+            generic = is_component_partition(p, [[to_canon[i] for i in b] for b in blocks])
             assert generic is not None
             assert generic == closed
 
@@ -183,31 +177,32 @@ def test_generic_agrees_with_closed_forms_lines():
         p = line_matroid(n)
         for blocks in iter_set_partitions(n):
             closed = is_line_component_partition(n, blocks)
-            generic = is_component_partition(p, HyperplanePartition.from_blocks(n, blocks))
+            generic = is_component_partition(p, blocks)
             assert generic is not None
             assert generic == closed
 
 
 def test_decompose_grid_3_5():
-    res = decompose_grid(3, 5)
-    kinds = sorted(c.classification.kind for c in res.components)
+    components = list(decompose_grid(3, 5).components)
+    kinds = sorted(c.classification.kind for c in components)
     assert kinds == ["equals-base", "uniform"]
-    uni = next(c for c in res.components if c.classification.kind == "uniform")
+    uni = next(c for c in components if c.classification.kind == "uniform")
     assert uni.classification.uniform_params == (2, 15)
 
 
 def test_decompose_grid_4_5():
     res = decompose_grid(4, 5)
-    assert len(res.components) == 22
-    kinds = [c.classification.kind for c in res.components]
+    components = list(res.components)
+    assert res.component_count == len(components) == 22
+    kinds = [c.classification.kind for c in components]
     assert kinds.count("uniform") == 1
     assert kinds.count("equals-base") == 1
     assert kinds.count("other") == 20
-    uni = next(c for c in res.components if c.classification.kind == "uniform")
+    uni = next(c for c in components if c.classification.kind == "uniform")
     assert uni.classification.uniform_params == (2, 20)
     # the 20 mixed components each have one row singleton, one column
     # singleton, and one block of the remaining seven hyperplanes
-    for c in res.components:
+    for c in components:
         if c.classification.kind == "other":
             sizes = sorted(len(b) for b in c.blocks)
             assert sizes == [1, 1, 7]
@@ -215,15 +210,16 @@ def test_decompose_grid_4_5():
 
 def test_decompose_grid_3_3():
     res = decompose_grid(3, 3)
-    assert len(res.components) == 1
-    assert res.components[0].classification.kind == "equals-base"
+    assert res.component_count == 1
+    (component,) = res.components
+    assert component.classification.kind == "equals-base"
 
 
 def test_decompose_lines():
-    assert len(decompose_lines(4).components) == 2
-    assert len(decompose_lines(5).components) == 2
+    assert len(list(decompose_lines(4).components)) == 2
+    assert len(list(decompose_lines(5).components)) == 2
     res6 = decompose_lines(6)
-    assert len(res6.components) == 17
+    assert res6.component_count == 17
     with_size4 = [
         c for c in res6.components if any(len(b) == 4 for b in c.blocks)
     ]
@@ -241,8 +237,9 @@ def test_decompose_budget_guard():
 
 def test_signatures_pairwise_distinct():
     res = decompose_grid(4, 5)
-    sigs = set(listed_signatures(res))
-    assert len(sigs) == len(res.components)
+    reports = list(res.components)
+    sigs = set(listed_signatures(res, reports))
+    assert len(sigs) == len(reports)
 
 
 def _listings_up_to_grid_5x6_and_lines_9():
@@ -255,49 +252,49 @@ def _listings_up_to_grid_5x6_and_lines_9():
 
 def test_listing_classifications_match_the_signature_rules():
     for res in _listings_up_to_grid_5x6_and_lines_9():
-        d = res.components[0].rep.d
+        reports = list(res.components)
+        d = reports[0].rep.d
         base_rep = quasi_rep(d, 3, res.hyperplane_masks)
         base_key, base_sig = circuit_profile(base_rep).key, small_circuits(base_rep)
         keys, sigs = [], []
-        for c, rep in zip(res.components, listed_reps(res)):
+        for c, rep in zip(reports, listed_reps(res, reports)):
             profile, sig = circuit_profile(rep), small_circuits(rep)
             keys.append(profile.key)
             sigs.append(sig)
             assert profile.type1 + profile.type2 == len(sig)
             assert (profile.key == base_key) == (sig == base_sig)
             want = signature_classification(rep, sig, base_sig, quasi_matroid(rep).rank_value)
-            assert c.classification == want, (res.params, c.partition)
-        assert len(set(keys)) == len(set(sigs)) == len(res.components)
+            assert c.classification == want, (res.params, c.blocks)
+        assert len(set(keys)) == len(set(sigs)) == len(reports)
 
 
 def test_component_counts_match_counting():
     for k, l in ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (3, 6), (4, 6), (3, 7), (5, 5), (4, 7), (3, 8), (5, 6)):
-        components = decompose_grid(k, l).components
-        assert len(components) == grid_component_count(k, l, "enumerate")
-        plain = [blocks_to_rgs(k + l, b) for b in grid_component_partitions(k, l)]
-        assert [c.partition.rgs for c in components] == plain
+        res = decompose_grid(k, l)
+        assert res.component_count == grid_component_count(k, l, "enumerate")
+        plain = [tuple(map(tuple, b)) for b in grid_component_partitions(k, l)]
+        assert [c.blocks for c in res.components] == plain
     for n in (4, 5, 6, 7, 8):
-        components = decompose_lines(n).components
-        assert len(components) == line_component_count(n, "enumerate")
-        plain = [blocks_to_rgs(n, b) for b in line_component_partitions(n)]
-        assert [c.partition.rgs for c in components] == plain
+        res = decompose_lines(n)
+        assert res.component_count == line_component_count(n, "enumerate")
+        plain = [tuple(map(tuple, b)) for b in line_component_partitions(n)]
+        assert [c.blocks for c in res.components] == plain
 
 
 def test_repeated_partition_raises_instead_of_listing_twice():
     layout = GridLayout(3, 4)
     hyp_masks = layout.row_masks() + layout.col_masks()
-    labels = tuple(f"H{i}" for i in range(7))
     code = (0, 1, 2, 3, 4, 5, 6)
     with pytest.raises(InvariantViolated):
-        _decompose("grid", {}, labels, hyp_masks, 3, 12, 3, [code, code])
+        list(_decompose(hyp_masks, 3, 12, 3, [code, code]))
     # a code whose shape is already classified is still checked by its key
     arr = LineArrangement(7)
     shape = ((1, 0),) * 3 + ((4, 0),)
     first, second = [c for c in line_component_codes(7) if code_shape(c, 7) == shape][:2]
-    args = ("lines", {}, tuple(f"L{i}" for i in range(7)), arr.line_masks(), 7, arr.point_count, 3)
-    assert len(_decompose(*args, [first, second]).components) == 2
+    args = (arr.line_masks(), 7, arr.point_count, 3)
+    assert len(list(_decompose(*args, [first, second]))) == 2
     with pytest.raises(InvariantViolated):
-        _decompose(*args, [first, second, second])
+        list(_decompose(*args, [first, second, second]))
 
 
 # The distinct listed shapes: lines 4-10, then grids 4x5, 5x5, 5x6 and 6x6.
@@ -322,6 +319,11 @@ def _formula_shapes(size):
     return {tuple(sorted(parts)) for parts in leaves if not any(map(excluded, parts))}
 
 
+def _code(blocks):
+    """The RGS code of a partition's blocks, listed in first-element order."""
+    return [j for _, j in sorted((i, j) for j, block in enumerate(blocks) for i in block)]
+
+
 def test_listing_classifies_once_per_shape(monkeypatch):
     calls = []
     profile = decomposition.circuit_profile
@@ -331,7 +333,7 @@ def test_listing_classifies_once_per_shape(monkeypatch):
     for decompose, size, rows, want in cases:
         calls.clear()
         res = decompose(*size)
-        shapes = {code_shape(c.partition.rgs, rows) for c in res.components}
+        shapes = {code_shape(_code(c.blocks), rows) for c in res.components}
         assert shapes == _formula_shapes(size), size
         assert len(shapes) == len(calls) == want, size
 
@@ -357,12 +359,6 @@ def test_order_and_rank_invariants():
                     for l1 in block_masks[b1]:
                         for l2 in block_masks[b2]:
                             assert m.rank(l1 | l2) == base_paving.n
-
-
-def test_partition_canonicalization():
-    part = HyperplanePartition.from_blocks(4, [[2], [0, 3], [1]])
-    assert part.rgs == (0, 1, 2, 0)
-    assert part.blocks() == [[0, 3], [1], [2]]
 
 
 def test_dependency_order_on_non_component_merge():
@@ -419,5 +415,4 @@ def test_merged_matroid_always_above_base():
         tried += 1
         base = paving_to_matroid(p)
         for blocks in iter_set_partitions(len(p.hyperplanes)):
-            part = HyperplanePartition.from_blocks(len(p.hyperplanes), blocks)
-            assert dependency_leq(base, quasi_matroid(merged_rep(p, part))).leq
+            assert dependency_leq(base, quasi_matroid(merged_rep(p, blocks))).leq

@@ -194,6 +194,27 @@ def test_json_pieces_write_mask_rows_in_pieces(length):
     assert len(pieces) == (-(-length // P) + 1 if length else 1)
 
 
+@pytest.mark.parametrize(
+    "items",
+    [[], [1], ["a", None, 2.5], [[]], [{}, {"b": [1, []]}], [{"c": MaskRows([0b101, 0])}, [3]]],
+    ids=["empty", "one", "scalars", "empty-list", "dicts", "mask-rows"],
+)
+def test_json_pieces_write_a_generator_as_its_list(items):
+    for wrap in (lambda v: v, lambda v: {"a": v, "z": 0}, lambda v: [[v], 1]):
+        written, drawn = [], []
+
+        def each():
+            for item in items:
+                drawn.append(len("".join(written)))
+                yield item
+
+        for piece in json_pieces(wrap(each())):
+            written.append(piece)
+        assert "".join(written) == json_oracle(_with_labels(wrap(list(items))))
+        # each item is drawn only once the items before it are written
+        assert drawn == sorted(set(drawn)) and len(drawn) == len(items)
+
+
 def test_label_rows_text_lines():
     rng = random.Random(83)
     for d in GROUND_SIZES:

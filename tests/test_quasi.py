@@ -451,7 +451,7 @@ def test_circuit_profile_rank_is_the_greedy_rank():
     for res in results:
         for report in res.components:
             profile = circuit_profile(report.rep)
-            assert report.profile == profile, (res.params, report.partition)
+            assert report.profile == profile, (res.params, report.blocks)
             assert profile.rank == quasi_matroid(report.rep).rank_value, report.rep
     ranks = set()
     for rep in _random_tame_reps(103, 600):

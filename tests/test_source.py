@@ -12,7 +12,6 @@ import pytest
 from pavemat import (
     ExtensionStep,
     GridLayout,
-    HyperplanePartition,
     LineArrangement,
     MinorGenerator,
     TameDecomposition,
@@ -102,9 +101,8 @@ RECORDS = {
     "QuasiRep": lambda: quasi_rep(6, 3, [[0, 1, 2], [3, 4, 5]]),
     "ExtensionStep": lambda: ExtensionStep(0, 0b110, (0, 1)),
     "TameDecomposition": lambda: TameDecomposition(grid_matroid(4, 4), tuple(range(16)), ()),
-    "HyperplanePartition": lambda: HyperplanePartition(2, (0, 1)),
     "Classification": lambda: Classification("equals-base"),
-    "ComponentReport": lambda: decompose_grid(4, 4).components[0],
+    "ComponentReport": lambda: next(decompose_grid(4, 4).components),
     "DecompositionResult": lambda: decompose_grid(4, 4),
     "GridLayout": lambda: GridLayout(2, 3),
     "LineArrangement": lambda: LineArrangement(4),
