@@ -89,6 +89,11 @@ def label_rows(masks: Sequence[int], before: str, sep: str, end: str) -> str:
     return (before + text[: len(text) - len(before)]).replace(before + sep, before)
 
 
+# Rows per piece of written label text: about 180 kB for 4-element rows at
+# the depth of a listing's circuits.
+_ROWS_PER_PIECE = 2048
+
+
 # Byte value b maps to 255 minus b with its bits reversed: the byte's lowest
 # bit becomes its highest, and a set bit sorts low.
 _ORDER_BYTES = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -124,61 +129,117 @@ def capped_subsets(
     """The r-subsets of ground holding fewer than t elements of each capped
     mask, for every (mask, t) in caps, and lying inside one of the masks in
     within (with within None, no such condition), in lexicographic order.
+    A cap holding fewer than t elements of ground never binds; a cap with
+    t <= 0 is broken by every set, and an empty within list holds no set, so
+    the result is then empty. _capped_walk lists them."""
+    return next(_capped_walk(ground, r, caps, within, None), [])
+
+
+def capped_rows(
+    ground: int,
+    r: int,
+    caps: Iterable[tuple[int, int]],
+    within: Sequence[int] | None,
+    before: str,
+    sep: str,
+    end: str,
+) -> Iterator[str]:
+    """``label_rows(capped_subsets(ground, r, caps, within), before, sep,
+    end)``, byte for byte, in pieces of about _ROWS_PER_PIECE rows, written
+    by the walk with no mask list between."""
+    return map("".join, _capped_walk(ground, r, caps, within, (before, sep, end)))
+
+
+def _capped_walk(
+    ground: int,
+    r: int,
+    caps: Iterable[tuple[int, int]],
+    within: Sequence[int] | None,
+    text: tuple[str, str, str] | None,
+) -> Iterator[list]:
+    """The sets of capped_subsets as rows: with text None their masks, all
+    in one list; with text (before, sep, end) the text label_rows writes for
+    each, in lists of _ROWS_PER_PIECE rows or fewer than d more, the last
+    list shorter. No list is empty. The one walk serves both forms.
 
     A depth-first walk over the elements of ground in ascending order, which
     never forms a set that breaks a cap. A cap is full once the set holds
     t - 1 of its elements, and from then on its mask is blocked for the rest
     of that branch; a cap with t = 1 is blocked from the start. Likewise the
     room of a set is the union of the within masks that contain it, and the
-    elements outside its room are blocked. The last element of each set is
-    taken from the unblocked elements above the one before it by one C-level
-    extend, and a branch is entered only while enough unblocked elements are
-    left above it. A cap holding fewer than t elements of ground never binds
-    and is dropped; a cap with t <= 0 is broken by every set, and an empty
-    within list holds no set, so the result is then empty.
+    elements outside its room are blocked. A branch is entered only while
+    enough unblocked elements are left above it.
+
+    The walk carries the row of each set it extends, to which each element
+    adds its head: its mask, or its label and sep. The rows that end in the
+    unblocked elements above the last one taken are made by one C-level
+    extend: the row so far plus, for each such element, what pick makes of
+    it, the mask itself or its label and end. The walk keeps its own stack
+    of the sets still to extend, so it can stop after any extend to yield.
     """
     live: list[tuple[int, int]] = []
     blocked = 0
     for mask, t in caps:
         if t <= 0:
-            return []
+            return
         inside = mask & ground
         if inside.bit_count() < t:
             continue
         if t == 1:
             blocked |= inside
         else:
-            live.append((inside, t - 1))
+            live.append((inside, t - 2))
     owners = 0  # the within masks containing the set so far, as index bits
     if within is not None:
         if not within:
-            return []
+            return
         owners = (1 << len(within)) - 1
         blocked |= ground & ~reduce(or_, within, 0)
-    if r <= 1:
-        return list(subsets_of_size(ground & ~blocked, r))
     elems = [1 << e for e in bits(ground)]
+    if text is None:
+        start, empty, heads, pick, piece = 0, 0, elems, filterfalse, 0
+    else:
+        before, sep, end = text
+        labels = [str(e + 1) for e in bits(ground)]
+        start, empty, piece = before, before + end, _ROWS_PER_PIECE
+        heads = [label + sep for label in labels]
+        last = dict(zip(elems, [label + end for label in labels])).__getitem__
+
+        def pick(taken: Callable[[int], int], tail: list[int]) -> Iterator[str]:
+            return map(last, filterfalse(taken, tail))
+
+    if r <= 1:
+        rows = [empty] if r == 0 else list(map(start.__add__, pick(blocked.__and__, elems)))
+        if rows:
+            yield rows
+        return
     d = len(elems)
-    # For each element: the caps holding it, with their full counts; the
-    # within masks holding it, as index bits; the elements above it, as a
-    # list and as a mask.
+    # For each element: the caps holding it, each with the number of its
+    # elements a set holds when the element would fill it; the within masks
+    # holding it, as index bits; the elements above it, as a list and as a
+    # mask.
     holders = [[cap for cap in live if cap[0] & b] for b in elems]
     homes = [sum(1 << j for j, w in enumerate(within) if w & b) for b in elems] if owners else []
     tails = [elems[i + 1 :] for i in range(d)]
     above = [ground & ~((b << 1) - 1) for b in elems]
     outside: dict[int, int] = {}  # index bits -> the elements of ground outside their union
-    out: list[int] = []
-
-    def walk(start: int, acc: int, need: int, blocked: int, owners: int) -> None:
-        # Extend acc by need >= 2 unblocked elements from index start on.
-        for i in range(start, d - need + 1):
+    out: list = []
+    # The sets still to extend, the next one last: each as the index to go
+    # on from, its mask and row, how many elements it still needs (two or
+    # more), the elements blocked for it and its owners.
+    todo = [(0, 0, start, r, blocked, owners)]
+    while todo:
+        first, acc, row, need, blocked, owners = todo.pop()
+        # the rows in ascending order; the sets to extend pushed in
+        # descending order, so that they are popped in ascending order
+        order = range(first, d - 1) if need == 2 else range(d - need, first - 1, -1)
+        for i in order:
             b = elems[i]
             if b & blocked:
                 continue
-            acc_b = acc | b
             inner = blocked
             for mask, full in holders[i]:
-                if (acc_b & mask).bit_count() == full:
+                if (acc & mask).bit_count() == full:
                     inner |= mask
             own = owners
             if owners:
@@ -189,13 +250,14 @@ def capped_subsets(
                         shut = outside[own] = ground & ~reduce(or_, (within[j] for j in bits(own)), 0)
                     inner |= shut
             if need == 2:
-                out.extend(map(acc_b.__or__, filterfalse(inner.__and__, tails[i])))
+                out.extend(map((row + heads[i]).__add__, pick(inner.__and__, tails[i])))
+                if piece and len(out) >= piece:
+                    yield out
+                    out = []
             elif (above[i] & ~inner).bit_count() >= need - 1:
-                walk(i + 1, acc_b, need - 1, inner, own)
-
-    walk(0, 0, r, blocked, owners)
-    del walk  # the closure refers to itself: break the cycle, free it now
-    return out
+                todo.append((i + 1, acc | b, row + heads[i], need - 1, inner, own))
+    if out:
+        yield out
 
 
 def cap_oracle(r: int, caps: Iterable[tuple[int, int]]) -> Callable[[int], bool]:

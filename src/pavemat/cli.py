@@ -11,13 +11,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import counting, decomposition, io
 from .bitset import remap
 from .errors import MatroidError
 from .families import ci_ideal_generators, grid_matroid, line_matroid
-from .quasi import decompose_to_tame, paving_to_matroid, quasi_matroid
+from .quasi import QuasiRep, circuit_rows, decompose_to_tame, paving_to_matroid, quasi_matroid
 
 # Reference counts independently reproduced by all three counting routes.
 EXPECTED_GRID_COUNTS: dict[tuple[int, int], int] = {
@@ -60,47 +60,45 @@ def _load_json(path: str):
             raise CliError(f"{path}: {exc}", 1) from None
 
 
+def _write(pieces: Iterable[str]) -> None:
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
+
+
 def _print_json(obj: dict) -> None:
     """obj as indented JSON and a newline, written piece by piece."""
-    write = sys.stdout.write
-    for piece in io.json_pieces(obj):
-        write(piece)
-    write("\n")
+    _write(io.json_pieces(obj))
+    sys.stdout.write("\n")
 
 
-def _print_rows(masks) -> None:
-    """One line per mask: two spaces, then its 1-based labels separated by spaces."""
-    write = sys.stdout.write
-    for piece in io.label_pieces(masks, "  ", " ", "\n"):
-        write(piece)
+# Each row of a text list: two spaces, then its 1-based labels separated by
+# spaces, then a newline.
+_TEXT_ROW = ("  ", " ", "\n")
 
 
 def _cmd_matroid(args: argparse.Namespace) -> int:
-    if args.family == "grid":
-        paving = grid_matroid(args.k, args.l)
-        m = paving_to_matroid(paving)
-        hyps = paving.hyperplanes
-    elif args.family == "lines":
-        paving = line_matroid(args.n)
-        m = paving_to_matroid(paving)
-        hyps = paving.hyperplanes
-    else:
+    if args.family == "quasi":
         rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
         m = quasi_matroid(rep)
-        hyps = rep.members
+    else:
+        paving = grid_matroid(args.k, args.l) if args.family == "grid" else line_matroid(args.n)
+        m = paving_to_matroid(paving)
+        rep = QuasiRep(paving.d, paving.n, paving.hyperplanes)
+    # the circuit lists are written by rep's walks, and m lists none
     if args.format == "json":
-        obj = io.matroid_to_dict(m, include_circuits=args.circuits)
-        obj["hyperplanes"] = io.MaskRows(hyps)
+        obj = io.matroid_to_dict(m, include_circuits=args.circuits, rep=rep)
+        obj["hyperplanes"] = io.MaskRows(rep.members)
         _print_json(obj)
         return 0
     print(f"ground size: {m.d}")
     print(f"rank: {m.rank_value}")
-    print(f"hyperplanes ({len(hyps)}):")
-    _print_rows(hyps)
+    print(f"hyperplanes ({len(rep.members)}):")
+    _write(io.label_pieces(rep.members, *_TEXT_ROW))
     if args.circuits:
-        circuits = m.circuits()
-        print(f"circuits ({len(circuits)}):")
-        _print_rows(circuits)
+        rows = circuit_rows(rep, *_TEXT_ROW)  # refused here, before the header
+        print(f"circuits ({sum(m.circuit_count_by_size().values())}):")
+        _write(rows)
     else:
         hist = m.circuit_count_by_size()
         parts = ", ".join(f"{count} of size {size}" for size, count in sorted(hist.items()))
@@ -238,7 +236,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
         flat = " ".join(str(x) for x in io.mask_to_labels(s.flat))
         print(f"  element {s.element + 1} over flat {{{flat}}}")
     print(f"core on elements {[e + 1 for e in dec.core_elements]}:")
-    _print_rows(core_hyps)
+    _write(io.label_pieces(core_hyps, *_TEXT_ROW))
     return 0
 
 

@@ -8,12 +8,12 @@ from functools import partial
 from types import GeneratorType
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitset import bit_list, label_rows, mask_of
+from .bitset import _ROWS_PER_PIECE, bit_list, label_rows, mask_of
 from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
 from .families import MinorGenerator
-from .quasi import QuasiRep, check_circuit_budget, quasi_circuits, quasi_rep
+from .quasi import QuasiRep, check_circuit_budget, circuit_rows, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
 # The readers refuse larger grounds: building a matroid costs time quadratic
@@ -21,24 +21,24 @@ CIRCUIT_LIST_INLINE_LIMIT = 20_000
 GROUND_SIZE_LIMIT = 4096
 
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
-# Rows per piece of written label text: about 180 kB for 4-element rows at
-# the depth of a listing's circuits.
-_ROWS_PER_PIECE = 2048
 
 
 class MaskRows:
-    """A list of masks that json_pieces writes as a list of 1-based label
-    lists, or the function that lists them, called when the writer reaches
-    the list.
+    """A list that json_pieces writes as a list of 1-based label lists: a
+    sequence of masks, or a row writer, called when the writer reaches the
+    list. A row writer, such as ``quasi.circuit_rows`` of one
+    representation, takes (before, sep, end) and returns the text that
+    ``bitset.label_rows`` writes for its masks, in nonempty pieces; none of
+    its masks is empty.
 
     It is not a list or tuple, so that ``json.dumps`` refuses it instead of
     writing the masks as bare ints.
     """
 
-    __slots__ = ("masks",)
+    __slots__ = ("source",)
 
-    def __init__(self, masks: Sequence[int] | Callable[[], Sequence[int]]):
-        self.masks = masks
+    def __init__(self, source: Sequence[int] | Callable[[str, str, str], Iterator[str]]):
+        self.source = source
 
 
 def label_pieces(masks: Sequence[int], before: str, sep: str, end: str) -> Iterator[str]:
@@ -53,10 +53,11 @@ def json_pieces(obj) -> Iterator[str]:
     byte, in pieces, with each MaskRows written as its list of label lists.
 
     Dicts with str keys, lists and generators are walked here; a generator
-    is written as a list, each item encoded as it is drawn. A MaskRows, the
-    form of every circuit and hyperplane list, is written straight from its
-    masks by ``bitset.label_rows``, a bounded number of rows per piece.
-    Everything else is left to the stdlib encoder with the same settings.
+    is written as a list, each item encoded as it is drawn. A MaskRows is
+    written a bounded number of rows per piece: a circuit list straight
+    from the walk that lists it, by its row writer, and a list of masks,
+    such as the hyperplanes, by ``bitset.label_rows``. Everything else is
+    left to the stdlib encoder with the same settings.
     """
     return _encode(obj, "\n")
 
@@ -89,19 +90,23 @@ def _mask_rows(rows: MaskRows, newline: str) -> Iterator[str]:
     """The pieces of one MaskRows. Each row is written with the separator in
     front of it, so only the first piece is trimmed: its leading "," becomes
     the list's "[". Only the empty mask, which no circuit is, makes an empty
-    row, written [] on one line. A list made by a function lives until its
-    last piece is written."""
-    masks = rows.masks() if callable(rows.masks) else rows.masks
-    if not masks:
-        yield "[]"
-        return
+    row, written [] on one line."""
     inner = newline + "  "
     row = inner + "  "
-    pieces = label_pieces(masks, "," + inner + "[" + row, "," + row, inner + "]")
-    if 0 in masks:
-        empty = "[" + row + inner + "]"
-        pieces = (piece.replace(empty, "[]") for piece in pieces)
-    yield "[" + next(pieces)[1:]
+    before, sep, end = "," + inner + "[" + row, "," + row, inner + "]"
+    if callable(rows.source):
+        pieces = rows.source(before, sep, end)
+    else:
+        masks = rows.source
+        pieces = label_pieces(masks, before, sep, end)
+        if 0 in masks:
+            empty = "[" + row + inner + "]"
+            pieces = (piece.replace(empty, "[]") for piece in pieces)
+    first = next(pieces, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + first[1:]
     yield from pieces
     yield newline + "]"
 
@@ -149,14 +154,21 @@ def _label_lists(key: str, lists, d: int) -> list[int]:
     return [labels_to_mask(labels, d) for labels in lists]
 
 
-def matroid_to_dict(m: Matroid, *, include_circuits: bool = True) -> dict:
+def matroid_to_dict(m: Matroid, *, include_circuits: bool = True, rep: QuasiRep | None = None) -> dict:
+    """m with its circuit list, or with its circuit counts by size. Given rep,
+    the representation m is the quasi_matroid of, the list is written by
+    rep's walks (quasi.circuit_rows), refused here by check_circuit_budget,
+    and m lists no circuit."""
     out: dict = {"d": m.d, "rank": m.rank_value}
-    if include_circuits:
-        out["circuits"] = MaskRows(m.circuits())
-    else:
+    if not include_circuits:
         out["circuit_count_by_size"] = {
             str(size): count for size, count in sorted(m.circuit_count_by_size().items())
         }
+    elif rep is None:
+        out["circuits"] = MaskRows(m.circuits())
+    else:
+        check_circuit_budget(rep)
+        out["circuits"] = MaskRows(partial(circuit_rows, rep))
     return out
 
 
@@ -219,7 +231,7 @@ def _component_dicts(result: DecompositionResult, include_circuits: bool) -> Ite
         if include_circuits and profile.type1 + profile.type2 + profile.type3 <= CIRCUIT_LIST_INLINE_LIMIT:
             # refused here, before this component is written, and listed by the writer
             check_circuit_budget(report.rep)
-            matroid_obj["circuits"] = MaskRows(partial(quasi_circuits, report.rep))
+            matroid_obj["circuits"] = MaskRows(partial(circuit_rows, report.rep))
         yield {
             "partition": [[labels[i] for i in block] for block in report.blocks],
             "classification": classification,

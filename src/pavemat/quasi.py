@@ -24,14 +24,16 @@ oracle and both circuit lists read that one list.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bitset import (
     as_mask,
     bits,
     bits_tuple,
     cap_oracle,
+    capped_rows,
     capped_subsets,
     overlaps,
     remap,
@@ -120,17 +122,21 @@ def _truncated_product(polys: Iterable[list[int]], top: int) -> list[int]:
     return out
 
 
-def _small_circuit_list(rep: QuasiRep, caps: list[tuple[int, int]]) -> list[int]:
-    """The circuits of size <= n in canonical order, read from the caps of rep:
-    the type-1 circuits, the (n-1)-subsets lying within one qualifying
-    intersection, then the type-2 circuits, the n-subsets lying within one
-    member of at least n elements under the type-1 caps. Each type has one
-    size and comes from one lexicographic walk, so no sort is needed."""
+def _circuit_walks(rep: QuasiRep, caps: list[tuple[int, int]]) -> list[tuple]:
+    """The capped_subsets arguments (ground, r, caps, within) of the three
+    walks that list rep's circuits, read from the caps of rep, in canonical
+    order: the type-1 circuits, the (n-1)-subsets lying within one
+    qualifying intersection; the type-2 circuits, the n-subsets lying within
+    one member of at least n elements under the type-1 caps; the type-3
+    circuits, the (n+1)-subsets under every cap. Each type has one size and
+    comes from one lexicographic walk, so no sort is needed."""
     n, ground = rep.n, (1 << rep.d) - 1
     type1 = [cap for cap in caps if cap[1] == n - 1]
-    out = capped_subsets(ground, n - 1, (), within=[inter for inter, _ in type1])
-    out += capped_subsets(ground, n, type1, within=[h for h, t in caps if t == n])
-    return out
+    return [
+        (ground, n - 1, (), [inter for inter, _ in type1]),
+        (ground, n, type1, [h for h, t in caps if t == n]),
+        (ground, n + 1, caps, None),
+    ]
 
 
 def small_circuits(rep: QuasiRep) -> frozenset[int]:
@@ -138,7 +144,8 @@ def small_circuits(rep: QuasiRep) -> frozenset[int]:
     determine the whole dependence predicate, since type 3 is definitionally
     the complement closure; two representations give the same labeled matroid
     exactly when these sets (and d, n) agree."""
-    return frozenset(_small_circuit_list(rep, _caps(rep)))
+    type1, type2, _ = _circuit_walks(rep, _caps(rep))
+    return frozenset(capped_subsets(*type1) + capped_subsets(*type2))
 
 
 class CircuitProfile(NamedTuple):
@@ -268,15 +275,20 @@ def check_circuit_budget(rep: QuasiRep, budget: int = CIRCUIT_BUDGET) -> None:
 
 
 def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
-    """Every circuit of the three-type construction in canonical order,
-    refused by check_circuit_budget. Types 1, 2 and 3 have sizes n-1, n and
-    n+1, and each comes from one lexicographic walk, so the order needs no
-    sort."""
+    """Every circuit of the three-type construction in canonical order (see
+    _circuit_walks), refused by check_circuit_budget."""
     check_circuit_budget(rep, budget)
-    caps = _caps(rep)
-    circuits = _small_circuit_list(rep, caps)
-    circuits += capped_subsets((1 << rep.d) - 1, rep.n + 1, caps)
-    return tuple(circuits)
+    return tuple(chain.from_iterable(capped_subsets(*walk) for walk in _circuit_walks(rep, _caps(rep))))
+
+
+def circuit_rows(rep: QuasiRep, before: str, sep: str, end: str) -> Iterator[str]:
+    """``bitset.label_rows(quasi_circuits(rep), before, sep, end)``, byte for
+    byte, in pieces: each type is written as text by its walk
+    (bitset.capped_rows), with no mask list between. Refused by
+    check_circuit_budget when called, before any piece is written."""
+    check_circuit_budget(rep)
+    walks = _circuit_walks(rep, _caps(rep))
+    return chain.from_iterable(capped_rows(*walk, before, sep, end) for walk in walks)
 
 
 def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from pavemat import line_matroid, quasi_rep
-from pavemat.bitset import capped_subsets, overlaps, subsets_of_size
+from pavemat.bitset import _ROWS_PER_PIECE, capped_rows, capped_subsets, label_rows, overlaps, subsets_of_size
 
 
 def brute_capped(ground, r, caps, within=None):
@@ -15,6 +15,26 @@ def brute_capped(ground, r, caps, within=None):
         if all((s & m).bit_count() < t for m, t in caps)
         and (within is None or any(s & ~w == 0 for w in within))
     ]
+
+
+# The text rows of `matroid --circuits` and of a JSON export's circuit list.
+ROW_FORMATS = [("  ", " ", "\n"), (",\n    [\n      ", ",\n      ", "\n    ]")]
+
+
+def assert_rows_match(ground, r, caps, within=None):
+    """capped_rows writes label_rows of capped_subsets byte for byte, in
+    nonempty pieces of _ROWS_PER_PIECE rows up to fewer than d more, only the
+    last piece shorter; returns the number of pieces."""
+    masks = capped_subsets(ground, r, caps, within)
+    for before, sep, end in ROW_FORMATS:
+        pieces = list(capped_rows(ground, r, caps, within, before, sep, end))
+        assert "".join(pieces) == label_rows(masks, before, sep, end), (ground, r, caps, within)
+        # end closes each row and occurs nowhere else in either format
+        counts = [piece.count(end) for piece in pieces]
+        assert sum(counts) == len(masks) and all(counts)
+        assert all(c < _ROWS_PER_PIECE + max(1, ground.bit_count()) for c in counts)
+        assert all(c >= _ROWS_PER_PIECE for c in counts[:-1])
+    return len(pieces)
 
 
 def test_capped_subsets_matches_the_brute_force_filter():
@@ -30,6 +50,7 @@ def test_capped_subsets_matches_the_brute_force_filter():
         if rng.random() < 0.05:
             caps.append((rng.getrandbits(d + 2), 0))
         assert capped_subsets(ground, r, caps) == brute_capped(ground, r, caps), (ground, r, caps)
+        assert_rows_match(ground, r, caps)
 
 
 @pytest.mark.parametrize(
@@ -57,6 +78,7 @@ def test_capped_subsets_matches_the_brute_force_filter():
 )
 def test_capped_subsets_edge_cases(ground, r, caps):
     assert capped_subsets(ground, r, caps) == brute_capped(ground, r, caps)
+    assert_rows_match(ground, r, caps)
 
 
 def test_capped_subsets_within_matches_the_brute_force_filter():
@@ -76,6 +98,7 @@ def test_capped_subsets_within_matches_the_brute_force_filter():
                 within.insert(rng.randrange(len(within)), rng.choice(within))
         got = capped_subsets(ground, r, caps, within)
         assert got == brute_capped(ground, r, caps, within), (ground, r, caps, within)
+        assert_rows_match(ground, r, caps, within)
         kinds[kind, r, bool(got)] += 1
     # every kind at every r, and the masks kinds with sets listed at every r
     for r in range(5):
@@ -100,6 +123,62 @@ def test_capped_subsets_within_matches_the_brute_force_filter():
 )
 def test_capped_subsets_within_edge_cases(ground, r, within):
     assert capped_subsets(ground, r, [], within) == brute_capped(ground, r, [], within)
+    assert_rows_match(ground, r, [], within)
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 15, 16, 17, 63, 64, 65])
+def test_capped_rows_at_byte_boundaries(d):
+    # grounds that meet or cross a byte of the masks; above 17 elements the
+    # sets lie within small masks, so that the lists stay short
+    rng = random.Random(310 + d)
+    for _ in range(40):
+        ground = (1 << d) - 1 if rng.random() < 0.5 else rng.getrandbits(d) | 1 << (d - 1)
+        r = rng.randint(0, 4)
+        caps = [(rng.getrandbits(d), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        within = None
+        if d > 17 or rng.random() < 0.3:
+            within = [sum(1 << rng.randrange(d) for _ in range(12)) for _ in range(rng.randint(1, 3))]
+        assert_rows_match(ground, r, caps, within)
+    # every 2-subset of 65 elements, and 3-subsets under caps: lists of more
+    # than one piece
+    assert assert_rows_match((1 << 65) - 1, 2, []) == 2
+    caps = [((1 << 65) - 1 ^ (1 << 40) - 1, 2), ((1 << 20) - 1, 3)]
+    assert assert_rows_match((1 << 65) - 1, 3, caps) > 3
+
+
+def test_capped_rows_on_a_sparse_ground_with_labels_above_256():
+    elems = [0, 5, 9, 255, 256, 257, 300, 511, 512, 1000, 4094, 4095]
+    ground = sum(1 << e for e in elems)
+    rng = random.Random(41)
+    for _ in range(60):
+        r = rng.randint(0, 5)
+        caps = [(sum(1 << e for e in rng.sample(elems, 5)), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        within = None if rng.random() < 0.5 else [
+            sum(1 << e for e in rng.sample(elems, 7)) for _ in range(rng.randint(1, 3))
+        ]
+        assert_rows_match(ground, r, caps, within)
+    text = "".join(capped_rows(ground, 2, [], [1 << 4095 | 1 << 257 | 1 << 9], "  ", " ", "\n"))
+    assert text == "  10 258\n  10 4096\n  258 4096\n"
+
+
+@pytest.mark.parametrize(
+    "r, caps, within, rows",
+    [
+        (0, [], None, ["  \n"]),  # the empty set
+        (0, [(0b111, 1)], [0b1], ["  \n"]),
+        (1, [], None, ["  1\n", "  2\n", "  3\n", "  4\n"]),  # the loops of level 2
+        (1, [(0b0101, 1)], None, ["  2\n", "  4\n"]),
+        (1, [], [0b1000, 0b0010], ["  2\n", "  4\n"]),
+        (1, [(0b1111, 1)], None, []),  # every element blocked
+        (2, [(0b1111, 2)], None, []),
+        (3, [(0b0001, 0)], None, []),  # a cap broken by every set
+        (2, [], [], []),  # no mask to lie in
+        (5, [], None, []),  # more elements than the ground
+    ],
+)
+def test_capped_rows_small_sizes_and_empty_lists(r, caps, within, rows):
+    assert list(capped_rows(0b1111, r, caps, within, "  ", " ", "\n")) == (["".join(rows)] if rows else [])
+    assert_rows_match(0b1111, r, caps, within)
 
 
 def test_capped_subsets_leaves_no_garbage():
@@ -114,6 +193,16 @@ def test_capped_subsets_leaves_no_garbage():
     out = capped_subsets((1 << rep.d) - 1, n + 1, caps)
     assert out
     del out
+    assert gc.collect() == 0
+    # the rows as text, read to the end, and dropped after the first of
+    # their two pieces
+    text = "".join(capped_rows((1 << rep.d) - 1, n + 1, caps, None, "  ", " ", "\n"))
+    assert text.count("\n") > _ROWS_PER_PIECE
+    del text
+    assert gc.collect() == 0
+    pieces = capped_rows((1 << rep.d) - 1, n + 1, caps, None, "  ", " ", "\n")
+    assert next(pieces)
+    del pieces
     assert gc.collect() == 0
 
 

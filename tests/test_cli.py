@@ -11,9 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from pavemat import cli, decompose_lines, decomposition, grid_matroid, io, paving_to_matroid, quasi_rep, uniform
+from pavemat import (
+    QuasiRep,
+    cli,
+    core,
+    decompose_lines,
+    decomposition,
+    grid_matroid,
+    io,
+    line_matroid,
+    paving_to_matroid,
+    quasi,
+    quasi_matroid,
+    quasi_rep,
+    uniform,
+)
 from pavemat.cli import main
 from pavemat.io import (
+    mask_to_labels,
     matroid_from_dict,
     matroid_to_dict,
     quasi_from_dict,
@@ -22,9 +37,9 @@ from pavemat.io import (
 from pavemat.core import CIRCUIT_BUDGET
 from pavemat.counting import line_component_codes
 from pavemat.errors import TooLarge
-from pavemat.quasi import check_circuit_budget, quasi_circuits
+from pavemat.quasi import check_circuit_budget, circuit_rows
 
-from helpers import joined_json, json_oracle, m1
+from helpers import brute_quasi_circuits, joined_json, json_oracle, m1
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -197,7 +212,7 @@ def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch
     # keeps its list; the base (795) leaves it out and is not materialized.
     monkeypatch.setattr(io, "CIRCUIT_LIST_INLINE_LIMIT", 455)
     built = []
-    monkeypatch.setattr(io, "quasi_circuits", lambda rep: built.append(rep) or quasi_circuits(rep))
+    monkeypatch.setattr(io, "circuit_rows", lambda rep, *text: built.append(rep) or circuit_rows(rep, *text))
     code, out, err = run(capsys, "decompose", "lines", "--n", "6", "--list", "--format", "json", "--circuits")
     assert code == 0 and err == ""
     # recorded before the limit was tested against the circuit counts
@@ -211,6 +226,63 @@ def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch
     listed = [len(m["circuits"]) if "circuits" in m else None for m in matroids]
     assert listed == [count if count <= 455 else None for count in counts]
     assert len(built) == 16
+
+
+def _refuse_circuit_mask_lists(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a circuit mask list was built")
+
+    monkeypatch.setattr(quasi, "quasi_circuits", refused)
+    monkeypatch.setattr(core.Matroid, "circuits", refused)
+
+
+def _text_rows(label_lists) -> str:
+    return "".join("  " + " ".join(map(str, labels)) + "\n" for labels in label_lists)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("family", ["grid", "lines", "quasi", "quasi-empty-member", "quasi-nine"])
+def test_matroid_circuit_lists_are_written_from_the_walk(tmp_path, capsys, monkeypatch, family, fmt):
+    if family == "grid" or family == "lines":
+        p = grid_matroid(4, 4) if family == "grid" else line_matroid(6)
+        rep = QuasiRep(p.d, p.n, p.hyperplanes)
+        argv = ["matroid", "grid", "--k", "4", "--l", "4"] if family == "grid" else ["matroid", "lines", "--n", "6"]
+    else:
+        obj = {"quasi": TAME_INPUT, "quasi-empty-member": EMPTY_MEMBER_INPUT, "quasi-nine": NINE_INPUT}[family]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(obj))
+        rep = quasi_from_dict(obj)
+        argv = ["matroid", "quasi", "--file", str(path)]
+    rank = quasi_matroid(rep).rank_value
+    hyperplanes = [mask_to_labels(h) for h in rep.members]
+    circuits = [mask_to_labels(c) for c in brute_quasi_circuits(rep)]
+    _refuse_circuit_mask_lists(monkeypatch)
+    code, out, err = run(capsys, *argv, "--circuits", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        expected = {"circuits": circuits, "d": rep.d, "hyperplanes": hyperplanes, "rank": rank}
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    else:
+        # the header's count, from the closed-form histogram, is the number of rows
+        assert out == (
+            f"ground size: {rep.d}\nrank: {rank}\nhyperplanes ({len(hyperplanes)}):\n"
+            + _text_rows(hyperplanes)
+            + f"circuits ({len(circuits)}):\n"
+            + _text_rows(circuits)
+        )
+
+
+def test_listing_circuit_lists_are_written_from_the_walk(capsys, monkeypatch):
+    reports = list(decompose_lines(6).components)
+    _refuse_circuit_mask_lists(monkeypatch)
+    code, out, err = run(capsys, "decompose", "lines", "--n", "6", "--list", "--format", "json", "--circuits")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert len(obj["components"]) == len(reports) == 17
+    for component, report in zip(obj["components"], reports):
+        assert "circuits" in component["matroid"]
+        component["matroid"]["circuits"] = [mask_to_labels(c) for c in brute_quasi_circuits(report.rep)]
+    assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class _RecordedStdout:
@@ -253,8 +325,9 @@ def test_export_is_written_in_small_pieces(tmp_path, monkeypatch):
     assert max(map(len, stdout.writes)) < len(text) / 20
 
 
-class _Listed(list):
-    """A circuit list that a weak reference can follow."""
+def _followed(pieces):
+    """pieces, through a generator that a weak reference can follow."""
+    yield from pieces
 
 
 def test_listing_builds_each_circuit_list_after_the_last_is_written(capsys, monkeypatch):
@@ -263,18 +336,18 @@ def test_listing_builds_each_circuit_list_after_the_last_is_written(capsys, monk
     stdout = _RecordedStdout()
     built = []
 
-    def listed(rep):
+    def rows(rep, *text):
         # the writer has reached this component's list, every earlier list
-        # is written, and none of them is still alive
-        text = stdout.text()
-        assert text.endswith('"circuits": ')
-        assert text.count('"circuits": ') == len(built) + 1
+        # is written, and none of their writers is still alive
+        written = stdout.text()
+        assert written.endswith('"circuits": ')
+        assert written.count('"circuits": ') == len(built) + 1
         assert all(ref() is None for ref in built)
-        circuits = _Listed(quasi_circuits(rep))
-        built.append(weakref.ref(circuits))
-        return circuits
+        pieces = _followed(circuit_rows(rep, *text))
+        built.append(weakref.ref(pieces))
+        return pieces
 
-    monkeypatch.setattr(io, "quasi_circuits", listed)
+    monkeypatch.setattr(io, "circuit_rows", rows)
     monkeypatch.setattr(sys, "stdout", stdout)
     code = main(["decompose", "lines", "--n", "7", "--list", "--format", "json", "--circuits"])
     monkeypatch.undo()
@@ -297,7 +370,7 @@ def test_a_refused_circuit_list_ends_the_listing_after_the_components_before_it(
         check_circuit_budget(rep, 0 if len(checked) == 3 else CIRCUIT_BUDGET)
 
     monkeypatch.setattr(io, "check_circuit_budget", refuse_the_third)
-    monkeypatch.setattr(io, "quasi_circuits", lambda rep: built.append(rep) or quasi_circuits(rep))
+    monkeypatch.setattr(io, "circuit_rows", lambda rep, *text: built.append(rep) or circuit_rows(rep, *text))
     code, out, err = run(capsys, *argv)
     # each component is a dict at depth 2 of the document, closed by "\n    }"
     closed = [m.end() for m in re.finditer("\n    }", expected)]

@@ -5,7 +5,7 @@ import pytest
 
 from pavemat import grid_matroid, paving_to_matroid
 from pavemat.bitset import bit_list, bits, bits_tuple, label_rows, sort_key
-from pavemat.io import _ROWS_PER_PIECE, MaskRows, json_pieces, mask_to_labels, matroid_to_dict
+from pavemat.io import _ROWS_PER_PIECE, MaskRows, json_pieces, label_pieces, mask_to_labels, matroid_to_dict
 
 from helpers import joined_json, json_oracle
 
@@ -123,7 +123,7 @@ def _random_masks(rng: random.Random, d: int) -> list[int]:
 def _with_labels(value):
     """value with each MaskRows replaced by its list of label lists."""
     if isinstance(value, MaskRows):
-        return [mask_to_labels(m) for m in value.masks]
+        return [mask_to_labels(m) for m in value.source]
     if isinstance(value, dict):
         return {k: _with_labels(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -178,20 +178,22 @@ def _piece_masks(rng: random.Random, length: int) -> list[int]:
 @pytest.mark.parametrize("length", [0, 1, P - 1, P, P + 1, 2 * P + 1])
 def test_json_pieces_write_mask_rows_in_pieces(length):
     masks = _piece_masks(random.Random(89 + length), length)
+    full = [m or 2 for m in masks]  # a row writer writes no empty mask
     calls = []
 
-    def listed():
+    def written(before, sep, end):
         calls.append(1)
-        return masks
+        return label_pieces(full, before, sep, end)
 
-    for eager, made in zip(_layouts(MaskRows(masks)), _layouts(MaskRows(listed))):
-        expected = json_oracle(_with_labels(eager))
-        assert joined_json(eager) == expected
-        assert joined_json(made) == expected
+    for value in _layouts(MaskRows(masks)):
+        assert joined_json(value) == json_oracle(_with_labels(value))
+    for eager, made in zip(_layouts(MaskRows(full)), _layouts(MaskRows(written))):
+        assert joined_json(made) == json_oracle(_with_labels(eager))
     assert len(calls) == 6  # once per list written: two layouts hold two
     # "[" and the first rows, the later pieces of rows, "\n]"
-    pieces = list(json_pieces(MaskRows(masks)))
-    assert len(pieces) == (-(-length // P) + 1 if length else 1)
+    for rows in (MaskRows(masks), MaskRows(written)):
+        pieces = list(json_pieces(rows))
+        assert len(pieces) == (-(-length // P) + 1 if length else 1)
 
 
 @pytest.mark.parametrize(

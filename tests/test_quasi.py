@@ -20,10 +20,10 @@ from pavemat import (
     quasi_rep,
     small_circuits,
 )
-from pavemat.bitset import bits_tuple, overlaps
+from pavemat.bitset import bits_tuple, label_rows, overlaps
 from pavemat.decomposition import _classify
-from pavemat.errors import LevelTooSmall, RankDeficient, TripleIntersection
-from pavemat.quasi import circuit_key, circuit_profile, quasi_circuits, type3_count
+from pavemat.errors import LevelTooSmall, RankDeficient, TooLarge, TripleIntersection
+from pavemat.quasi import circuit_key, circuit_profile, circuit_rows, quasi_circuits, type3_count
 
 from helpers import (
     brute_closure,
@@ -405,6 +405,19 @@ def test_quasi_circuits_match_brute_force_in_order():
         assert quasi_matroid(rep).circuits() == brute_quasi_circuits(rep), rep
     for rep in _canonical_order_reps():
         assert quasi_circuits(rep) == brute_quasi_circuits(rep), rep
+
+
+def test_circuit_rows_write_the_brute_circuits_in_order():
+    for rep in [*_random_tame_reps(73, 100), *_family_component_reps(), *_canonical_order_reps()]:
+        expected = brute_quasi_circuits(rep)
+        for text in (("  ", " ", "\n"), (",[", ",", "]")):
+            assert "".join(circuit_rows(rep, *text)) == label_rows(expected, *text), rep
+
+
+def test_circuit_rows_are_refused_before_any_piece():
+    rep = quasi_rep(60, 5, [range(30), range(30, 60)])
+    with pytest.raises(TooLarge, match="circuit materialization"):
+        circuit_rows(rep, "  ", " ", "\n")
 
 
 def test_independence_oracle_matches_the_brute_circuits():
