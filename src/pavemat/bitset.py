@@ -6,9 +6,9 @@ size; popcounts use ``int.bit_count``.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import combinations, cycle, filterfalse, repeat
-from operator import getitem, or_
+from functools import reduce
+from itertools import combinations, filterfalse
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -51,42 +51,6 @@ def bit_list(mask: int, offset: int = 0) -> list[int]:
 
 def bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(bit_list(mask))
-
-
-@lru_cache(maxsize=8)
-def _label_tables(width: int, sep: str, end: str) -> tuple[tuple[str, ...], ...]:
-    """For byte position p of a width-byte mask and each byte value, the text
-    sep + label of each of its set bits, ascending, where bit i of byte p has
-    the 1-based label 8p + i + 1. The entries at the last position are
-    followed by end. Built like _BYTE_BITS, by doubling: 256 strings per
-    position, about 30 ms and 11 MB at width 512 (4096 elements)."""
-    tables = []
-    for p in range(width):
-        table = [""]
-        for i in range(8):
-            piece = sep + str(8 * p + i + 1)
-            table += [t + piece for t in table]
-        tables.append(tuple(table))
-    tables[-1] = tuple(t + end for t in tables[-1])
-    return tuple(tables)
-
-
-def label_rows(masks: Sequence[int], before: str, sep: str, end: str) -> str:
-    """For each mask in turn: before, the 1-based labels of its set bits
-    joined by sep, then end.
-
-    The masks are written at one byte width into a single bytes object,
-    and each byte is looked up in the table of its position, so the text is
-    made by one join in C without Python work per mask. Each label comes with
-    sep in front; the one in front of a row's first label is taken out
-    afterwards, so before + sep must occur nowhere else in the text.
-    """
-    if not masks:
-        return ""
-    width = max(1, (max(masks).bit_length() + 7) >> 3)
-    blob = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    text = "".join(map(getitem, cycle(_label_tables(width, sep, end + before)), blob))
-    return (before + text[: len(text) - len(before)]).replace(before + sep, before)
 
 
 # Rows per piece of written label text: about 180 kB for 4-element rows at
@@ -144,9 +108,10 @@ def capped_rows(
     sep: str,
     end: str,
 ) -> Iterator[str]:
-    """``label_rows(capped_subsets(ground, r, caps, within), before, sep,
-    end)``, byte for byte, in pieces of about _ROWS_PER_PIECE rows, written
-    by the walk with no mask list between."""
+    """A row of text for each set of capped_subsets(ground, r, caps,
+    within), in order: before, the 1-based labels of its elements joined by
+    sep, then end. Written by the walk with no mask list between, in
+    nonempty pieces of about _ROWS_PER_PIECE rows."""
     return map("".join, _capped_walk(ground, r, caps, within, (before, sep, end)))
 
 
@@ -158,9 +123,9 @@ def _capped_walk(
     text: tuple[str, str, str] | None,
 ) -> Iterator[list]:
     """The sets of capped_subsets as rows: with text None their masks, all
-    in one list; with text (before, sep, end) the text label_rows writes for
-    each, in lists of _ROWS_PER_PIECE rows or fewer than d more, the last
-    list shorter. No list is empty. The one walk serves both forms.
+    in one list; with text (before, sep, end) the row of each, before, its
+    1-based labels joined by sep, then end, in lists of _ROWS_PER_PIECE
+    rows or fewer than d more, the last list shorter. No list is empty. The one walk serves both forms.
 
     A depth-first walk over the elements of ground in ascending order, which
     never forms a set that breaks a cap. A cap is full once the set holds

@@ -77,6 +77,12 @@ def _print_json(obj: dict) -> None:
 _TEXT_ROW = ("  ", " ", "\n")
 
 
+def _write_rows(masks: Iterable[int]) -> None:
+    """The text rows of the masks, an empty mask as two spaces alone."""
+    before, sep, end = _TEXT_ROW
+    _write(before + sep.join(map(str, io.mask_to_labels(h))) + end for h in masks)
+
+
 def _cmd_matroid(args: argparse.Namespace) -> int:
     if args.family == "quasi":
         rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
@@ -88,13 +94,13 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
     # the circuit lists are written by rep's walks, and m lists none
     if args.format == "json":
         obj = io.matroid_to_dict(m, include_circuits=args.circuits, rep=rep)
-        obj["hyperplanes"] = io.MaskRows(rep.members)
+        obj["hyperplanes"] = [io.mask_to_labels(h) for h in rep.members]
         _print_json(obj)
         return 0
     print(f"ground size: {m.d}")
     print(f"rank: {m.rank_value}")
     print(f"hyperplanes ({len(rep.members)}):")
-    _write(io.label_pieces(rep.members, *_TEXT_ROW))
+    _write_rows(rep.members)
     if args.circuits:
         rows = circuit_rows(rep, *_TEXT_ROW)  # refused here, before the header
         print(f"circuits ({sum(m.circuit_count_by_size().values())}):")
@@ -226,7 +232,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
                     "elements": [e + 1 for e in dec.core_elements],
                     "d": dec.core.d,
                     "n": dec.core.n,
-                    "hyperplanes": io.MaskRows(core_hyps),
+                    "hyperplanes": [io.mask_to_labels(h) for h in core_hyps],
                 },
             }
         )
@@ -236,7 +242,7 @@ def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
         flat = " ".join(str(x) for x in io.mask_to_labels(s.flat))
         print(f"  element {s.element + 1} over flat {{{flat}}}")
     print(f"core on elements {[e + 1 for e in dec.core_elements]}:")
-    _write(io.label_pieces(core_hyps, *_TEXT_ROW))
+    _write_rows(core_hyps)
     return 0
 
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 import json
 from functools import partial
 from types import GeneratorType
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .bitset import _ROWS_PER_PIECE, bit_list, label_rows, mask_of
+from .bitset import bit_list, mask_of
 from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
@@ -24,28 +24,20 @@ _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 class MaskRows:
-    """A list that json_pieces writes as a list of 1-based label lists: a
-    sequence of masks, or a row writer, called when the writer reaches the
-    list. A row writer, such as ``quasi.circuit_rows`` of one
-    representation, takes (before, sep, end) and returns the text that
-    ``bitset.label_rows`` writes for its masks, in nonempty pieces; none of
-    its masks is empty.
+    """A list that json_pieces writes as a list of 1-based label lists, from
+    a row writer called when the writer reaches the list. A row writer, such
+    as ``quasi.circuit_rows`` of one representation, takes (before, sep,
+    end) and returns an iterator of nonempty pieces of text: for each set in
+    the list, before, its 1-based labels joined by sep, then end. None of
+    its sets is empty.
 
-    It is not a list or tuple, so that ``json.dumps`` refuses it instead of
-    writing the masks as bare ints.
+    Only json_pieces writes it; ``json.dumps`` refuses it.
     """
 
-    __slots__ = ("source",)
+    __slots__ = ("write",)
 
-    def __init__(self, source: Sequence[int] | Callable[[str, str, str], Iterator[str]]):
-        self.source = source
-
-
-def label_pieces(masks: Sequence[int], before: str, sep: str, end: str) -> Iterator[str]:
-    """``bitset.label_rows`` of the masks, written _ROWS_PER_PIECE rows at a
-    time."""
-    for start in range(0, len(masks), _ROWS_PER_PIECE):
-        yield label_rows(masks[start : start + _ROWS_PER_PIECE], before, sep, end)
+    def __init__(self, write: Callable[[str, str, str], Iterator[str]]):
+        self.write = write
 
 
 def json_pieces(obj) -> Iterator[str]:
@@ -53,11 +45,11 @@ def json_pieces(obj) -> Iterator[str]:
     byte, in pieces, with each MaskRows written as its list of label lists.
 
     Dicts with str keys, lists and generators are walked here; a generator
-    is written as a list, each item encoded as it is drawn. A MaskRows is
-    written a bounded number of rows per piece: a circuit list straight
-    from the walk that lists it, by its row writer, and a list of masks,
-    such as the hyperplanes, by ``bitset.label_rows``. Everything else is
-    left to the stdlib encoder with the same settings.
+    is written as a list, each item encoded as it is drawn. A MaskRows, such
+    as a circuit list, is written by its row writer a bounded number of rows
+    per piece, straight from the walk that lists it. A plain int is written
+    as its decimal digits; everything else is left to the stdlib encoder
+    with the same settings.
     """
     return _encode(obj, "\n")
 
@@ -65,6 +57,9 @@ def json_pieces(obj) -> Iterator[str]:
 def _encode(value, newline: str) -> Iterator[str]:
     """value as indented JSON, with newline ("\\n" plus the indentation of the
     line value starts on) ending each of its lines but the last."""
+    if type(value) is int:  # not bool or an int subclass, whose text may differ
+        yield str(value)
+        return
     inner = newline + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         sep = "{" + inner
@@ -89,19 +84,10 @@ def _encode(value, newline: str) -> Iterator[str]:
 def _mask_rows(rows: MaskRows, newline: str) -> Iterator[str]:
     """The pieces of one MaskRows. Each row is written with the separator in
     front of it, so only the first piece is trimmed: its leading "," becomes
-    the list's "[". Only the empty mask, which no circuit is, makes an empty
-    row, written [] on one line."""
+    the list's "["."""
     inner = newline + "  "
     row = inner + "  "
-    before, sep, end = "," + inner + "[" + row, "," + row, inner + "]"
-    if callable(rows.source):
-        pieces = rows.source(before, sep, end)
-    else:
-        masks = rows.source
-        pieces = label_pieces(masks, before, sep, end)
-        if 0 in masks:
-            empty = "[" + row + inner + "]"
-            pieces = (piece.replace(empty, "[]") for piece in pieces)
+    pieces = rows.write("," + inner + "[" + row, "," + row, inner + "]")
     first = next(pieces, None)
     if first is None:
         yield "[]"
@@ -165,7 +151,7 @@ def matroid_to_dict(m: Matroid, *, include_circuits: bool = True, rep: QuasiRep 
             str(size): count for size, count in sorted(m.circuit_count_by_size().items())
         }
     elif rep is None:
-        out["circuits"] = MaskRows(m.circuits())
+        out["circuits"] = [mask_to_labels(c) for c in m.circuits()]
     else:
         check_circuit_budget(rep)
         out["circuits"] = MaskRows(partial(circuit_rows, rep))

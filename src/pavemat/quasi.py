@@ -234,8 +234,13 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     n when total[n] > type2. Else it is n-1 when some (n-1)-set is no type-1
     circuit (the intersections are disjoint, so none is counted twice), and
     else the smaller of d and n-2.
+
+    Above d + 1 no set has n - 1 elements, so there are no circuits and
+    the rank is d, read off before any product of n + 2 coefficients.
     """
     n = rep.n
+    if n >= rep.d + 2:
+        return CircuitProfile(circuit_key(rep), 0, 0, 0, rep.d)
     top = n + 1
     cells = [
         (mask, owners, [comb(mask.bit_count(), t) for t in range(min(mask.bit_count(), cap) + 1)])
@@ -282,10 +287,11 @@ def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int,
 
 
 def circuit_rows(rep: QuasiRep, before: str, sep: str, end: str) -> Iterator[str]:
-    """``bitset.label_rows(quasi_circuits(rep), before, sep, end)``, byte for
-    byte, in pieces: each type is written as text by its walk
-    (bitset.capped_rows), with no mask list between. Refused by
-    check_circuit_budget when called, before any piece is written."""
+    """A row of text for each circuit of quasi_circuits(rep), in order:
+    before, its 1-based labels joined by sep, then end. Each type is written
+    as text by its walk (bitset.capped_rows), in pieces, with no mask list
+    between. Refused by check_circuit_budget when called, before any piece
+    is written."""
     check_circuit_budget(rep)
     walks = _circuit_walks(rep, _caps(rep))
     return chain.from_iterable(capped_rows(*walk, before, sep, end) for walk in walks)

@@ -16,7 +16,7 @@ from math import comb, factorial, prod
 from typing import Iterator
 
 from pavemat import Matroid, QuasiRep, merged_rep, quasi_rep, small_circuits
-from pavemat.bitset import mask_of, sort_key
+from pavemat.bitset import _ROWS_PER_PIECE, bit_list, mask_of, sort_key
 from pavemat.counting import ForbiddenProfiles, TruncatedEGF, Vector, _boxed_vectors
 from pavemat.decomposition import Classification
 from pavemat.io import json_pieces
@@ -38,6 +38,19 @@ def json_oracle(obj) -> str:
 def joined_json(obj) -> str:
     """The whole text that io.json_pieces writes in pieces."""
     return "".join(json_pieces(obj))
+
+
+def label_rows(masks, before: str, sep: str, end: str) -> str:
+    """For each mask in turn: before, the 1-based labels of its set bits
+    joined by sep, then end."""
+    return "".join(before + sep.join(map(str, bit_list(m, 1))) + end for m in masks)
+
+
+def label_pieces(masks, before: str, sep: str, end: str) -> Iterator[str]:
+    """A row writer (io.MaskRows) over the masks: label_rows of
+    _ROWS_PER_PIECE of them at a time."""
+    for start in range(0, len(masks), _ROWS_PER_PIECE):
+        yield label_rows(masks[start : start + _ROWS_PER_PIECE], before, sep, end)
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -97,6 +110,12 @@ def brute_closure(circuits: tuple[int, ...], s: int, d: int) -> int:
     return out
 
 
+def _subsets(elems, r: int):
+    """The r-element combinations of elems; none when r exceeds their
+    number, without the r-slot index array combinations allocates first."""
+    return combinations(elems, r) if r <= len(elems) else ()
+
+
 def _qualifying_pairs(rep: QuasiRep) -> list[int]:
     return [a & b for a, b in combinations(rep.members, 2) if (a & b).bit_count() >= rep.n - 1]
 
@@ -109,10 +128,10 @@ def brute_small_circuits(rep: QuasiRep) -> frozenset[int]:
     out: set[int] = set()
     for pm in pairs:
         elems = [e for e in range(rep.d) if (pm >> e) & 1]
-        out.update(mask_of(c) for c in combinations(elems, n - 1))
+        out.update(mask_of(c) for c in _subsets(elems, n - 1))
     for h in rep.members:
         elems = [e for e in range(rep.d) if (h >> e) & 1]
-        for combo in combinations(elems, n):
+        for combo in _subsets(elems, n):
             m = mask_of(combo)
             if not any((m & pm).bit_count() >= n - 1 for pm in pairs):
                 out.add(m)
@@ -157,7 +176,7 @@ def brute_type3_circuits(rep: QuasiRep) -> list[int]:
     n = rep.n
     pairs = _qualifying_pairs(rep)
     out = []
-    for combo in combinations(range(rep.d), n + 1):
+    for combo in _subsets(range(rep.d), n + 1):
         m = mask_of(combo)
         if any((m & pm).bit_count() >= n - 1 for pm in pairs):
             continue

@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 
 from pavemat import line_matroid, quasi_rep
-from pavemat.bitset import _ROWS_PER_PIECE, capped_rows, capped_subsets, label_rows, overlaps, subsets_of_size
+from pavemat.bitset import _ROWS_PER_PIECE, capped_rows, capped_subsets, overlaps, subsets_of_size
+
+from helpers import label_rows
 
 
 def brute_capped(ground, r, caps, within=None):

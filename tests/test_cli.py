@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 import weakref
 from pathlib import Path
@@ -601,6 +602,27 @@ def test_matroid_quasi_level_override(tmp_path, capsys):
     assert code == 0 and "rank: 3" in out
     code, out, _ = run(capsys, "matroid", "quasi", "--file", str(path), "--n", "4")
     assert code == 0 and "rank: 4" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_matroid_quasi_level_far_above_the_ground_size(tmp_path, capsys, fmt):
+    # No set reaches n - 1 elements, so there is no circuit and the rank is
+    # d; the counts are read off before a product of n + 2 coefficients.
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(NINE_INPUT))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matroid", "quasi", "--file", str(path), "--n", str(10**12), "--format", fmt)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    if fmt == "json":
+        expected = {"circuit_count_by_size": {}, "d": 9, "hyperplanes": NINE_INPUT["H"], "rank": 9}
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == (
+            "ground size: 9\nrank: 9\nhyperplanes (3):\n"
+            + _text_rows(NINE_INPUT["H"])
+            + "circuits: none\n"
+        )
 
 
 def test_budget_env_not_an_integer_exit_2(capsys, monkeypatch):

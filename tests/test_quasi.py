@@ -20,7 +20,7 @@ from pavemat import (
     quasi_rep,
     small_circuits,
 )
-from pavemat.bitset import bits_tuple, label_rows, overlaps
+from pavemat.bitset import bits_tuple, overlaps
 from pavemat.decomposition import _classify
 from pavemat.errors import LevelTooSmall, RankDeficient, TooLarge, TripleIntersection
 from pavemat.quasi import circuit_key, circuit_profile, circuit_rows, quasi_circuits, type3_count
@@ -32,6 +32,7 @@ from helpers import (
     brute_quasi_circuits,
     brute_small_circuits,
     brute_type3_circuits,
+    label_rows,
     m1,
     polynomial_circuit_key,
     random_full_rank_rep,
@@ -472,6 +473,30 @@ def test_circuit_profile_rank_is_the_greedy_rank():
         assert rank == quasi_matroid(rep).rank_value, rep
         ranks.add((rep.n, rank))
     assert {(n, r) for n in range(2, 6) for r in range(n + 1)} <= ranks
+
+
+def test_circuit_profile_at_levels_above_the_ground_size():
+    # At n = d + 1 two members equal to the ground set still give one type-1
+    # circuit, the ground set; from n = d + 2 on no set has n - 1 elements.
+    # The brute-force oracles take no combination longer than d, so they
+    # stay cheap at n = 10**12, where a list of n + 2 coefficients could
+    # not be built.
+    reps = [*_random_tame_reps(127, 200), *_family_component_reps(), quasi_rep(3, 3, [0b111, 0b111])]
+    seen_type1 = False
+    for rep in reps:
+        for n in (rep.d + 1, rep.d + 2, 10**12):
+            if n < 2:
+                continue
+            high = rep._replace(n=n)
+            profile = circuit_profile(high)
+            sizes = [c.bit_count() for c in brute_small_circuits(high)]
+            assert profile.type1 == sizes.count(n - 1), high
+            assert profile.type2 == sizes.count(n), high
+            assert profile.type3 == len(brute_type3_circuits(high)), high
+            assert profile.rank == quasi_matroid(high).rank_value, high
+            assert profile.key == circuit_key(high), high
+            seen_type1 = seen_type1 or profile.type1 > 0
+    assert seen_type1
 
 
 def test_circuit_key_is_the_polynomial_key():
