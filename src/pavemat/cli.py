@@ -17,7 +17,7 @@ from . import counting, decomposition, io
 from .bitset import remap
 from .errors import MatroidError
 from .families import ci_ideal_generators, grid_matroid, line_matroid
-from .quasi import QuasiRep, circuit_rows, decompose_to_tame, paving_to_matroid, quasi_matroid
+from .quasi import QuasiRep, circuit_profile, circuit_rows, count_by_size, decompose_to_tame
 
 # Reference counts independently reproduced by all three counting routes.
 EXPECTED_GRID_COUNTS: dict[tuple[int, int], int] = {
@@ -86,27 +86,25 @@ def _write_rows(masks: Iterable[int]) -> None:
 def _cmd_matroid(args: argparse.Namespace) -> int:
     if args.family == "quasi":
         rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
-        m = quasi_matroid(rep)
     else:
         paving = grid_matroid(args.k, args.l) if args.family == "grid" else line_matroid(args.n)
-        m = paving_to_matroid(paving)
         rep = QuasiRep(paving.d, paving.n, paving.hyperplanes)
-    # the circuit lists are written by rep's walks, and m lists none
+    profile = circuit_profile(rep)  # the rank and counts; rep's walks write the lists
     if args.format == "json":
-        obj = io.matroid_to_dict(m, include_circuits=args.circuits, rep=rep)
+        obj = io.matroid_to_dict(rep, profile, include_circuits=args.circuits)
         obj["hyperplanes"] = [io.mask_to_labels(h) for h in rep.members]
         _print_json(obj)
         return 0
-    print(f"ground size: {m.d}")
-    print(f"rank: {m.rank_value}")
+    print(f"ground size: {rep.d}")
+    print(f"rank: {profile.rank}")
     print(f"hyperplanes ({len(rep.members)}):")
     _write_rows(rep.members)
     if args.circuits:
         rows = circuit_rows(rep, *_TEXT_ROW)  # refused here, before the header
-        print(f"circuits ({sum(m.circuit_count_by_size().values())}):")
+        print(f"circuits ({profile.type1 + profile.type2 + profile.type3}):")
         _write(rows)
     else:
-        hist = m.circuit_count_by_size()
+        hist = count_by_size(rep.n, profile)
         parts = ", ".join(f"{count} of size {size}" for size, count in sorted(hist.items()))
         print(f"circuits: {parts if parts else 'none'}")
     return 0

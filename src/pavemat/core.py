@@ -6,10 +6,9 @@ A matroid is backed by one of two representations:
 
 * an explicit canonical circuit list (sorted by size, then lexicographically), or
 * an independence oracle (a predicate on masks), optionally with a function
-  that lists the circuits when they are first asked for and one that counts
-  them by size without listing them. The oracle answers independence
-  queries also once the circuits are listed; a matroid given no way to list
-  its circuits refuses to.
+  that lists the circuits when they are first asked for. The oracle answers
+  independence queries also once the circuits are listed; a matroid given
+  no way to list its circuits refuses to.
 
 All objects are immutable after construction and safe to share across threads.
 """
@@ -58,7 +57,7 @@ class Matroid:
     Given no rank_value, the constructor takes the greedy rank of the ground
     set."""
 
-    __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn", "_count_fn")
+    __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn")
 
     def __init__(
         self,
@@ -68,7 +67,6 @@ class Matroid:
         circuits: Optional[tuple[int, ...]] = None,
         oracle: Optional[Callable[[int], bool]] = None,
         circuit_fn: Optional[Callable[[], tuple[int, ...]]] = None,
-        count_fn: Optional[Callable[[], dict[int, int]]] = None,
         origin: str = "explicit",
     ):
         if circuits is None and oracle is None:
@@ -78,7 +76,6 @@ class Matroid:
         self._circuits = circuits
         self._oracle = oracle
         self._circuit_fn = circuit_fn
-        self._count_fn = count_fn
         self.rank_value = self.rank() if rank_value is None else rank_value
 
     # -- dependence predicate -------------------------------------------------
@@ -120,16 +117,6 @@ class Matroid:
                 raise BadParams("a matroid given only an independence oracle cannot list its circuits")
             self._circuits = self._circuit_fn()
         return self._circuits
-
-    def circuit_count_by_size(self) -> dict[int, int]:
-        """Circuits per size, sizes without circuits left out; from count_fn
-        when the matroid was given one, else from the circuit list."""
-        if self._count_fn is not None:
-            return self._count_fn()
-        hist: dict[int, int] = {}
-        for c in self.circuits():
-            hist[c.bit_count()] = hist.get(c.bit_count(), 0) + 1
-        return hist
 
     def __repr__(self) -> str:
         mode = "circuits" if self._circuits is not None else "oracle"

@@ -18,7 +18,7 @@ from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, Not
 from .families import GridLayout, LineArrangement
 from .partitions import rgs_to_blocks
 from .paving import PavingMatroid, is_tame
-from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile
+from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile, count_by_size
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
@@ -118,7 +118,7 @@ def _classify(d: int, level: int, profile: CircuitProfile, base_key: tuple) -> C
         return Classification("uniform", uniform_params=uni)
     if profile.key == base_key:
         return Classification("equals-base")
-    hist = {size: count for size, count in small.items() if count}
+    hist = count_by_size(level, profile)
     hist[level + 1] = profile.type3
     return Classification("other", histogram=hist)
 

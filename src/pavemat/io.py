@@ -13,11 +13,12 @@ from .core import Matroid, matroid_from_circuits
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
 from .families import MinorGenerator
-from .quasi import QuasiRep, check_circuit_budget, circuit_rows, quasi_rep
+from .quasi import CircuitProfile, QuasiRep, check_circuit_budget, circuit_rows, count_by_size, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
-# The readers refuse larger grounds: building a matroid costs time quadratic
-# in d (core.Matroid.rank), about 0.3 s at this limit on a 2-core Xeon VM.
+# The readers refuse larger grounds: validate's core.Matroid costs time
+# quadratic in d (axiom check, greedy rank), about 2 s at this limit for d
+# loops on a 2-core Xeon VM. Hypergraph commands read the rank off the cells.
 GROUND_SIZE_LIMIT = 4096
 
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
@@ -115,12 +116,11 @@ def labels_to_mask(labels: Iterable[int], d: int) -> int:
 
 
 def _integer(value, name: str) -> int:
-    """int(value), refusing a number with a fractional part, which int()
-    would truncate."""
-    out = int(value)
-    if isinstance(value, float) and out != value:
-        raise BadParams(f"{name} must be an integer, got {value!r}")
-    return out
+    """value as an int, from an int or a float with no fractional part (int()
+    raises on inf and nan); a bool or a string of digits is refused."""
+    if type(value) is int or isinstance(value, float) and int(value) == value:
+        return int(value)
+    raise BadParams(f"{name} must be an integer, got {value!r}")
 
 
 def _ground_size(obj: dict) -> int:
@@ -140,21 +140,19 @@ def _label_lists(key: str, lists, d: int) -> list[int]:
     return [labels_to_mask(labels, d) for labels in lists]
 
 
-def matroid_to_dict(m: Matroid, *, include_circuits: bool = True, rep: QuasiRep | None = None) -> dict:
-    """m with its circuit list, or with its circuit counts by size. Given rep,
-    the representation m is the quasi_matroid of, the list is written by
-    rep's walks (quasi.circuit_rows), refused here by check_circuit_budget,
-    and m lists no circuit."""
-    out: dict = {"d": m.d, "rank": m.rank_value}
-    if not include_circuits:
-        out["circuit_count_by_size"] = {
-            str(size): count for size, count in sorted(m.circuit_count_by_size().items())
-        }
-    elif rep is None:
-        out["circuits"] = [mask_to_labels(c) for c in m.circuits()]
-    else:
+def matroid_to_dict(rep: QuasiRep, profile: CircuitProfile, *, include_circuits: bool) -> dict:
+    """The matroid of rep, whose circuit_profile is profile: its ground size,
+    its rank, and its circuit list or its circuit counts by size. The list
+    is written by rep's walks (quasi.circuit_rows), refused here by
+    check_circuit_budget."""
+    out: dict = {"d": rep.d, "rank": profile.rank}
+    if include_circuits:
         check_circuit_budget(rep)
         out["circuits"] = MaskRows(partial(circuit_rows, rep))
+    else:
+        out["circuit_count_by_size"] = {
+            str(size): count for size, count in sorted(count_by_size(rep.n, profile).items())
+        }
     return out
 
 

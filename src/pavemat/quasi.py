@@ -96,7 +96,7 @@ def _caps(rep: QuasiRep) -> list[tuple[int, int]]:
 
 
 def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The cells of a tame representation as (mask, cap, owners): the elements
+    """The cells of a tame representation as (size, cap, owners): the elements
     in no member, each member's private part, and each nonempty pairwise
     intersection, with the indices of the members holding the cell. No element
     lies in three members, so the cells partition the ground set. A type-3
@@ -104,22 +104,36 @@ def _cells(rep: QuasiRep) -> list[tuple[int, int, tuple[int, ...]]]:
     type-1 circuit, so at most n-2 of its elements."""
     n, members = rep.n, rep.members
     once, twice, _ = overlaps(members)
-    cells = [(((1 << rep.d) - 1) & ~once, n + 1, ())]
-    cells += [(h & ~twice, n + 1, (i,)) for i, h in enumerate(members)]
-    cells += [(inter, n - 2, (i, j)) for i, j, inter in _intersections(members)]
+    cells = [((((1 << rep.d) - 1) & ~once).bit_count(), n + 1, ())]
+    cells += [((h & ~twice).bit_count(), n + 1, (i,)) for i, h in enumerate(members)]
+    cells += [(inter.bit_count(), n - 2, (i, j)) for i, j, inter in _intersections(members)]
     return cells
 
 
-def _truncated_product(polys: Iterable[list[int]], top: int) -> list[int]:
-    """Coefficients 0..top of the product of the polynomials."""
-    out = [1] + [0] * top
-    for p in polys:
-        new = [0] * (top + 1)
-        for t, a in enumerate(p):
-            for s in range(top + 1 - t):
-                new[s + t] += a * out[s]
-        out = new
-    return out
+def _binomial_row(size: int, top: int) -> list[int]:
+    """C(size, t) for t from 0 to min(size, top)."""
+    row = [1]
+    for t in range(min(size, top)):
+        row.append(row[t] * (size - t) // (t + 1))
+    return row
+
+
+def _subset_counts(cells: list[tuple[int, int, tuple[int, ...]]], top: int) -> list[int]:
+    """Coefficients 0..top of the product over the cells (size, cap, owners)
+    of the sum over t <= cap of C(size, t) x^t: the sets of each size up to
+    top that take at most cap elements from each cell. Up to degree top, a
+    cell whose cap reaches its size or top gives the whole row (1+x)^size,
+    so those cells fold into one row; each other cell is multiplied in over
+    the coefficients reached so far."""
+    out = _binomial_row(sum(size for size, cap, _ in cells if cap >= min(size, top)), top)
+    for size, cap, _ in cells:
+        if cap < min(size, top):
+            new = [0] * min(len(out) + cap, top + 1)
+            for t, a in enumerate(_binomial_row(size, cap)):
+                for s, b in enumerate(out[: top + 1 - t]):
+                    new[s + t] += a * b
+            out = new
+    return out + [0] * (top + 1 - len(out))
 
 
 def _circuit_walks(rep: QuasiRep, caps: list[tuple[int, int]]) -> list[tuple]:
@@ -216,11 +230,11 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     representation, in closed form over the cells.
 
     Counting sets by how many elements they take from each cell is a product
-    of truncated binomial polynomials (Flajolet-Sedgewick, Analytic
-    Combinatorics, ch. II). The type-1 circuits are the (n-1)-subsets of the
-    intersections. The type-2 circuits of member H are its n-subsets with at
-    most n-2 elements in each intersection inside H, the coefficient
-    inside[n] of the product over H's cells. An (n+1)-set within every
+    of truncated binomial polynomials (_subset_counts; Flajolet-Sedgewick,
+    Analytic Combinatorics, ch. II). The type-1 circuits are the
+    (n-1)-subsets of the intersections. The type-2 circuits of member H are
+    its n-subsets with at most n-2 elements in each intersection inside H,
+    the coefficient inside[n] of the product over H's cells. An (n+1)-set within every
     cell's cap is a type-3 circuit unless it holds n or more elements of
     some member; two members holding n elements each would share n-1 of
     them, above the cap of their intersection, so these member events are
@@ -242,18 +256,19 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     if n >= rep.d + 2:
         return CircuitProfile(circuit_key(rep), 0, 0, 0, rep.d)
     top = n + 1
-    cells = [
-        (mask, owners, [comb(mask.bit_count(), t) for t in range(min(mask.bit_count(), cap) + 1)])
-        for mask, cap, owners in _cells(rep)
-    ]
-    type1 = sum(comb(mask.bit_count(), n - 1) for mask, owners, _ in cells if len(owners) == 2)
+    cells = _cells(rep)
+    held: list[list] = [[] for _ in rep.members]  # member i's cells
+    for cell in cells:
+        for i in cell[2]:
+            held[i].append(cell)
+    type1 = sum(comb(size, n - 1) for size, _, owners in cells if len(owners) == 2)
     type2 = 0
-    total = _truncated_product((p for _, _, p in cells), top)
+    total = _subset_counts(cells, top)
     type3 = total[top]
     for i, h in enumerate(rep.members):
         if h.bit_count() < n:
             continue
-        inside = _truncated_product((p for _, owners, p in cells if i in owners), top)
+        inside = _subset_counts(held[i], top)
         type2 += inside[n]
         type3 -= inside[n] * (total[1] - inside[1]) + inside[n + 1]
     if total[n] > type2:
@@ -263,6 +278,14 @@ def circuit_profile(rep: QuasiRep) -> CircuitProfile:
     else:
         rank = min(rep.d, n - 2)
     return CircuitProfile(circuit_key(rep), type1, type2, type3, rank)
+
+
+def count_by_size(n: int, profile: CircuitProfile) -> dict[int, int]:
+    """The circuits of each size of a level-n construction whose
+    circuit_profile is profile, sizes without circuits left out: type 1 has
+    n-1 elements, type 2 n and type 3 n+1."""
+    counts = {n - 1: profile.type1, n: profile.type2, n + 1: profile.type3}
+    return {size: count for size, count in counts.items() if count}
 
 
 def type3_count(rep: QuasiRep) -> int:
@@ -299,32 +322,19 @@ def circuit_rows(rep: QuasiRep, before: str, sep: str, end: str) -> Iterator[str
 
 def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
     """The matroid of the three-type construction, in oracle mode with lazy
-    circuit materialization under the budget. For tame representations the
-    circuit counts by size come from circuit_profile, with no circuit
-    listed."""
-    n = rep.n
-
-    def count_by_size() -> dict[int, int]:
-        profile = circuit_profile(rep)
-        counts = {n - 1: profile.type1, n: profile.type2, n + 1: profile.type3}
-        return {size: count for size, count in counts.items() if count}
-
-    # The cell counts need n >= 2 and no element in three members; paving
-    # hyperplanes reach here unchecked.
-    tame = n >= 2 and not overlaps(rep.members)[2]
+    circuit materialization under the budget."""
     return Matroid(
         rep.d,
-        oracle=cap_oracle(n, _caps(rep)),
+        oracle=cap_oracle(rep.n, _caps(rep)),
         circuit_fn=lambda: quasi_circuits(rep, budget=budget),
-        count_fn=count_by_size if tame else None,
         origin="quasi-rep",
     )
 
 
 def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
     """The paving matroid itself, as the level-n construction of its
-    hyperplanes. The members are not checked for tameness: only the cell
-    count needs it, and this path never takes it."""
+    hyperplanes. The members are not checked for tameness, which the
+    construction's caps do not need."""
     return quasi_matroid(QuasiRep(p.d, p.n, p.hyperplanes), budget=budget)
 
 
@@ -371,7 +381,7 @@ def decompose_to_tame(
     members.
     """
     n = rep.n
-    if quasi_matroid(rep).rank_value != n:
+    if circuit_profile(rep).rank != n:
         raise RankDeficient(f"construction at level {n} does not have rank {n}")
     members = list(rep.members)
     steps: list[ExtensionStep] = []

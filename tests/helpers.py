@@ -40,6 +40,11 @@ def joined_json(obj) -> str:
     return "".join(json_pieces(obj))
 
 
+def matroid_file(m: Matroid) -> dict:
+    """The dict of a matroid file (validate's input) holding m's circuits."""
+    return {"d": m.d, "rank": m.rank_value, "circuits": [bit_list(c, 1) for c in m.circuits()]}
+
+
 def label_rows(masks, before: str, sep: str, end: str) -> str:
     """For each mask in turn: before, the 1-based labels of its set bits
     joined by sep, then end."""

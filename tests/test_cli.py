@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,19 +29,13 @@ from pavemat import (
     uniform,
 )
 from pavemat.cli import main
-from pavemat.io import (
-    mask_to_labels,
-    matroid_from_dict,
-    matroid_to_dict,
-    quasi_from_dict,
-    quasi_to_dict,
-)
+from pavemat.io import mask_to_labels, matroid_from_dict, quasi_from_dict, quasi_to_dict
 from pavemat.core import CIRCUIT_BUDGET
 from pavemat.counting import line_component_codes
 from pavemat.errors import TooLarge
 from pavemat.quasi import check_circuit_budget, circuit_rows
 
-from helpers import brute_quasi_circuits, joined_json, json_oracle, m1
+from helpers import brute_quasi_circuits, json_oracle, m1, matroid_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,8 +48,7 @@ def run(capsys, *argv):
 
 def test_matroid_json_roundtrip():
     m = paving_to_matroid(grid_matroid(3, 4))
-    obj = matroid_to_dict(m)
-    back = matroid_from_dict(json.loads(joined_json(obj)))
+    back = matroid_from_dict(json.loads(json.dumps(matroid_file(m))))
     assert back.circuits() == m.circuits()
     assert back.rank_value == m.rank_value
 
@@ -131,7 +125,7 @@ def test_validate_good_file(tmp_path, capsys):
     # U(4,17) has more circuit pairs than the pair budget, but no pair is scanned
     for n, d, count in ((2, 5, 10), (4, 17, 6188)):
         path = tmp_path / "m.json"
-        path.write_text(joined_json(matroid_to_dict(uniform(n, d))))
+        path.write_text(json.dumps(matroid_file(uniform(n, d))))
         code, out, _ = run(capsys, "validate", "--file", str(path))
         assert code == 0
         assert out == f"valid matroid: d={d} rank={n} circuits={count}\n"
@@ -231,9 +225,10 @@ def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch
 
 def _refuse_circuit_mask_lists(monkeypatch):
     def refused(*args, **kwargs):
-        raise AssertionError("a circuit mask list was built")
+        raise AssertionError("a circuit mask list or a Matroid was built")
 
     monkeypatch.setattr(quasi, "quasi_circuits", refused)
+    monkeypatch.setattr(core.Matroid, "__init__", refused)
     monkeypatch.setattr(core.Matroid, "circuits", refused)
 
 
@@ -271,6 +266,50 @@ def test_matroid_circuit_lists_are_written_from_the_walk(tmp_path, capsys, monke
             + f"circuits ({len(circuits)}):\n"
             + _text_rows(circuits)
         )
+
+
+# Every export call but validate's, {name} standing for the file of that name.
+NO_MATROID_CALLS = [
+    "matroid grid --k 4 --l 4",
+    "matroid grid --k 4 --l 4 --circuits",
+    "matroid lines --n 6",
+    "matroid lines --n 6 --circuits",
+    "matroid quasi --file {tame}",
+    "matroid quasi --file {tame} --circuits",
+    "matroid quasi --file {empty} --circuits",
+    "matroid quasi --file {nine} --n 2",
+    "decompose-to-tame --file {ci}",
+    "decompose-to-tame --file {ci} --n 2",
+    "decompose-to-tame --file {deficient}",
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("call", NO_MATROID_CALLS)
+def test_exports_build_no_matroid(tmp_path, capsys, monkeypatch, call, fmt):
+    # the rank and the counts come from circuit_profile; only validate builds a Matroid
+    files = {
+        "tame": TAME_INPUT,
+        "empty": EMPTY_MEMBER_INPUT,
+        "nine": NINE_INPUT,
+        "ci": CI_EXAMPLE_INPUT,
+        "deficient": {"d": 4, "n": 3, "H": [[1, 2, 3, 4]]},  # rank 2
+    }
+    for name, obj in files.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    argv = [*call.format(**files).split(), "--format", fmt]
+    expected = run(capsys, *argv)
+    if "deficient" in call:
+        assert expected == (1, "", "error: construction at level 3 does not have rank 3\n")
+    else:
+        assert expected[0] == 0 and expected[2] == ""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Matroid was built")
+
+    monkeypatch.setattr(core.Matroid, "__init__", refused)
+    assert run(capsys, *argv) == expected
 
 
 def test_listing_circuit_lists_are_written_from_the_walk(capsys, monkeypatch):
@@ -625,6 +664,25 @@ def test_matroid_quasi_level_far_above_the_ground_size(tmp_path, capsys, fmt):
         )
 
 
+def test_hypergraph_commands_at_a_level_near_a_large_ground(tmp_path, capsys):
+    # The 4,095 points of 91 lines at level 4,000: every cell's cap reaches
+    # its size, so the counts come from one binomial row, with no product
+    # taken cell by cell (4 s at this size). The only circuits are the
+    # 4,001-sets, and the members are too small to be peeled.
+    lines = line_matroid(91)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"d": lines.d, "n": 3, "H": [mask_to_labels(h) for h in lines.hyperplanes]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matroid", "quasi", "--file", str(path), "--n", "4000")
+    assert code == 0 and err == ""
+    assert out.startswith("ground size: 4095\nrank: 4000\nhyperplanes (91):\n")
+    assert out.endswith(f"\ncircuits: {math.comb(4095, 4001)} of size 4001\n")
+    code, out, err = run(capsys, "decompose-to-tame", "--file", str(path), "--n", "4000")
+    assert code == 0 and err == ""
+    assert out == f"extension steps (0):\ncore on elements {list(range(1, 4096))}:\n"
+    assert time.perf_counter() - start < 2
+
+
 def test_budget_env_not_an_integer_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("PAVEMAT_ENUM_BUDGET", "abc")
     code, out, err = run(capsys, "decompose", "lines", "--n", "6")
@@ -653,7 +711,7 @@ def test_malformed_json_exit_1(tmp_path, capsys, command):
         (
             ("validate",),
             {"d": 3, "rank": "x", "circuits": []},
-            "INVALID: matroid file needs d, rank, circuits: invalid literal for int() with base 10: 'x'\n",
+            "INVALID: rank must be an integer, got 'x'\n",
         ),
         (("matroid", "quasi"), {"d": -2, "n": 2, "H": []}, "error: ground size d must be >= 0, got -2\n"),
         (("decompose-to-tame",), {"d": -2, "n": 2, "H": []}, "error: ground size d must be >= 0, got -2\n"),
@@ -683,6 +741,12 @@ def test_malformed_json_exit_1(tmp_path, capsys, command):
             {"d": 1e9, "n": 2, "H": [[1, 2]]},
             "error: ground size d=1000000000 exceeds limit 4096\n",
         ),
+        # a bool or a string is no integer, as for the labels
+        (("validate",), {"d": True, "rank": 1, "circuits": []}, "INVALID: ground size d must be an integer, got True\n"),
+        (("validate",), {"d": 3, "rank": False, "circuits": []}, "INVALID: rank must be an integer, got False\n"),
+        (("matroid", "quasi"), {"d": 4, "n": "3", "H": []}, "error: n must be an integer, got '3'\n"),
+        (("matroid", "quasi"), {"d": "1_0", "n": 2, "H": []}, "error: ground size d must be an integer, got '1_0'\n"),
+        (("decompose-to-tame",), {"d": 4, "n": True, "H": []}, "error: n must be an integer, got True\n"),
     ],
 )
 def test_badly_shaped_lists_exit_1(tmp_path, capsys, command, obj, message):
@@ -822,7 +886,7 @@ def corpus_files(tmp_path):
     h = tmp_path / "h.json"
     h.write_text(json.dumps(TAME_INPUT))
     m = tmp_path / "m.json"
-    m.write_text(joined_json(matroid_to_dict(uniform(2, 4))))
+    m.write_text(json.dumps(matroid_file(uniform(2, 4))))
     return {"h": h, "m": m}
 
 

@@ -5,9 +5,10 @@ from functools import partial
 
 import pytest
 
-from pavemat import QuasiRep, grid_matroid, paving_to_matroid
+from pavemat import QuasiRep, grid_matroid
 from pavemat.bitset import _ROWS_PER_PIECE, bit_list, bits, bits_tuple, sort_key
 from pavemat.io import MaskRows, json_pieces, mask_to_labels, matroid_to_dict
+from pavemat.quasi import circuit_profile
 
 from helpers import joined_json, json_oracle, label_pieces
 
@@ -228,6 +229,7 @@ def test_json_pieces_write_a_generator_as_its_list(items):
 
 def test_stdlib_json_refuses_mask_rows():
     p = grid_matroid(3, 4)
-    obj = matroid_to_dict(paving_to_matroid(p), rep=QuasiRep(p.d, p.n, p.hyperplanes))
+    rep = QuasiRep(p.d, p.n, p.hyperplanes)
+    obj = matroid_to_dict(rep, circuit_profile(rep), include_circuits=True)
     with pytest.raises(TypeError, match="MaskRows"):
         json.dumps(obj)

@@ -47,6 +47,7 @@ TEST_ONLY_NAMES = {
     "core.uniform": "U(n, d), the matroid a listed component is classified against",
     "families.ci_matroid": "the paper's CI matroid, whose generators ci-generators exports",
     "io.quasi_to_dict": "the writer paired with quasi_from_dict, which matroid quasi and decompose-to-tame read",
+    "quasi.paving_to_matroid": "the paving matroid as a Matroid, which the tests check the exports against",
 }
 
 
