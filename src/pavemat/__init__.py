@@ -3,12 +3,7 @@ merging groups of their dependent hyperplanes: construction, component
 listing, and exact component counting for the grid and line families."""
 
 from .bitset import as_mask, bits_tuple, mask_of
-from .core import (
-    Matroid,
-    check_circuit_axioms,
-    matroid_from_circuits,
-    uniform,
-)
+from .core import check_circuit_axioms, check_circuit_list
 from .counting import (
     ForbiddenProfiles,
     TruncatedEGF,
@@ -21,16 +16,12 @@ from .counting import (
     line_component_codes,
     line_component_count,
     partition_count_series,
-    vector_partitions,
 )
 from .decomposition import (
     ComponentReport,
     DecompositionResult,
     decompose_grid,
     decompose_lines,
-    is_grid_component_partition,
-    is_line_component_partition,
-    merged_rep,
 )
 from .errors import MatroidError
 from .families import (
@@ -39,13 +30,11 @@ from .families import (
     MinorGenerator,
     ci_hypergraph,
     ci_ideal_generators,
-    ci_matroid,
     grid_matroid,
     line_matroid,
 )
 from .paving import (
     PavingMatroid,
-    is_tame,
     paving_from_hyperplanes,
 )
 from .quasi import (
@@ -53,8 +42,6 @@ from .quasi import (
     QuasiRep,
     TameDecomposition,
     decompose_to_tame,
-    paving_to_matroid,
-    quasi_matroid,
     quasi_rep,
     small_circuits,
 )

@@ -225,18 +225,6 @@ def _capped_walk(
         yield out
 
 
-def cap_oracle(r: int, caps: Iterable[tuple[int, int]]) -> Callable[[int], bool]:
-    """The predicate of the sets capped_subsets lists at every size up to r:
-    a mask is accepted when it has at most r elements and fewer than t
-    elements of each capped mask, for every (mask, t) in caps."""
-    caps = tuple(caps)
-
-    def accepts(s: int) -> bool:
-        return s.bit_count() <= r and all((s & mask).bit_count() < t for mask, t in caps)
-
-    return accepts
-
-
 def overlaps(masks: Iterable[int]) -> tuple[int, int, int]:
     """The elements in at least one, two and three of the masks."""
     once = twice = thrice = 0

@@ -191,11 +191,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     obj = _load_json(args.file)
     try:
-        m = io.matroid_from_dict(obj, validate=True)
+        d, rank, count = io.matroid_from_dict(obj)
     except MatroidError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
-    print(f"valid matroid: d={m.d} rank={m.rank_value} circuits={len(m.circuits())}")
+    print(f"valid matroid: d={d} rank={rank} circuits={count}")
     return 0
 
 

@@ -1,43 +1,28 @@
-"""Finite matroid kernel: circuits, independence, rank, the exhaustive
-circuit-axiom check, and the uniform matroid.
+"""The circuit-axiom check, and the check of a circuit list that `validate`
+runs on a matroid file.
 
-Ground sets are {0..d-1}; subsets are int bitmasks (see :mod:`pavemat.bitset`).
-A matroid is backed by one of two representations:
-
-* an explicit canonical circuit list (sorted by size, then lexicographically), or
-* an independence oracle (a predicate on masks), optionally with a function
-  that lists the circuits when they are first asked for. The oracle answers
-  independence queries also once the circuits are listed; a matroid given
-  no way to list its circuits refuses to.
-
-All objects are immutable after construction and safe to share across threads.
+Ground sets are {0..d-1}; subsets are int bitmasks (see :mod:`pavemat.bitset`),
+and a circuit list is canonical when it is sorted by size, then
+lexicographically, with no repeats (:func:`pavemat.bitset.canonical_masks`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from .bitset import (
-    as_mask,
-    bits_tuple,
-    canonical_masks,
-    subsets_of_size,
-)
+from .bitset import bits_tuple, canonical_masks, subsets_of_size
 from .errors import (
     AxiomViolation,
     BadParams,
-    BadRank,
     ContainmentViolation,
     InvariantViolated,
     OutOfRange,
     RankMismatch,
     TooLarge,
 )
-
-# Explicit circuit lists are refused above this size; families fall back to
-# oracle mode instead (a k*l grid has Theta((kl)^4) size-4 circuits).
-CIRCUIT_BUDGET = 5_000_000
 
 # The circuit axioms are decided on bitsets over all 2^d subsets up to this
 # ground size, where the check takes at most about 0.5 s and 40 MB (2-core
@@ -50,77 +35,6 @@ _DP_GROUND_LIMIT = 22
 # bitset decision), lists with more circuit pairs than the budget are refused.
 _PAIR_BUDGET_GROUND = 16
 _VALIDATION_PAIR_BUDGET = 20_000_000
-
-
-class Matroid:
-    """A matroid on {0..d-1}; see the module docstring for the backing modes.
-    Given no rank_value, the constructor takes the greedy rank of the ground
-    set."""
-
-    __slots__ = ("d", "rank_value", "origin", "_circuits", "_oracle", "_circuit_fn")
-
-    def __init__(
-        self,
-        d: int,
-        rank_value: Optional[int] = None,
-        *,
-        circuits: Optional[tuple[int, ...]] = None,
-        oracle: Optional[Callable[[int], bool]] = None,
-        circuit_fn: Optional[Callable[[], tuple[int, ...]]] = None,
-        origin: str = "explicit",
-    ):
-        if circuits is None and oracle is None:
-            raise BadParams("a matroid needs circuits or an independence oracle")
-        self.d = d
-        self.origin = origin
-        self._circuits = circuits
-        self._oracle = oracle
-        self._circuit_fn = circuit_fn
-        self.rank_value = self.rank() if rank_value is None else rank_value
-
-    # -- dependence predicate -------------------------------------------------
-
-    def is_independent(self, s: int | Iterable[int]) -> bool:
-        s = as_mask(s)
-        if s >> self.d:
-            raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
-        if self._oracle is not None:
-            return self._oracle(s)
-        size = s.bit_count()
-        for c in self._circuits:
-            if c.bit_count() > size:
-                return True
-            if c & s == c:
-                return False
-        return True
-
-    # -- rank machinery --------------------------------------------------------
-
-    def rank(self, s: int | Iterable[int] | None = None) -> int:
-        """The size of a maximal independent subset of s (of the ground set
-        when s is None), grown greedily in ascending element order. The
-        exchange axiom makes any greedy order reach the same size."""
-        s = (1 << self.d) - 1 if s is None else as_mask(s)
-        if s >> self.d:
-            raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
-        indep = 0
-        while s:
-            low = s & -s
-            s ^= low
-            if self.is_independent(indep | low):
-                indep |= low
-        return indep.bit_count()
-
-    def circuits(self) -> tuple[int, ...]:
-        if self._circuits is None:
-            if self._circuit_fn is None:
-                raise BadParams("a matroid given only an independence oracle cannot list its circuits")
-            self._circuits = self._circuit_fn()
-        return self._circuits
-
-    def __repr__(self) -> str:
-        mode = "circuits" if self._circuits is not None else "oracle"
-        return f"Matroid(d={self.d}, rank={self.rank_value}, {mode}, origin={self.origin!r})"
 
 
 def _without(d: int) -> list[int]:
@@ -299,36 +213,30 @@ def check_circuit_axioms(d: int, circuits: tuple[int, ...]) -> None:
     raise InvariantViolated("the bitset axiom check failed but every circuit pair eliminates")
 
 
-def matroid_from_circuits(
-    d: int,
-    rank_value: Optional[int],
-    circuits: Iterable[int | Iterable[int]],
-    *,
-    validate: bool = True,
-    origin: str = "explicit",
-) -> Matroid:
-    """Build a matroid from a (possibly unsorted, possibly duplicated) circuit list.
+def check_circuit_list(d: int, rank: Optional[int], circuits: Iterable[int]) -> tuple[int, int]:
+    """The rank and the number of circuits of the matroid on {0..d-1} whose
+    circuits are the given masks, in any order and with repeats.
 
-    Validation checks minimality and the elimination axiom and that the
-    declared rank matches the computed one.
+    The list is put in canonical order first, then checked in this order:
+    every circuit lies in the ground set (OutOfRange), the circuit axioms
+    hold (:func:`check_circuit_axioms`), and a declared rank is the computed
+    one (RankMismatch). The rank is grown greedily over the elements in
+    ascending order: an element joins the independent set unless the set
+    with it holds a circuit. Only the circuits no larger than that set are
+    scanned, a prefix of the canonical list.
     """
-    canon = canonical_masks(as_mask(c) for c in circuits)
+    canon = canonical_masks(circuits)
     for c in canon:
         if c >> d:
             raise OutOfRange(f"circuit {bits_tuple(c)} leaves the ground set [{d}]")
-    if validate:
-        check_circuit_axioms(d, canon)
-    m = Matroid(d, circuits=canon, origin=origin)
-    if rank_value is not None and rank_value != m.rank_value:
-        raise RankMismatch(rank_value, m.rank_value)
-    return m
-
-
-def uniform(n: int, d: int) -> Matroid:
-    """The uniform matroid of rank n on d elements: every (n+1)-subset is a circuit."""
-    if n < 0 or n > d:
-        raise BadRank(f"uniform matroid needs 0 <= n <= d, got n={n}, d={d}")
-    count = comb(d, n + 1)
-    if count > CIRCUIT_BUDGET:
-        return Matroid(d, n, oracle=lambda s: s.bit_count() <= n, origin="explicit")
-    return Matroid(d, n, circuits=tuple(subsets_of_size((1 << d) - 1, n + 1)), origin="explicit")
+    check_circuit_axioms(d, canon)
+    sizes = [c.bit_count() for c in canon]
+    indep = 0
+    for e in range(d):
+        grown = indep | 1 << e
+        if not any(c & grown == c for c in islice(canon, bisect_right(sizes, grown.bit_count()))):
+            indep = grown
+    computed = indep.bit_count()
+    if rank is not None and rank != computed:
+        raise RankMismatch(rank, computed)
+    return computed, len(canon)

@@ -162,23 +162,6 @@ def _weighted_partitions(
     return rec(ra, rb, 0, None, 1) if ra or rb else iter([(None, 1)])
 
 
-def vector_partitions(
-    target: int | Vector, forbidden: ForbiddenProfiles
-) -> Iterator[tuple[Vector, ...]]:
-    """Multisets of allowed nonzero vectors summing to the target, each yielded
-    once with parts in decreasing lexicographic order."""
-
-    def parts(path) -> tuple[Vector, ...]:
-        out: list[Vector] = []
-        while path:
-            v, m, path = path
-            out += [v] * m
-        return tuple(reversed(out))
-
-    walk = _weighted_partitions(_as_vector(target, forbidden.dim), forbidden)
-    return (parts(path) for path, _ in walk)
-
-
 def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfiles) -> int:
     """Number of set partitions of a ground set with target[i] items of sort i
     in which no block has a forbidden profile.
@@ -296,7 +279,7 @@ def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:
     """The block profiles of an RGS code, sorted: (x, y) for each block with
     x items among the code's first a positions (sort 0) and y among the rest
     (sort 1), as admissible_codes places them. The shapes of the codes it
-    yields are the leaves of vector_partitions' walk, as (a, b) pairs."""
+    yields are the leaves of _weighted_partitions' walk, as (a, b) pairs."""
     profiles = [[0, 0] for _ in range(max(code, default=-1) + 1)]
     for pos, block in enumerate(code):
         profiles[block][pos >= a] += 1

@@ -3,8 +3,9 @@
 Merging each block of a hyperplane partition into one hypergraph member and
 applying the three-type construction yields a matroid above the base in the
 dependency order. The partitions whose merged matroids appear as components
-of the grid and line families admit closed-form tests, and the listing
-generates exactly the partitions that pass them.
+of the grid and line families admit closed-form tests on their block
+profiles, and the listing walks exactly the partition codes that pass them
+(counting.grid_component_codes, line_component_codes).
 """
 
 from __future__ import annotations
@@ -14,14 +15,24 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bitset import sort_key
 from .counting import code_shape, grid_component_codes, line_component_codes
-from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
+from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, TooFewLines
 from .families import GridLayout, LineArrangement
-from .partitions import rgs_to_blocks
-from .paving import PavingMatroid, is_tame
 from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile, count_by_size
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
+
+
+def rgs_to_blocks(code: Sequence[int]) -> list[list[int]]:
+    """The blocks of the set partition whose restricted growth string is
+    code (code[0] = 0, each entry at most one above the largest before it):
+    the positions holding each value, in order of first appearance."""
+    blocks: list[list[int]] = []
+    for i, c in enumerate(code):
+        if c == len(blocks):
+            blocks.append([])
+        blocks[c].append(i)
+    return blocks
 
 
 def _block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
@@ -30,44 +41,6 @@ def _block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
     for i in block:
         union |= hyperplanes[i]
     return union
-
-
-def merged_rep(p: PavingMatroid, blocks: Iterable[Iterable[int]]) -> QuasiRep:
-    """Hypergraph whose members are the unions of the hyperplanes in each
-    block of a partition of p's hyperplane indices; tameness of p makes it
-    automatically valid (no element can reach three members)."""
-    if not is_tame(p):
-        raise NotTame("merged matroids are defined for tame bases only")
-    blocks = [list(block) for block in blocks]
-    if sorted(i for block in blocks for i in block) != list(range(len(p.hyperplanes))):
-        raise BadParams("blocks do not partition the hyperplane indices")
-    members = [_block_union(p.hyperplanes, block) for block in blocks]
-    return QuasiRep(p.d, p.n, tuple(sorted(members, key=sort_key)))
-
-
-def is_grid_component_partition(k: int, l: int, blocks: Iterable[Iterable[int]]) -> bool:
-    """Closed-form test over the k+l grid hyperplanes (rows 0..k-1, then
-    columns k..k+l-1): every block of size >= 2 needs at least 3 rows, at
-    least 3 columns and a side of at least 4; and unless the partition is
-    trivial, no block may swallow all rows or all columns."""
-    blocks = [list(b) for b in blocks]
-    many = len(blocks) > 1
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        r = sum(1 for h in block if h < k)
-        c = len(block) - r
-        if r < 3 or c < 3 or max(r, c) < 4:
-            return False
-        if many and (r == k or c == l):
-            return False
-    return True
-
-
-def is_line_component_partition(n: int, blocks: Iterable[Iterable[int]]) -> bool:
-    """Closed-form test over the n line hyperplanes: no block may have size 2,
-    3, or n-1."""
-    return all(len(list(b)) not in (2, 3, n - 1) for b in blocks)
 
 
 class Classification(NamedTuple):

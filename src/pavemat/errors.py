@@ -21,10 +21,6 @@ class BadParams(MatroidError):
     pass
 
 
-class BadRank(MatroidError):
-    pass
-
-
 class TooLarge(MatroidError):
     """A guarded enumeration or materialization exceeded its budget."""
 
@@ -93,16 +89,6 @@ class LevelTooSmall(MatroidError):
 
 class RankDeficient(MatroidError):
     pass
-
-
-class NotTame(MatroidError):
-    pass
-
-
-class HypothesisViolated(MatroidError):
-    def __init__(self, inequality: str):
-        self.inequality = inequality
-        super().__init__(f"hypothesis violated: {inequality}")
 
 
 class TooFewLines(MatroidError):

@@ -11,9 +11,8 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .bitset import bit_list, canonical_masks, cap_oracle, capped_subsets, subsets_of_size
-from .core import CIRCUIT_BUDGET, Matroid
-from .errors import BadParams, DegenerateGround, EnumerationBudgetExceeded, HypothesisViolated, TooFewLines
+from .bitset import bit_list, canonical_masks, subsets_of_size
+from .errors import BadParams, DegenerateGround, EnumerationBudgetExceeded, TooFewLines
 from .paving import PavingMatroid, paving_from_hyperplanes
 
 # ci_ideal_generators refuses to list more generators than this; the largest
@@ -62,34 +61,6 @@ def ci_hypergraph(k: int, l: int, s: int, t: int) -> tuple[int, ...]:
     for col in grid.col_masks():
         out.update(subsets_of_size(col, s))
     return canonical_masks(out)
-
-
-def ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
-    """Matroid whose circuits are the hypergraph's edges and the (n+1)-sets
-    holding none of them: a set is independent when it has at most n cells,
-    fewer than t in each row and fewer than s in each column. Every edge is
-    minimal, since a row and a column share one cell and s >= 3. Realizable
-    within the stated parameter window."""
-    for name, ok in (
-        ("3 <= s", 3 <= s),
-        ("s <= t", s <= t),
-        ("t <= l", t <= l),
-        ("s <= k", s <= k),
-        ("t <= n", t <= n),
-        ("n <= s+t-3", n <= s + t - 3),
-    ):
-        if not ok:
-            raise HypothesisViolated(name)
-    grid = GridLayout(k, l)
-    caps = [(row, t) for row in grid.row_masks()] + [(col, s) for col in grid.col_masks()]
-    d = k * l
-
-    def materialize() -> tuple[int, ...]:
-        if comb(d, n + 1) > CIRCUIT_BUDGET:
-            raise BadParams(f"too many circuits to materialize for d={d}, n={n}")
-        return ci_hypergraph(k, l, s, t) + tuple(capped_subsets((1 << d) - 1, n + 1, caps))
-
-    return Matroid(d, oracle=cap_oracle(n, caps), circuit_fn=materialize, origin="explicit")
 
 
 def grid_matroid(k: int, l: int) -> PavingMatroid:

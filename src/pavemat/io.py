@@ -9,14 +9,14 @@ from types import GeneratorType
 from typing import Callable, Iterable, Iterator
 
 from .bitset import bit_list, mask_of
-from .core import Matroid, matroid_from_circuits
+from .core import check_circuit_list
 from .decomposition import DecompositionResult
 from .errors import BadParams, OutOfRange
 from .families import MinorGenerator
 from .quasi import CircuitProfile, QuasiRep, check_circuit_budget, circuit_rows, count_by_size, quasi_rep
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
-# The readers refuse larger grounds: validate's core.Matroid costs time
+# The readers refuse larger grounds: validate's check_circuit_list costs time
 # quadratic in d (axiom check, greedy rank), about 2 s at this limit for d
 # loops on a 2-core Xeon VM. Hypergraph commands read the rank off the cells.
 GROUND_SIZE_LIMIT = 4096
@@ -156,7 +156,9 @@ def matroid_to_dict(rep: QuasiRep, profile: CircuitProfile, *, include_circuits:
     return out
 
 
-def matroid_from_dict(obj: dict, *, validate: bool = True) -> Matroid:
+def matroid_from_dict(obj: dict) -> tuple[int, int, int]:
+    """The ground size, the rank and the number of circuits of a matroid
+    file, whose circuit list core.check_circuit_list checks."""
     try:
         d = _ground_size(obj)
         declared = obj.get("rank")
@@ -165,11 +167,7 @@ def matroid_from_dict(obj: dict, *, validate: bool = True) -> Matroid:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"matroid file needs d, rank, circuits: {exc}")
     masks = _label_lists("circuits", circuits, d)
-    return matroid_from_circuits(d, rank, masks, validate=validate)
-
-
-def quasi_to_dict(rep: QuasiRep) -> dict:
-    return {"d": rep.d, "n": rep.n, "H": [mask_to_labels(h) for h in rep.members]}
+    return (d, *check_circuit_list(d, rank, masks))
 
 
 def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:

@@ -3,18 +3,15 @@
 A collection of subsets of size >= n with pairwise intersections of size at
 most n-2 is exactly the dependent-hyperplane system of a rank-n paving
 matroid; circuits are the n-subsets of hyperplanes plus the (n+1)-subsets
-containing none of those. The matroid itself is built by
-:func:`pavemat.quasi.paving_to_matroid`.
-
-Tameness, no element on three hyperplanes, is read from one pass over the
-masks, :func:`pavemat.bitset.overlaps`.
+containing none of those: the level-n construction of
+:mod:`pavemat.quasi` on the hyperplanes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .bitset import as_mask, bits_tuple, canonical_masks, overlaps
+from .bitset import as_mask, bits_tuple, canonical_masks
 from .errors import DegenerateGround, HyperplaneTooSmall, IntersectionTooLarge, OutOfRange
 
 
@@ -55,9 +52,3 @@ def _paving_relaxed(d: int, n: int, hyperplanes: tuple[int, ...]) -> PavingMatro
             raise DegenerateGround(f"rank-{n} paving matroid needs d >= {n + 1}, got d={d}")
     _validate_hyperplanes(d, n, canon)
     return PavingMatroid(d, n, canon)
-
-
-def is_tame(p: PavingMatroid) -> bool:
-    """Any three hyperplanes meet emptily; for a set system this is the same
-    as no element lying on three of them."""
-    return not overlaps(p.hyperplanes)[2]

@@ -18,8 +18,8 @@ name the flats. The tests replay the steps by principal extensions.
 Each circuit condition is a cap (mask, t): a set of at most n elements is
 independent exactly when it holds fewer than t elements of every cap. The
 caps are (I, n-1) for each pairwise intersection I of at least n-1 elements
-and (H, n) for each member H of at least n elements (_caps); the independence
-oracle and both circuit lists read that one list.
+and (H, n) for each member H of at least n elements (_caps); the circuit
+walks read that one list.
 """
 
 from __future__ import annotations
@@ -28,20 +28,13 @@ from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bitset import (
-    as_mask,
-    bits,
-    bits_tuple,
-    cap_oracle,
-    capped_rows,
-    capped_subsets,
-    overlaps,
-    remap,
-    sort_key,
-)
-from .core import CIRCUIT_BUDGET, Matroid
+from .bitset import as_mask, bits, bits_tuple, capped_rows, capped_subsets, overlaps, remap, sort_key
 from .errors import LevelTooSmall, OutOfRange, RankDeficient, TooLarge, TripleIntersection
 from .paving import PavingMatroid, _paving_relaxed
+
+# Circuit lists are refused when their candidate estimate passes this (a k*l
+# grid has Theta((kl)^4) size-4 circuits).
+CIRCUIT_BUDGET = 5_000_000
 
 
 class QuasiRep(NamedTuple):
@@ -302,40 +295,15 @@ def check_circuit_budget(rep: QuasiRep, budget: int = CIRCUIT_BUDGET) -> None:
         raise TooLarge("circuit materialization", f"about {estimate} candidates")
 
 
-def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
-    """Every circuit of the three-type construction in canonical order (see
-    _circuit_walks), refused by check_circuit_budget."""
-    check_circuit_budget(rep, budget)
-    return tuple(chain.from_iterable(capped_subsets(*walk) for walk in _circuit_walks(rep, _caps(rep))))
-
-
 def circuit_rows(rep: QuasiRep, before: str, sep: str, end: str) -> Iterator[str]:
-    """A row of text for each circuit of quasi_circuits(rep), in order:
-    before, its 1-based labels joined by sep, then end. Each type is written
-    as text by its walk (bitset.capped_rows), in pieces, with no mask list
-    between. Refused by check_circuit_budget when called, before any piece
-    is written."""
+    """A row of text for each circuit of rep, in canonical order (see
+    _circuit_walks): before, its 1-based labels joined by sep, then end.
+    Each type is written as text by its walk (bitset.capped_rows), in
+    pieces, with no mask list between. Refused by check_circuit_budget when
+    called, before any piece is written."""
     check_circuit_budget(rep)
     walks = _circuit_walks(rep, _caps(rep))
     return chain.from_iterable(capped_rows(*walk, before, sep, end) for walk in walks)
-
-
-def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
-    """The matroid of the three-type construction, in oracle mode with lazy
-    circuit materialization under the budget."""
-    return Matroid(
-        rep.d,
-        oracle=cap_oracle(rep.n, _caps(rep)),
-        circuit_fn=lambda: quasi_circuits(rep, budget=budget),
-        origin="quasi-rep",
-    )
-
-
-def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
-    """The paving matroid itself, as the level-n construction of its
-    hyperplanes. The members are not checked for tameness, which the
-    construction's caps do not need."""
-    return quasi_matroid(QuasiRep(p.d, p.n, p.hyperplanes), budget=budget)
 
 
 class ExtensionStep(NamedTuple):
@@ -385,21 +353,26 @@ def decompose_to_tame(
         raise RankDeficient(f"construction at level {n} does not have rank {n}")
     members = list(rep.members)
     steps: list[ExtensionStep] = []
-    while True:
-        eligible: dict[int, tuple[int, int]] = {}
-        for i, j, inter in _intersections(members):
-            if inter.bit_count() >= n - 1:
-                for e in bits(inter):
-                    eligible[e] = (i, j)
-        if not eligible:
-            break
-        candidates = tuple(sorted(eligible))
-        a = max(candidates) if pick is None else pick(candidates)
-        i, j = eligible[a]
+    # The pair of each element of a qualifying intersection. A peel takes its
+    # element out of that one intersection, and the pair drops out once
+    # fewer than n-1 elements are left.
+    eligible = {
+        e: (i, j)
+        for i, j, inter in _intersections(members)
+        if inter.bit_count() >= n - 1
+        for e in bits(inter)
+    }
+    while eligible:
+        a = max(eligible) if pick is None else pick(tuple(sorted(eligible)))
+        i, j = eligible.pop(a)
         bit = 1 << a
-        members = [h & ~bit for h in members]
-        flat = members[i] & members[j] if n >= 3 else overlaps(members)[1]
-        steps.append(ExtensionStep(a, flat, (i, j)))
+        members[i] &= ~bit
+        members[j] &= ~bit
+        inter = members[i] & members[j]
+        if inter.bit_count() < n - 1:
+            for e in bits(inter):
+                del eligible[e]
+        steps.append(ExtensionStep(a, inter if n >= 3 else overlaps(members)[1], (i, j)))
     deleted = 0
     for s in steps:
         deleted |= 1 << s.element

@@ -4,6 +4,13 @@ These deliberately avoid the library's own enumeration code paths: set
 partitions come from a plain insertion recursion, independence from a direct
 subset scan, rank and closure from exhaustive search, indented JSON from the
 stdlib's own encoder.
+
+Beside them stand the plain constructions that only the tests use: the
+tameness test (is_tame), every set partition as a restricted growth string
+(iter_rgs), the merged
+representation of a hyperplane partition (merged_rep), the vector
+partitions of the formula route (vector_partitions), and the writer of a
+hypergraph file (quasi_to_dict).
 """
 
 from __future__ import annotations
@@ -15,14 +22,25 @@ from itertools import combinations, groupby
 from math import comb, factorial, prod
 from typing import Iterator
 
-from pavemat import Matroid, QuasiRep, merged_rep, quasi_rep, small_circuits
-from pavemat.bitset import _ROWS_PER_PIECE, bit_list, mask_of, sort_key
-from pavemat.counting import ForbiddenProfiles, TruncatedEGF, Vector, _boxed_vectors
-from pavemat.decomposition import Classification
-from pavemat.io import json_pieces
-from pavemat.partitions import iter_rgs, rgs_to_blocks
+from pavemat import MatroidError, QuasiRep, quasi_rep, small_circuits
+from pavemat.bitset import _ROWS_PER_PIECE, bit_list, mask_of, overlaps, sort_key
+from pavemat.counting import (
+    ForbiddenProfiles,
+    TruncatedEGF,
+    Vector,
+    _as_vector,
+    _boxed_vectors,
+    _weighted_partitions,
+)
+from pavemat.decomposition import Classification, _block_union, rgs_to_blocks
+from pavemat.errors import BadParams
+from pavemat.io import json_pieces, mask_to_labels
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 from pavemat.quasi import type3_count
+
+
+class NotTame(MatroidError):
+    pass
 
 
 def m1(*elems: int) -> int:
@@ -38,11 +56,6 @@ def json_oracle(obj) -> str:
 def joined_json(obj) -> str:
     """The whole text that io.json_pieces writes in pieces."""
     return "".join(json_pieces(obj))
-
-
-def matroid_file(m: Matroid) -> dict:
-    """The dict of a matroid file (validate's input) holding m's circuits."""
-    return {"d": m.d, "rank": m.rank_value, "circuits": [bit_list(c, 1) for c in m.circuits()]}
 
 
 def label_rows(masks, before: str, sep: str, end: str) -> str:
@@ -68,6 +81,33 @@ def set_partitions(items: list) -> Iterator[list[list]]:
         for i in range(len(p)):
             yield p[:i] + [[first] + p[i]] + p[i + 1 :]
         yield [[first]] + p
+
+
+def iter_rgs(m: int) -> Iterator[list[int]]:
+    """All restricted growth strings of length m, lex order: the codes
+    a[0..m-1] with a[0] = 0 and a[i] <= 1 + max(a[:i]), each naming the
+    partition whose blocks are the level sets of a, from the one-block
+    partition to the discrete one.
+
+    The yielded list is a reused buffer; copy it if you keep it.
+    """
+    a = [0] * m
+    if m <= 1:
+        yield a
+        return
+    b = [1] * m
+    while True:
+        yield a
+        j = m - 1
+        while j > 0 and a[j] == b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        nb = b[j] + 1 if a[j] == b[j] else b[j]
+        for t in range(j + 1, m):
+            a[t] = 0
+            b[t] = nb
 
 
 def iter_set_partitions(m: int) -> Iterator[list[list[int]]]:
@@ -195,6 +235,30 @@ def brute_quasi_circuits(rep: QuasiRep) -> tuple[int, ...]:
     return tuple(sorted(brute_small_circuits(rep), key=sort_key)) + tuple(brute_type3_circuits(rep))
 
 
+def is_tame(p: PavingMatroid) -> bool:
+    """Any three hyperplanes meet emptily; for a set system this is the same
+    as no element lying on three of them."""
+    return not overlaps(p.hyperplanes)[2]
+
+
+def merged_rep(p: PavingMatroid, blocks) -> QuasiRep:
+    """Hypergraph whose members are the unions of the hyperplanes in each
+    block of a partition of p's hyperplane indices; tameness of p makes it
+    automatically valid (no element can reach three members)."""
+    if not is_tame(p):
+        raise NotTame("merged matroids are defined for tame bases only")
+    blocks = [list(block) for block in blocks]
+    if sorted(i for block in blocks for i in block) != list(range(len(p.hyperplanes))):
+        raise BadParams("blocks do not partition the hyperplane indices")
+    members = [_block_union(p.hyperplanes, block) for block in blocks]
+    return QuasiRep(p.d, p.n, tuple(sorted(members, key=sort_key)))
+
+
+def quasi_to_dict(rep: QuasiRep) -> dict:
+    """The dict of a hypergraph file (io.quasi_from_dict's input) holding rep."""
+    return {"d": rep.d, "n": rep.n, "H": [mask_to_labels(h) for h in rep.members]}
+
+
 def listed_reps(res, reports) -> list[QuasiRep]:
     """The representation of each report read from a level-3 listing res,
     rebuilt by merged_rep from its blocks of the listing's hyperplanes."""
@@ -226,32 +290,6 @@ def signature_classification(rep: QuasiRep, sig: frozenset[int], base_sig: froze
         hist[c.bit_count()] = hist.get(c.bit_count(), 0) + 1
     hist[n + 1] = type3_count(rep)
     return Classification("other", histogram=hist)
-
-
-def slow_ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
-    """The CI matroid built without caps: the t-cell sets of each row and the
-    s-cell sets of each column (cell (i, j) is j*k + i), filtered to the
-    inclusion-minimal ones, then every (n+1)-set scanned for one of them.
-    Assumes the parameters satisfy ci_matroid's hypotheses."""
-    lines = [([j * k + i for j in range(l)], t) for i in range(k)]
-    lines += [([j * k + i for i in range(k)], s) for j in range(l)]
-    edges = {mask_of(c) for cells, size in lines for c in combinations(cells, size)}
-    minimal = sorted(
-        (e for e in edges if not any(o != e and o & e == o for o in edges)), key=sort_key
-    )
-    d = k * l
-
-    def contains_edge(mask: int) -> bool:
-        return any(e & mask == e for e in minimal)
-
-    def oracle(mask: int) -> bool:
-        return mask.bit_count() <= n and not contains_edge(mask)
-
-    def materialize() -> tuple[int, ...]:
-        big = map(sum, combinations([1 << e for e in range(d)], n + 1))
-        return tuple(minimal) + tuple(m for m in big if not contains_edge(m))
-
-    return Matroid(d, oracle=oracle, circuit_fn=materialize)
 
 
 def brute_paving_circuits(p: PavingMatroid) -> tuple[int, ...]:
@@ -305,7 +343,7 @@ def random_tame_rep(rng: random.Random, max_d: int = 12) -> QuasiRep:
 
 
 def random_full_rank_rep(rng: random.Random, max_d: int = 10) -> QuasiRep:
-    from pavemat import quasi_matroid
+    from oracles import quasi_matroid
 
     while True:
         rep = random_quasi_rep(rng, max_d)
@@ -342,6 +380,22 @@ def brute_vector_partitions(tgt: Vector, forbidden: ForbiddenProfiles) -> Iterat
                     yield (v,) + tail
 
     return rec(tgt, 0)
+
+
+def vector_partitions(target: int | Vector, forbidden: ForbiddenProfiles) -> Iterator[tuple[Vector, ...]]:
+    """Multisets of allowed nonzero vectors summing to the target, each yielded
+    once with parts in decreasing lexicographic order: the leaves of the
+    formula route's walk (counting._weighted_partitions)."""
+
+    def parts(path) -> tuple[Vector, ...]:
+        out: list[Vector] = []
+        while path:
+            v, m, path = path
+            out += [v] * m
+        return tuple(reversed(out))
+
+    walk = _weighted_partitions(_as_vector(target, forbidden.dim), forbidden)
+    return (parts(path) for path, _ in walk)
 
 
 def brute_admissible_count(tgt: Vector, forbidden: ForbiddenProfiles) -> int:

@@ -1,11 +1,18 @@
 """Reference checks that the library's fast paths are compared against.
 
-Each stands beside a closed form that the library runs:
+The reference matroids come first: a Matroid backed by a circuit list or an
+independence oracle, built from a circuit list (matroid_from_circuits, the
+reference for core.check_circuit_list), as the uniform matroid, from the
+caps of the three-type construction (quasi_matroid, paving_to_matroid, whose
+circuits quasi_circuits lists as masks) and as the paper's CI matroid.
+
+Each check stands beside a closed form that the library runs:
 
 * the paper's generic component criterion (no hyperplane swallowed, every
   merged block non-liftable, from the nilpotent chain and the degree-one
   core), against the closed-form grid and line tests;
-* the unpruned partition filters, against the pruned partition search;
+* the closed-form grid and line tests on one partition, and the unpruned
+  filters over all partitions, against the pruned partition search;
 * the recursive partition walks, one generator frame per node, against the
   single-frame walks of the enumerate and formula routes;
 * the replay of decompose_to_tame's peeling by principal extensions, against
@@ -24,20 +31,31 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import combinations
-from math import factorial
+from itertools import chain, combinations
+from math import comb, factorial
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
-from pavemat import Matroid, MatroidError, QuasiRep
-from pavemat.bitset import as_mask, bits_tuple, canonical_masks, overlaps, remap, sort_key, subsets_of_size
+from pavemat import MatroidError, QuasiRep, check_circuit_axioms
+from pavemat.bitset import (
+    as_mask,
+    bit_list,
+    bits_tuple,
+    canonical_masks,
+    capped_subsets,
+    mask_of,
+    overlaps,
+    remap,
+    sort_key,
+    subsets_of_size,
+)
 from pavemat.counting import ForbiddenProfiles, Vector, _as_vector, _boxed_vectors
-from pavemat.decomposition import is_grid_component_partition, is_line_component_partition
-from pavemat.errors import NotTame, OutOfRange
-from pavemat.paving import PavingMatroid, _paving_relaxed, is_tame, paving_from_hyperplanes
-from pavemat.quasi import TameDecomposition, paving_to_matroid
+from pavemat.errors import BadParams, OutOfRange, RankMismatch
+from pavemat.families import GridLayout, ci_hypergraph
+from pavemat.paving import PavingMatroid, _paving_relaxed, paving_from_hyperplanes
+from pavemat.quasi import CIRCUIT_BUDGET, TameDecomposition, _caps, _circuit_walks, check_circuit_budget
 
-from helpers import brute_closure, iter_set_partitions
+from helpers import NotTame, brute_closure, is_tame, iter_set_partitions
 
 
 class GroundMismatch(MatroidError):
@@ -52,6 +70,214 @@ class NotAFlat(MatroidError):
     def __init__(self, subset: int):
         self.subset = subset
         super().__init__(f"{bits_tuple(subset)} is not a flat")
+
+
+# -- reference matroids ----------------------------------------------------------
+
+
+class BadRank(MatroidError):
+    pass
+
+
+class HypothesisViolated(MatroidError):
+    def __init__(self, inequality: str):
+        self.inequality = inequality
+        super().__init__(f"hypothesis violated: {inequality}")
+
+
+class Matroid:
+    """A matroid on {0..d-1}, backed by one of two representations:
+
+    * an explicit canonical circuit list (sorted by size, then
+      lexicographically), or
+    * an independence oracle (a predicate on masks), optionally with a
+      function that lists the circuits when they are first asked for. The
+      oracle answers independence queries also once the circuits are
+      listed; a matroid given no way to list its circuits refuses to.
+
+    Given no rank_value, the constructor takes the greedy rank of the
+    ground set.
+    """
+
+    __slots__ = ("d", "rank_value", "_circuits", "_oracle", "_circuit_fn")
+
+    def __init__(
+        self,
+        d: int,
+        rank_value: Optional[int] = None,
+        *,
+        circuits: Optional[tuple[int, ...]] = None,
+        oracle: Optional[Callable[[int], bool]] = None,
+        circuit_fn: Optional[Callable[[], tuple[int, ...]]] = None,
+    ):
+        if circuits is None and oracle is None:
+            raise BadParams("a matroid needs circuits or an independence oracle")
+        self.d = d
+        self._circuits = circuits
+        self._oracle = oracle
+        self._circuit_fn = circuit_fn
+        self.rank_value = self.rank() if rank_value is None else rank_value
+
+    def is_independent(self, s: int | Iterable[int]) -> bool:
+        s = as_mask(s)
+        if s >> self.d:
+            raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
+        if self._oracle is not None:
+            return self._oracle(s)
+        size = s.bit_count()
+        for c in self._circuits:
+            if c.bit_count() > size:
+                return True
+            if c & s == c:
+                return False
+        return True
+
+    def rank(self, s: int | Iterable[int] | None = None) -> int:
+        """The size of a maximal independent subset of s (of the ground set
+        when s is None), grown greedily in ascending element order."""
+        s = (1 << self.d) - 1 if s is None else as_mask(s)
+        if s >> self.d:
+            raise OutOfRange(f"subset has elements outside ground set of size {self.d}")
+        indep = 0
+        while s:
+            low = s & -s
+            s ^= low
+            if self.is_independent(indep | low):
+                indep |= low
+        return indep.bit_count()
+
+    def circuits(self) -> tuple[int, ...]:
+        if self._circuits is None:
+            if self._circuit_fn is None:
+                raise BadParams("a matroid given only an independence oracle cannot list its circuits")
+            self._circuits = self._circuit_fn()
+        return self._circuits
+
+
+def matroid_from_circuits(d: int, rank_value: Optional[int], circuits: Iterable[int | Iterable[int]]) -> Matroid:
+    """The matroid of a (possibly unsorted, possibly duplicated) circuit
+    list, checked in core.check_circuit_list's order: the ground set, then
+    the circuit axioms, then the declared rank against the Matroid's greedy
+    rank."""
+    canon = canonical_masks(as_mask(c) for c in circuits)
+    for c in canon:
+        if c >> d:
+            raise OutOfRange(f"circuit {bits_tuple(c)} leaves the ground set [{d}]")
+    check_circuit_axioms(d, canon)
+    m = Matroid(d, circuits=canon)
+    if rank_value is not None and rank_value != m.rank_value:
+        raise RankMismatch(rank_value, m.rank_value)
+    return m
+
+
+def uniform(n: int, d: int) -> Matroid:
+    """The uniform matroid of rank n on d elements: every (n+1)-subset is a
+    circuit, listed up to CIRCUIT_BUDGET of them, or else an oracle alone."""
+    if n < 0 or n > d:
+        raise BadRank(f"uniform matroid needs 0 <= n <= d, got n={n}, d={d}")
+    if comb(d, n + 1) > CIRCUIT_BUDGET:
+        return Matroid(d, n, oracle=lambda s: s.bit_count() <= n)
+    return Matroid(d, n, circuits=tuple(subsets_of_size((1 << d) - 1, n + 1)))
+
+
+def cap_oracle(r: int, caps: Iterable[tuple[int, int]]) -> Callable[[int], bool]:
+    """The predicate of the sets bitset.capped_subsets lists at every size up
+    to r: a mask is accepted when it has at most r elements and fewer than t
+    elements of each capped mask, for every (mask, t) in caps."""
+    caps = tuple(caps)
+
+    def accepts(s: int) -> bool:
+        return s.bit_count() <= r and all((s & mask).bit_count() < t for mask, t in caps)
+
+    return accepts
+
+
+def quasi_circuits(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> tuple[int, ...]:
+    """Every circuit of the three-type construction in canonical order, as
+    masks from the walks that quasi.circuit_rows writes as text, refused by
+    quasi.check_circuit_budget."""
+    check_circuit_budget(rep, budget)
+    walks = _circuit_walks(rep, _caps(rep))
+    return tuple(chain.from_iterable(capped_subsets(*walk) for walk in walks))
+
+
+def quasi_matroid(rep: QuasiRep, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
+    """The matroid of the three-type construction, in oracle mode with lazy
+    circuit materialization under the budget."""
+    return Matroid(
+        rep.d,
+        oracle=cap_oracle(rep.n, _caps(rep)),
+        circuit_fn=lambda: quasi_circuits(rep, budget=budget),
+    )
+
+
+def paving_to_matroid(p: PavingMatroid, *, budget: int = CIRCUIT_BUDGET) -> Matroid:
+    """The paving matroid itself, as the level-n construction of its
+    hyperplanes. The members are not checked for tameness, which the
+    construction's caps do not need."""
+    return quasi_matroid(QuasiRep(p.d, p.n, p.hyperplanes), budget=budget)
+
+
+def ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
+    """The paper's CI matroid, whose generators ci-generators exports: its
+    circuits are families.ci_hypergraph's edges and the (n+1)-sets holding
+    none of them, so a set is independent when it has at most n cells, fewer
+    than t in each row and fewer than s in each column. Every edge is
+    minimal, since a row and a column share one cell and s >= 3. Realizable
+    within the stated parameter window."""
+    for name, ok in (
+        ("3 <= s", 3 <= s),
+        ("s <= t", s <= t),
+        ("t <= l", t <= l),
+        ("s <= k", s <= k),
+        ("t <= n", t <= n),
+        ("n <= s+t-3", n <= s + t - 3),
+    ):
+        if not ok:
+            raise HypothesisViolated(name)
+    grid = GridLayout(k, l)
+    caps = [(row, t) for row in grid.row_masks()] + [(col, s) for col in grid.col_masks()]
+    d = k * l
+
+    def materialize() -> tuple[int, ...]:
+        if comb(d, n + 1) > CIRCUIT_BUDGET:
+            raise BadParams(f"too many circuits to materialize for d={d}, n={n}")
+        return ci_hypergraph(k, l, s, t) + tuple(capped_subsets((1 << d) - 1, n + 1, caps))
+
+    return Matroid(d, oracle=cap_oracle(n, caps), circuit_fn=materialize)
+
+
+def matroid_file(m: Matroid) -> dict:
+    """The dict of a matroid file (validate's input) holding m's circuits."""
+    return {"d": m.d, "rank": m.rank_value, "circuits": [bit_list(c, 1) for c in m.circuits()]}
+
+
+def slow_ci_matroid(k: int, l: int, s: int, t: int, n: int) -> Matroid:
+    """The CI matroid built without caps: the t-cell sets of each row and the
+    s-cell sets of each column (cell (i, j) is j*k + i), filtered to the
+    inclusion-minimal ones, then every (n+1)-set scanned for one of them.
+    Assumes the parameters satisfy ci_matroid's hypotheses."""
+    lines = [([j * k + i for j in range(l)], t) for i in range(k)]
+    lines += [([j * k + i for i in range(k)], s) for j in range(l)]
+    edges = {mask_of(c) for cells, size in lines for c in combinations(cells, size)}
+    minimal = sorted(
+        (e for e in edges if not any(o != e and o & e == o for o in edges)), key=sort_key
+    )
+    d = k * l
+
+    def contains_edge(mask: int) -> bool:
+        return any(e & mask == e for e in minimal)
+
+    def oracle(mask: int) -> bool:
+        return mask.bit_count() <= n and not contains_edge(mask)
+
+    def materialize() -> tuple[int, ...]:
+        big = map(sum, combinations([1 << e for e in range(d)], n + 1))
+        return tuple(minimal) + tuple(m for m in big if not contains_edge(m))
+
+    return Matroid(d, oracle=oracle, circuit_fn=materialize)
+
+
 
 
 # -- matroid operations on small grounds ----------------------------------------
@@ -394,7 +620,33 @@ def is_component_partition(p: PavingMatroid, blocks: list[list[int]]) -> Optiona
     return None if unknown else True
 
 
-# -- the unpruned partition filters ----------------------------------------------
+# -- the closed-form component tests and the unpruned partition filters ---------
+
+
+def is_grid_component_partition(k: int, l: int, blocks: Iterable[Iterable[int]]) -> bool:
+    """Closed-form test over the k+l grid hyperplanes (rows 0..k-1, then
+    columns k..k+l-1): every block of size >= 2 needs at least 3 rows, at
+    least 3 columns and a side of at least 4; and unless the partition is
+    trivial, no block may swallow all rows or all columns."""
+    blocks = [list(b) for b in blocks]
+    many = len(blocks) > 1
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        r = sum(1 for h in block if h < k)
+        c = len(block) - r
+        if r < 3 or c < 3 or max(r, c) < 4:
+            return False
+        if many and (r == k or c == l):
+            return False
+    return True
+
+
+def is_line_component_partition(n: int, blocks: Iterable[Iterable[int]]) -> bool:
+    """Closed-form test over the n line hyperplanes: no block may have size 2,
+    3, or n-1."""
+    return all(len(list(b)) not in (2, 3, n - 1) for b in blocks)
+
 
 
 def grid_component_partitions(k: int, l: int) -> Iterator[list[list[int]]]:

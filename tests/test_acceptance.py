@@ -20,8 +20,6 @@ from pavemat import (
     line_matroid,
     admissible_partition_count,
     partition_count_series,
-    paving_to_matroid,
-    quasi_matroid,
     quasi_rep,
 )
 from pavemat.counting import GRID_FORMULA_MIN, LINE_FORMULA_MIN
@@ -34,7 +32,7 @@ from helpers import (
     random_quasi_rep,
     set_partitions,
 )
-from oracles import dependency_leq, grid_component_partitions, replay_extensions
+from oracles import dependency_leq, grid_component_partitions, paving_to_matroid, quasi_matroid, replay_extensions
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
 TABLE_LINES = {4: 2, 5: 2, 6: 17, 7: 58, 8: 191}

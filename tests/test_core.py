@@ -5,22 +5,11 @@ from math import comb
 import pytest
 
 import pavemat.core
-from pavemat import (
-    Matroid,
-    check_circuit_axioms,
-    ci_matroid,
-    grid_matroid,
-    line_matroid,
-    mask_of,
-    matroid_from_circuits,
-    paving_to_matroid,
-    quasi_matroid,
-    uniform,
-)
+from pavemat import check_circuit_axioms, check_circuit_list, grid_matroid, line_matroid, mask_of
 from pavemat.bitset import canonical_masks, remap
 from pavemat.errors import (
     AxiomViolation,
-    BadRank,
+    BadParams,
     ContainmentViolation,
     InvariantViolated,
     MatroidError,
@@ -39,7 +28,21 @@ from helpers import (
     random_quasi_rep,
     random_tame_rep,
 )
-from oracles import GroundMismatch, bases, delete, dependency_leq, is_uniform, relabel
+from oracles import (
+    BadRank,
+    GroundMismatch,
+    Matroid,
+    bases,
+    ci_matroid,
+    delete,
+    dependency_leq,
+    is_uniform,
+    matroid_from_circuits,
+    paving_to_matroid,
+    quasi_matroid,
+    relabel,
+    uniform,
+)
 
 
 def test_uniform_2_7():
@@ -65,8 +68,73 @@ def test_uniform_bad_rank():
 
 def test_elimination_violation():
     with pytest.raises(AxiomViolation) as err:
-        matroid_from_circuits(4, None, [m1(1, 2), m1(1, 3)])
+        check_circuit_list(4, None, [m1(1, 2), m1(1, 3)])
     assert err.value.x == 0  # the shared element 1
+
+
+def test_circuit_list_check_order():
+    # the ground set first, then the axioms (an empty circuit among them),
+    # and the declared rank only once the axioms hold
+    with pytest.raises(OutOfRange):
+        check_circuit_list(3, 2, [m1(1, 2), m1(1, 3), m1(4)])
+    with pytest.raises(OutOfRange):
+        check_circuit_list(3, 2, [0, m1(4)])
+    with pytest.raises(BadParams, match="the empty set cannot be a circuit"):
+        check_circuit_list(3, 2, [m1(1, 2), 0, m1(1, 3)])
+    with pytest.raises(AxiomViolation):
+        check_circuit_list(4, 3, [m1(1, 2), m1(1, 3)])
+    with pytest.raises(ContainmentViolation):
+        check_circuit_list(4, 3, [m1(1, 2), m1(1, 2, 3)])
+    with pytest.raises(RankMismatch) as err:
+        check_circuit_list(4, 2, [m1(1, 2, 3)])
+    assert (err.value.declared, err.value.computed) == (2, 3)
+    assert check_circuit_list(4, None, [m1(1, 2, 3), m1(1, 2, 3)]) == (3, 1)
+    assert check_circuit_list(0, 0, []) == (0, 0)
+
+
+def _list_outcome(check, d, rank, circuits):
+    """(rank, count) of a circuit list checked by check, or the type and
+    message of the error it raised."""
+    try:
+        return check(d, rank, circuits)
+    except MatroidError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_list_check(d, rank, circuits):
+    m = matroid_from_circuits(d, rank, circuits)
+    return m.rank_value, len(m.circuits())
+
+
+def test_circuit_list_check_matches_the_reference_matroid():
+    # every clutter on up to 5 elements, in random order with a repeat; then
+    # the circuit lists of random tame representations and of random
+    # pavings, whole, with a circuit dropped and with the ground set added
+    rng = random.Random(227)
+    cases = []
+    for d in range(6):
+        for clutter in clutters(d):
+            circuits = list(clutter) + list(clutter[:1])
+            rng.shuffle(circuits)
+            cases.append((d, circuits))
+    for _ in range(60):
+        for m in (quasi_matroid(random_tame_rep(rng, max_d=10)), paving_to_matroid(random_paving(rng, max_d=10))):
+            circuits = list(m.circuits())
+            cases.append((m.d, circuits))
+            if circuits:
+                cases.append((m.d, circuits[1:]))
+                cases.append((m.d, circuits + [(1 << m.d) - 1]))
+    kinds = set()
+    for d, circuits in cases:
+        want = _list_outcome(_reference_list_check, d, None, circuits)
+        valid = not isinstance(want[0], type)
+        # a valid list with its rank and one above declared, an invalid one
+        # with a rank no list on d elements has
+        for declared in (None, want[0], want[0] + 1) if valid else (None, d + 1):
+            want = _list_outcome(_reference_list_check, d, declared, circuits)
+            assert _list_outcome(check_circuit_list, d, declared, circuits) == want, (d, declared, circuits)
+            kinds.add("valid" if not isinstance(want[0], type) else want[0])
+    assert kinds == {"valid", AxiomViolation, ContainmentViolation, RankMismatch}
 
 
 def test_containment_violation():
@@ -177,11 +245,11 @@ def test_axiom_check_on_grounds_20_and_21(build):
     m = paving_to_matroid(build())
     circuits = m.circuits()
     assert m.d in (20, 21) and m.d <= pavemat.core._DP_GROUND_LIMIT
-    assert matroid_from_circuits(m.d, m.rank_value, circuits).circuits() == circuits
+    assert check_circuit_list(m.d, m.rank_value, circuits) == (m.rank_value, len(circuits))
     for drop in (0, len(circuits) // 2, len(circuits) - 1):
         kept = circuits[:drop] + circuits[drop + 1 :]
         with pytest.raises(AxiomViolation) as err:
-            matroid_from_circuits(m.d, None, kept)
+            check_circuit_list(m.d, None, kept)
         c1, c2, x = err.value.c1, err.value.c2, err.value.x
         assert c1 in kept and c2 in kept and (c1 & c2) >> x & 1
         assert brute_independent(kept, (c1 | c2) & ~(1 << x))
@@ -214,10 +282,11 @@ def test_axiom_pair_budget_applies_above_16():
 
 def test_rank_mismatch():
     with pytest.raises(RankMismatch):
-        matroid_from_circuits(7, 3, [mask_of(c) for c in combinations(range(7), 3)])
+        check_circuit_list(7, 3, [mask_of(c) for c in combinations(range(7), 3)])
 
 
 def test_duplicates_and_order_are_canonicalized():
+    assert check_circuit_list(4, 2, [m1(3, 4), m1(1, 2), m1(3, 4)]) == (2, 2)
     m = matroid_from_circuits(4, 2, [m1(3, 4), m1(1, 2), m1(3, 4)])
     assert m.circuits() == (m1(1, 2), m1(3, 4))
 
@@ -287,8 +356,6 @@ def test_uniform_circuit_count():
 
 
 def test_is_uniform_rejects_grid():
-    from pavemat import grid_matroid, paving_to_matroid
-
     m = paving_to_matroid(grid_matroid(3, 4))
     assert is_uniform(m) is None
 
@@ -361,7 +428,7 @@ def test_oracle_matches_explicit_small():
         rep = random_quasi_rep(rng, max_d=8)
         m = quasi_matroid(rep)
         circuits = m.circuits()
-        explicit = matroid_from_circuits(rep.d, m.rank_value, circuits, validate=False)
+        explicit = Matroid(rep.d, m.rank_value, circuits=circuits)
         for s in range(1 << rep.d):
             if s.bit_count() <= rep.n + 1:
                 assert m.is_independent(s) == explicit.is_independent(s)
@@ -441,8 +508,6 @@ def test_uniform_budget_fallback_oracle():
 
 
 def test_paving_budget_fallback_matches_explicit():
-    from pavemat import grid_matroid, paving_to_matroid
-
     p = grid_matroid(3, 4)
     explicit = Matroid(p.d, 3, circuits=paving_to_matroid(p).circuits())
     oracle = paving_to_matroid(p, budget=0)

@@ -13,7 +13,6 @@ from pavemat import (
     grid_forbidden,
     line_component_count,
     partition_count_series,
-    vector_partitions,
 )
 from pavemat import counting
 from pavemat.counting import (
@@ -27,8 +26,8 @@ from pavemat.counting import (
     grid_excluded_series,
     line_component_codes,
 )
+from pavemat.decomposition import rgs_to_blocks
 from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
-from pavemat.partitions import iter_rgs, rgs_to_blocks
 
 from helpers import (
     brute_admissible_count,
@@ -36,8 +35,10 @@ from helpers import (
     coefficient,
     fraction_exp_1d,
     fraction_exp_2d,
+    iter_rgs,
     iter_set_partitions,
     set_partitions,
+    vector_partitions,
 )
 from oracles import (
     grid_component_partitions,

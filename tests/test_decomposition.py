@@ -1,3 +1,6 @@
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 
 from pavemat import (
@@ -7,33 +10,32 @@ from pavemat import (
     decompose_lines,
     grid_component_count,
     grid_matroid,
-    is_grid_component_partition,
-    is_line_component_partition,
     line_component_count,
     line_matroid,
-    merged_rep,
     paving_from_hyperplanes,
-    paving_to_matroid,
     quasi_rep,
 )
 from pavemat import decomposition
 from pavemat.counting import (
+    ForbiddenProfiles,
     code_shape,
     forbidden_sizes,
     grid_forbidden,
     line_component_codes,
-    vector_partitions,
 )
 from pavemat.decomposition import _decompose
-from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, NotTame, TooFewLines
-from pavemat.quasi import circuit_profile, quasi_matroid, small_circuits
+from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, TooFewLines
+from pavemat.quasi import circuit_profile, small_circuits
 
 from helpers import (
+    NotTame,
     iter_set_partitions,
     listed_reps,
     listed_signatures,
+    merged_rep,
     m1,
     signature_classification,
+    vector_partitions,
 )
 from oracles import (
     Liftability,
@@ -41,10 +43,14 @@ from oracles import (
     grid_component_partitions,
     hyperplane_submatroid,
     is_component_partition,
+    is_grid_component_partition,
+    is_line_component_partition,
     is_nilpotent,
     is_uniform,
     line_component_partitions,
     liftability_oracle,
+    paving_to_matroid,
+    quasi_matroid,
 )
 
 QS = [m1(1, 2, 3), m1(1, 5, 6), m1(3, 4, 5), m1(2, 4, 6)]
@@ -338,6 +344,58 @@ def test_listing_classifies_once_per_shape(monkeypatch):
         assert len(shapes) == len(calls) == want, size
 
 
+def _criterion_shapes(p, sorts, target):
+    """The shapes that the paper's generic criterion accepts, and the number
+    of partitions they hold, reading no ForbiddenProfiles.
+
+    Every multiset of block profiles summing to target (vector_partitions
+    with nothing forbidden) is laid out on consecutive hyperplanes of each
+    sort in sorts (the lines; or the rows, then the columns), as indices of
+    p.hyperplanes. Permuting the hyperplanes of one sort is an automorphism
+    of the base, so the criterion gives each shape one verdict, and the
+    shape holds target! / (prod part! * prod multiplicity!) partitions.
+    """
+    accepted, total = set(), 0
+    for parts in vector_partitions(target, ForbiddenProfiles(len(target), lambda v: False)):
+        blocks, taken = [], [0] * len(sorts)
+        for v in parts:
+            block = []
+            for s, x in enumerate(v):
+                block += sorts[s][taken[s] : taken[s] + x]
+                taken[s] += x
+            blocks.append(block)
+        verdict = is_component_partition(p, blocks)
+        assert verdict is not None, parts
+        if verdict:
+            accepted.add(tuple(sorted((v + (0,))[:2] for v in parts)))
+            denom = prod(prod(map(factorial, v)) ** m * factorial(m) for v, m in Counter(parts).items())
+            weight, rest = divmod(prod(map(factorial, target)), denom)
+            assert rest == 0
+            total += weight
+    return accepted, total
+
+
+@pytest.mark.parametrize("n", range(5, 21))
+def test_criterion_picks_the_line_shapes(n):
+    # the criterion's shapes are the formula walk's without the excluded
+    # one, and their partitions number the egf count: so a wrong entry in
+    # the forbidden sizes, which all three routes read, cannot hide here
+    accepted, total = _criterion_shapes(line_matroid(n), [list(range(n))], (n,))
+    assert accepted == _formula_shapes((n,))
+    assert total == line_component_count(n, "egf")
+
+
+@pytest.mark.parametrize("k, l", [(k, l) for k in range(4, 9) for l in range(k, 9)])
+def test_criterion_picks_the_grid_shapes(k, l):
+    p = grid_matroid(k, l)
+    layout = GridLayout(k, l)
+    rows = [p.hyperplanes.index(mask) for mask in layout.row_masks()]
+    cols = [p.hyperplanes.index(mask) for mask in layout.col_masks()]
+    accepted, total = _criterion_shapes(p, [rows, cols], (k, l))
+    assert accepted == _formula_shapes((k, l))
+    assert total == grid_component_count(k, l, "egf")
+
+
 def test_order_and_rank_invariants():
     cases = []
     for k, l in ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5)):
@@ -403,8 +461,7 @@ def test_merged_matroid_always_above_base():
     # system, with no component condition needed
     import random
 
-    from pavemat import is_tame
-    from helpers import random_paving
+    from helpers import is_tame, random_paving
 
     rng = random.Random(73)
     tried = 0

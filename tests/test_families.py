@@ -10,17 +10,22 @@ from pavemat import (
     LineArrangement,
     ci_hypergraph,
     ci_ideal_generators,
-    ci_matroid,
     grid_matroid,
-    is_tame,
     line_matroid,
     mask_of,
-    paving_to_matroid,
 )
-from pavemat.errors import BadParams, DegenerateGround, HypothesisViolated, TooFewLines
+from pavemat.errors import BadParams, DegenerateGround, TooFewLines
 
-from helpers import m1, slow_ci_matroid
-from oracles import degree_one_core, degrees, hyperplane_submatroid
+from helpers import is_tame, m1
+from oracles import (
+    HypothesisViolated,
+    ci_matroid,
+    degree_one_core,
+    degrees,
+    hyperplane_submatroid,
+    paving_to_matroid,
+    slow_ci_matroid,
+)
 
 
 def test_grid_layout_numbering():

@@ -6,14 +6,12 @@ import pytest
 from pavemat import (
     check_circuit_axioms,
     grid_matroid,
-    is_tame,
     mask_of,
     paving_from_hyperplanes,
-    paving_to_matroid,
 )
 from pavemat.errors import DegenerateGround, HyperplaneTooSmall, IntersectionTooLarge
 
-from helpers import m1, random_paving
+from helpers import is_tame, m1, random_paving
 from oracles import (
     TooFewHyperplanes,
     degree_one_core,
@@ -21,6 +19,7 @@ from oracles import (
     hyperplane_submatroid,
     is_nilpotent,
     nilpotent_chain,
+    paving_to_matroid,
 )
 
 FANO = [m1(1, 2, 4), m1(1, 3, 7), m1(1, 5, 6), m1(2, 3, 5), m1(2, 6, 7), m1(3, 4, 6), m1(4, 5, 7)]

@@ -14,10 +14,7 @@ from pavemat import (
     grid_matroid,
     line_matroid,
     mask_of,
-    matroid_from_circuits,
     paving_from_hyperplanes,
-    paving_to_matroid,
-    quasi_matroid,
     quasi_rep,
     small_circuits,
 )
@@ -30,7 +27,6 @@ from pavemat.quasi import (
     circuit_profile,
     circuit_rows,
     count_by_size,
-    quasi_circuits,
     type3_count,
 )
 
@@ -55,9 +51,13 @@ from oracles import (
     bases,
     delete,
     is_uniform,
+    matroid_from_circuits,
     pairwise_intersection_flats,
+    paving_to_matroid,
     principal_extension,
+    quasi_circuits,
     quasi_deletion,
+    quasi_matroid,
     replay_extensions,
 )
 
@@ -322,8 +322,6 @@ def test_quasi_deletion_commutes_with_construction():
 
 
 def test_matroid_deletion_matches_golden_two_lines():
-    from pavemat import paving_from_hyperplanes, paving_to_matroid
-
     rep = REP_B()
     m = quasi_matroid(rep)
     deleted, kept = delete(m, m1(6, 7))
