@@ -66,9 +66,9 @@ def _write(pieces: Iterable[str]) -> None:
         write(piece)
 
 
-def _print_json(obj: dict) -> None:
-    """obj as indented JSON and a newline, written piece by piece."""
-    _write(io.json_pieces(obj))
+def _print_json(pieces: Iterable[str]) -> None:
+    """JSON text and a newline, written piece by piece."""
+    _write(pieces)
     sys.stdout.write("\n")
 
 
@@ -93,7 +93,8 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
     if args.format == "json":
         obj = io.matroid_to_dict(rep, profile, include_circuits=args.circuits)
         obj["hyperplanes"] = [io.mask_to_labels(h) for h in rep.members]
-        _print_json(obj)
+        fills = [io.circuit_list(rep)] if args.circuits else []
+        _print_json(io.json_pieces(obj, *fills))
         return 0
     print(f"ground size: {rep.d}")
     print(f"rank: {profile.rank}")
@@ -141,7 +142,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 kind = f"uniform({r},{d})"
             print("  " + " ".join(blocks) + f"  ->  {kind}")
     else:
-        _print_json(io.decomposition_to_dict(result, include_circuits=args.circuits))
+        _print_json(io.listing_pieces(result, include_circuits=args.circuits))
     return 0
 
 
@@ -214,33 +215,15 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 def _cmd_decompose_to_tame(args: argparse.Namespace) -> int:
     rep = io.quasi_from_dict(_load_json(args.file), n_override=args.n)
     dec = decompose_to_tame(rep)
-    core_hyps = [remap(h, dec.core_elements) for h in dec.core.hyperplanes]
     if args.format == "json":
-        _print_json(
-            {
-                "steps": [
-                    {
-                        "element": s.element + 1,
-                        "flat": io.mask_to_labels(s.flat),
-                        "member_pair": [s.source_pair[0] + 1, s.source_pair[1] + 1],
-                    }
-                    for s in dec.steps
-                ],
-                "core": {
-                    "elements": [e + 1 for e in dec.core_elements],
-                    "d": dec.core.d,
-                    "n": dec.core.n,
-                    "hyperplanes": [io.mask_to_labels(h) for h in core_hyps],
-                },
-            }
-        )
+        _print_json(io.tame_pieces(dec))
         return 0
     print(f"extension steps ({len(dec.steps)}):")
     for s in dec.steps:
         flat = " ".join(str(x) for x in io.mask_to_labels(s.flat))
         print(f"  element {s.element + 1} over flat {{{flat}}}")
     print(f"core on elements {[e + 1 for e in dec.core_elements]}:")
-    _write_rows(core_hyps)
+    _write_rows(remap(h, dec.core_elements) for h in dec.core.hyperplanes)
     return 0
 
 

@@ -54,10 +54,12 @@ class Classification(NamedTuple):
 
 class ComponentReport(NamedTuple):
     """One listed component: its partition, as blocks of hyperplane indices
-    in first-element order, the merged representation and what
-    circuit_profile reads off it (circuit counts, key, rank)."""
+    in first-element order, its shape (counting.code_shape), the merged
+    representation and what circuit_profile reads off it (circuit counts,
+    key, rank)."""
 
     blocks: tuple[tuple[int, ...], ...]
+    shape: tuple[tuple[int, int], ...]
     rep: QuasiRep
     profile: CircuitProfile
     classification: Classification
@@ -131,7 +133,7 @@ def _decompose(
             raise InvariantViolated(f"partition {tuple(code)} merges to a matroid already listed")
         seen_keys.add(profile.key)
         yield ComponentReport(
-            blocks=tuple(map(tuple, blocks)), rep=rep, profile=profile, classification=first[1]
+            blocks=tuple(map(tuple, blocks)), shape=shape, rep=rep, profile=profile, classification=first[1]
         )
 
 

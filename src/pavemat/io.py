@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from types import GeneratorType
-from typing import Callable, Iterable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitset import bit_list, mask_of
+from .bitset import bit_list, mask_of, remap
 from .core import check_circuit_list
-from .decomposition import DecompositionResult
-from .errors import BadParams, OutOfRange
+from .decomposition import ComponentReport, DecompositionResult
+from .errors import BadParams, InvariantViolated, OutOfRange
 from .families import MinorGenerator
-from .quasi import CircuitProfile, QuasiRep, check_circuit_budget, circuit_rows, count_by_size, quasi_rep
+from .quasi import (
+    CircuitProfile, QuasiRep, TameDecomposition, check_circuit_budget, circuit_rows, count_by_size, quasi_rep
+)
 
 CIRCUIT_LIST_INLINE_LIMIT = 20_000
 # The readers refuse larger grounds: validate's check_circuit_list costs time
@@ -22,80 +24,78 @@ CIRCUIT_LIST_INLINE_LIMIT = 20_000
 GROUND_SIZE_LIMIT = 4096
 
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+# The value standing for a long list in an object given to json_pieces, and
+# its text there. No other string of such an object may hold "\0".
+_HOLE = "\0"
+_HOLE_TEXT = _INDENTED.encode(_HOLE)
+
+# A hole's list, written as text in pieces for the newline of the hole's line.
+Fill = Callable[[str], Iterable[str]]
 
 
-class MaskRows:
-    """A list that json_pieces writes as a list of 1-based label lists, from
-    a row writer called when the writer reaches the list. A row writer, such
-    as ``quasi.circuit_rows`` of one representation, takes (before, sep,
-    end) and returns an iterator of nonempty pieces of text: for each set in
-    the list, before, its 1-based labels joined by sep, then end. None of
-    its sets is empty.
-
-    Only json_pieces writes it; ``json.dumps`` refuses it.
-    """
-
-    __slots__ = ("write",)
-
-    def __init__(self, write: Callable[[str, str, str], Iterator[str]]):
-        self.write = write
+def json_pieces(obj, *fills: Fill, newline: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, each "\\n"
+    of it replaced by newline, in pieces. The i-th hole (_HOLE) of that text
+    is written by fills[i], when the writer reaches it. A number of holes
+    other than the number of fills raises InvariantViolated at the first
+    piece."""
+    return _filled(_layout(obj, newline), fills)
 
 
-def json_pieces(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for
-    byte, in pieces, with each MaskRows written as its list of label lists.
-
-    Dicts with str keys, lists and generators are walked here; a generator
-    is written as a list, each item encoded as it is drawn. A MaskRows, such
-    as a circuit list, is written by its row writer a bounded number of rows
-    per piece, straight from the walk that lists it. A plain int is written
-    as its decimal digits; everything else is left to the stdlib encoder
-    with the same settings.
-    """
-    return _encode(obj, "\n")
+def _layout(obj, newline: str) -> tuple[list[str], list[str]]:
+    """The encoder's text of obj cut at its holes, each "\\n" replaced by
+    newline, and the newline of each hole's line. Each value inside a list
+    or a dict starts a line of its own, so the text before a hole holds the
+    start of its line, unless the hole is the whole text."""
+    parts = _INDENTED.encode(obj).split(_HOLE_TEXT)
+    lines = [part[part.rfind("\n") + 1 :] for part in parts[:-1]]
+    newlines = [newline + " " * (len(line) - len(line.lstrip(" "))) for line in lines]
+    return [part.replace("\n", newline) for part in parts], newlines
 
 
-def _encode(value, newline: str) -> Iterator[str]:
-    """value as indented JSON, with newline ("\\n" plus the indentation of the
-    line value starts on) ending each of its lines but the last."""
-    if type(value) is int:  # not bool or an int subclass, whose text may differ
-        yield str(value)
-        return
+def _filled(layout: tuple[list[str], list[str]], fills: Sequence[Fill]) -> Iterator[str]:
+    """The text of a _layout, each hole written by its fill when reached."""
+    parts, newlines = layout
+    if len(fills) != len(newlines):
+        raise InvariantViolated(f"{len(newlines)} holes in the JSON text for {len(fills)} lists")
+    yield parts[0]
+    for fill, newline, part in zip(fills, newlines, parts[1:]):
+        yield from fill(newline)
+        yield part
+
+
+def json_list(items: Callable[[str], Iterable[Iterable[str]]], newline: str) -> Iterator[str]:
+    """A list on a line ending in newline of what items(the newline of the
+    items' lines) yields, each item's text in pieces, drawn once the items
+    before it are written."""
     inner = newline + "  "
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        sep = "{" + inner
-        for k, v in sorted(value.items()):
-            yield sep + _INDENTED.encode(k) + ": "
-            yield from _encode(v, inner)
-            sep = "," + inner
-        yield newline + "}"
-    elif isinstance(value, MaskRows):
-        yield from _mask_rows(value, newline)
-    elif isinstance(value, (list, tuple, GeneratorType)):
-        sep = "[" + inner
-        for v in value:
-            yield sep
-            yield from _encode(v, inner)
-            sep = "," + inner
-        yield "[]" if sep[0] == "[" else newline + "]"
-    else:
-        yield _INDENTED.encode(value).replace("\n", newline)
+    return _listed(chain.from_iterable(chain(("," + inner,), item) for item in items(inner)), newline)
 
 
-def _mask_rows(rows: MaskRows, newline: str) -> Iterator[str]:
-    """The pieces of one MaskRows. Each row is written with the separator in
-    front of it, so only the first piece is trimmed: its leading "," becomes
-    the list's "["."""
+def rows_list(write: Callable[[str, str, str], Iterator[str]], newline: str) -> Iterator[str]:
+    """A list of label lists on a line ending in newline, from a row writer,
+    such as quasi.circuit_rows of one representation: write(before, sep,
+    end) returns nonempty pieces of text holding, for each set of the list,
+    before, its 1-based labels joined by sep, then end. No set is empty."""
     inner = newline + "  "
     row = inner + "  "
-    pieces = rows.write("," + inner + "[" + row, "," + row, inner + "]")
+    return _listed(write("," + inner + "[" + row, "," + row, inner + "]"), newline)
+
+
+def _listed(pieces: Iterator[str], newline: str) -> Iterator[str]:
+    """A list on a line ending in newline, from its items' text in pieces,
+    each item led by ",": the first piece's leading "," becomes "["."""
     first = next(pieces, None)
     if first is None:
-        yield "[]"
-        return
-    yield "[" + first[1:]
-    yield from pieces
-    yield newline + "]"
+        return iter(("[]",))
+    return chain(("[" + first[1:],), pieces, (newline + "]",))
+
+
+def circuit_list(rep: QuasiRep) -> Fill:
+    """The fill of a hole for rep's circuit list, written by its walks
+    (quasi.circuit_rows); refused here by check_circuit_budget."""
+    check_circuit_budget(rep)
+    return partial(rows_list, partial(circuit_rows, rep))
 
 
 def mask_to_labels(mask: int) -> list[int]:
@@ -142,17 +142,14 @@ def _label_lists(key: str, lists, d: int) -> list[int]:
 
 def matroid_to_dict(rep: QuasiRep, profile: CircuitProfile, *, include_circuits: bool) -> dict:
     """The matroid of rep, whose circuit_profile is profile: its ground size,
-    its rank, and its circuit list or its circuit counts by size. The list
-    is written by rep's walks (quasi.circuit_rows), refused here by
-    check_circuit_budget."""
+    its rank, and its circuit list, a hole that circuit_list(rep) fills, or
+    its circuit counts by size."""
     out: dict = {"d": rep.d, "rank": profile.rank}
     if include_circuits:
-        check_circuit_budget(rep)
-        out["circuits"] = MaskRows(partial(circuit_rows, rep))
+        out["circuits"] = _HOLE
     else:
-        out["circuit_count_by_size"] = {
-            str(size): count for size, count in sorted(count_by_size(rep.n, profile).items())
-        }
+        counts = count_by_size(rep.n, profile)
+        out["circuit_count_by_size"] = {str(size): count for size, count in counts.items()}
     return out
 
 
@@ -180,45 +177,79 @@ def quasi_from_dict(obj: dict, *, n_override: int | None = None) -> QuasiRep:
     return quasi_rep(d, n, _label_lists("H", members, d))
 
 
-def decomposition_to_dict(result: DecompositionResult, *, include_circuits: bool = False) -> dict:
-    """The listing as a dict whose components are a generator, each
-    component's dict made when json_pieces reaches it."""
-    labels = result.hyperplane_labels
-    return {
+def listing_pieces(result: DecompositionResult, *, include_circuits: bool) -> Iterator[str]:
+    """The JSON text of a listing, in pieces, each component written as the
+    listing yields it (see _components)."""
+    obj = {
         "family": result.family,
         "params": result.params,
-        "hyperplanes": {
-            label: mask_to_labels(mask)
-            for label, mask in zip(labels, result.hyperplane_masks)
-        },
+        "hyperplanes": dict(zip(result.hyperplane_labels, map(mask_to_labels, result.hyperplane_masks))),
         "component_count": result.component_count,
-        "components": _component_dicts(result, include_circuits),
+        "components": _HOLE,
     }
+    return json_pieces(obj, partial(json_list, partial(_components, result, include_circuits)))
 
 
-def _component_dicts(result: DecompositionResult, include_circuits: bool) -> Iterator[dict]:
-    labels = result.hyperplane_labels
+def _components(result: DecompositionResult, include_circuits: bool, newline: str) -> Iterator[Iterator[str]]:
+    """The text of each component of result on lines ending in newline, made
+    as the listing yields it. Its classification, its matroid summary and
+    whether its circuits are listed (at most CIRCUIT_LIST_INLINE_LIMIT of
+    them) depend only on its shape, so each shape's text is laid out once,
+    with holes for the circuits and the partition."""
+    quoted = [_INDENTED.encode(label) for label in result.hyperplane_labels]
+    layouts: dict[tuple, tuple[list[str], list[str]]] = {}
     for report in result.components:
-        classification: dict = {"kind": report.classification.kind}
-        if report.classification.uniform_params is not None:
-            r, d = report.classification.uniform_params
-            classification["uniform"] = {"rank": r, "d": d}
-        if report.classification.histogram is not None:
-            classification["circuit_count_by_size"] = {
-                str(size): count
-                for size, count in sorted(report.classification.histogram.items())
-            }
-        profile = report.profile
-        matroid_obj: dict = {"d": report.rep.d, "rank": profile.rank}
-        if include_circuits and profile.type1 + profile.type2 + profile.type3 <= CIRCUIT_LIST_INLINE_LIMIT:
-            # refused here, before this component is written, and listed by the writer
-            check_circuit_budget(report.rep)
-            matroid_obj["circuits"] = MaskRows(partial(circuit_rows, report.rep))
-        yield {
-            "partition": [[labels[i] for i in block] for block in report.blocks],
-            "classification": classification,
-            "matroid": matroid_obj,
-        }
+        p = report.profile
+        listed = include_circuits and p.type1 + p.type2 + p.type3 <= CIRCUIT_LIST_INLINE_LIMIT
+        # a list is refused here, before any of its component is written
+        fills = [circuit_list(report.rep)] if listed else []
+        if report.shape not in layouts:
+            layouts[report.shape] = _layout(_component_dict(report, listed), newline)
+        yield _filled(layouts[report.shape], [*fills, partial(_partition, quoted, report.blocks)])
+
+
+def _component_dict(report: ComponentReport, listed: bool) -> dict:
+    """A component's object, with holes for its partition and listed circuits."""
+    c = report.classification
+    classification: dict = {"kind": c.kind}
+    if c.uniform_params is not None:
+        r, d = c.uniform_params
+        classification["uniform"] = {"rank": r, "d": d}
+    if c.histogram is not None:
+        classification["circuit_count_by_size"] = {str(size): count for size, count in c.histogram.items()}
+    matroid: dict = {"d": report.rep.d, "rank": report.profile.rank}
+    if listed:
+        matroid["circuits"] = _HOLE
+    return {"classification": classification, "matroid": matroid, "partition": _HOLE}
+
+
+def _partition(quoted: Sequence[str], blocks: Sequence[Sequence[int]], newline: str) -> tuple[str]:
+    """A partition's blocks of hyperplane indices, none empty, as a list of
+    lists of their quoted labels, on a line ending in newline."""
+    block = newline + "  "
+    label = block + "  "
+    rows = ("[" + label + ("," + label).join([quoted[i] for i in b]) + block + "]" for b in blocks)
+    return ("[" + block + ("," + block).join(rows) + newline + "]",)
+
+
+def tame_pieces(dec: TameDecomposition) -> Iterator[str]:
+    """The JSON text of a peeling, in pieces: its core, and its steps, each
+    encoded as the writer reaches it, so that the list is never whole."""
+    core = {
+        "elements": [e + 1 for e in dec.core_elements],
+        "d": dec.core.d,
+        "n": dec.core.n,
+        "hyperplanes": [mask_to_labels(remap(h, dec.core_elements)) for h in dec.core.hyperplanes],
+    }
+    return json_pieces({"core": core, "steps": _HOLE}, partial(json_list, partial(_steps, dec)))
+
+
+def _steps(dec: TameDecomposition, newline: str) -> Iterator[Iterator[str]]:
+    """The text of each peel of dec on lines ending in newline."""
+    for s in dec.steps:
+        pair = [s.source_pair[0] + 1, s.source_pair[1] + 1]
+        obj = {"element": s.element + 1, "flat": mask_to_labels(s.flat), "member_pair": pair}
+        yield json_pieces(obj, newline=newline)
 
 
 def generators_to_csv(gens: Iterable[MinorGenerator]) -> str:

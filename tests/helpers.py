@@ -34,7 +34,7 @@ from pavemat.counting import (
 )
 from pavemat.decomposition import Classification, _block_union, rgs_to_blocks
 from pavemat.errors import BadParams
-from pavemat.io import json_pieces, mask_to_labels
+from pavemat.io import CIRCUIT_LIST_INLINE_LIMIT, json_pieces, mask_to_labels
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
 from pavemat.quasi import type3_count
 
@@ -53,9 +53,40 @@ def json_oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def joined_json(obj) -> str:
+def joined_json(obj, *fills) -> str:
     """The whole text that io.json_pieces writes in pieces."""
-    return "".join(json_pieces(obj))
+    return "".join(json_pieces(obj, *fills))
+
+
+def listing_dict(result, circuits=None) -> dict:
+    """The object of a listing's JSON, built per component from its reports,
+    as the writer once built it: the oracle of the per-shape layout. With
+    circuits, a function from a representation to its circuit masks, a
+    component lists its circuits when it has at most
+    io.CIRCUIT_LIST_INLINE_LIMIT of them."""
+    labels = result.hyperplane_labels
+    components = []
+    for report in result.components:
+        c = report.classification
+        classification: dict = {"kind": c.kind}
+        if c.uniform_params is not None:
+            r, d = c.uniform_params
+            classification["uniform"] = {"rank": r, "d": d}
+        if c.histogram is not None:
+            classification["circuit_count_by_size"] = {str(size): count for size, count in sorted(c.histogram.items())}
+        profile = report.profile
+        matroid: dict = {"d": report.rep.d, "rank": profile.rank}
+        if circuits and profile.type1 + profile.type2 + profile.type3 <= CIRCUIT_LIST_INLINE_LIMIT:
+            matroid["circuits"] = [mask_to_labels(m) for m in circuits(report.rep)]
+        partition = [[labels[i] for i in block] for block in report.blocks]
+        components.append({"partition": partition, "classification": classification, "matroid": matroid})
+    return {
+        "family": result.family,
+        "params": result.params,
+        "hyperplanes": {label: mask_to_labels(mask) for label, mask in zip(labels, result.hyperplane_masks)},
+        "component_count": result.component_count,
+        "components": components,
+    }
 
 
 def label_rows(masks, before: str, sep: str, end: str) -> str:
@@ -65,7 +96,7 @@ def label_rows(masks, before: str, sep: str, end: str) -> str:
 
 
 def label_pieces(masks, before: str, sep: str, end: str) -> Iterator[str]:
-    """A row writer (io.MaskRows) over the masks: label_rows of
+    """A row writer, as io.rows_list takes, over the masks: label_rows of
     _ROWS_PER_PIECE of them at a time."""
     for start in range(0, len(masks), _ROWS_PER_PIECE):
         yield label_rows(masks[start : start + _ROWS_PER_PIECE], before, sep, end)

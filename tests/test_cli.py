@@ -18,6 +18,7 @@ from pavemat import (
     bitset,
     cli,
     core,
+    decompose_grid,
     decompose_lines,
     decomposition,
     grid_matroid,
@@ -32,8 +33,8 @@ from pavemat.counting import line_component_codes
 from pavemat.errors import TooLarge
 from pavemat.quasi import CIRCUIT_BUDGET, check_circuit_budget, circuit_rows
 
-from helpers import brute_quasi_circuits, json_oracle, m1, quasi_to_dict
-from oracles import matroid_file, paving_to_matroid, quasi_matroid, uniform
+from helpers import brute_quasi_circuits, json_oracle, listing_dict, m1, quasi_to_dict
+from oracles import matroid_file, paving_to_matroid, quasi_circuits, quasi_matroid, uniform
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -215,6 +216,26 @@ def test_listing_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[argv]
+
+
+# Every listing up to lines 10 and grid 6x6; with --circuits, those whose
+# text stays under about 4 MB.
+ORACLE_LISTINGS = [f"lines --n {n}" for n in range(4, 11)]
+ORACLE_LISTINGS += [f"grid --k {k} --l {l}" for k in range(3, 7) for l in range(k, 7)]
+ORACLE_LISTINGS += [f"lines --n {n} --circuits" for n in range(4, 8)]
+ORACLE_LISTINGS += [f"grid --k {k} --l {l} --circuits" for k, l in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5)]]
+
+
+@pytest.mark.parametrize("args", ORACLE_LISTINGS)
+def test_json_listing_equals_the_per_component_oracle(capsys, args):
+    # each shape's text is laid out once; the oracle builds every component's dict
+    code, out, err = run(capsys, "decompose", *args.split(), "--list", "--format", "json")
+    assert code == 0 and err == ""
+    family, *options = args.split()
+    size = [int(x) for x in options if x.isdigit()]
+    result = decompose_grid(*size) if family == "grid" else decompose_lines(*size)
+    circuits = quasi_circuits if "--circuits" in options else None
+    assert out == json_oracle(listing_dict(result, circuits)) + "\n"
 
 
 def test_circuit_lists_over_the_inline_limit_are_never_built(capsys, monkeypatch):

@@ -23,7 +23,6 @@ from pavemat.counting import (
     _weighted_partitions,
     admissible_codes,
     grid_component_codes,
-    grid_excluded_series,
     line_component_codes,
 )
 from pavemat.decomposition import rgs_to_blocks
@@ -183,13 +182,6 @@ def test_excluded_count_matches_brute_force():
             if ok and covering and len(blocks) > 1:
                 brute += 1
         assert grid_excluded_count(k, l) == brute
-
-
-def test_excluded_series_matches_closed_form():
-    series = grid_excluded_series((6, 6))
-    for k in range(4, 7):
-        for l in range(4, 7):
-            assert series.count((k, l)) == grid_excluded_count(k, l)
 
 
 def test_grid_counts_reference_table():

@@ -339,7 +339,10 @@ def test_listing_classifies_once_per_shape(monkeypatch):
     for decompose, size, rows, want in cases:
         calls.clear()
         res = decompose(*size)
-        shapes = {code_shape(_code(c.blocks), rows) for c in res.components}
+        shapes = set()
+        for c in res.components:
+            assert c.shape == code_shape(_code(c.blocks), rows), size
+            shapes.add(c.shape)
         assert shapes == _formula_shapes(size), size
         assert len(shapes) == len(calls) == want, size
 

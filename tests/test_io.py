@@ -5,10 +5,9 @@ from functools import partial
 
 import pytest
 
-from pavemat import QuasiRep, grid_matroid
 from pavemat.bitset import _ROWS_PER_PIECE, bit_list, bits, bits_tuple, sort_key
-from pavemat.io import MaskRows, json_pieces, mask_to_labels, matroid_to_dict
-from pavemat.quasi import circuit_profile
+from pavemat.errors import InvariantViolated
+from pavemat.io import _HOLE, json_list, json_pieces, mask_to_labels, rows_list
 
 from helpers import joined_json, json_oracle, label_pieces
 
@@ -136,43 +135,43 @@ def _random_masks(rng: random.Random, d: int) -> list[int]:
     return masks
 
 
-def _rows(masks) -> MaskRows:
-    """A MaskRows whose row writer writes the masks, as circuit_rows writes
-    its circuits."""
-    return MaskRows(partial(label_pieces, masks))
+def _rows(masks):
+    """A fill that writes the masks' label lists through rows_list, as
+    circuit_list writes a representation's circuits."""
+    return partial(rows_list, partial(label_pieces, masks))
 
 
-def _with_labels(value):
-    """value with each MaskRows replaced by its list of label lists."""
-    if isinstance(value, MaskRows):
-        return [mask_to_labels(m) for m in value.write.args[0]]
-    if isinstance(value, dict):
-        return {k: _with_labels(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_with_labels(v) for v in value]
-    return value
+# A list alone and at the nesting depths of the JSON exports: depth 1 in
+# `matroid --format json`, depth 3 in `decompose --list --circuits`.
+LAYOUTS = [
+    lambda x: x,
+    lambda x: {"circuits": x, "d": 9, "hyperplanes": [[1, 2], [3]], "rank": 3},
+    lambda x: {"a": [{"circuits": x}, x]},
+    lambda x: {
+        "component_count": 1,
+        "components": [{"matroid": {"circuits": x, "d": 9, "rank": 3}, "partition": [["R1"]]}],
+    },
+]
 
 
-def _layouts(rows: MaskRows) -> list:
-    """rows alone and at the nesting depths of the JSON exports: depth 1 in
-    `matroid --format json`, depth 3 in `decompose --list --circuits`."""
-    return [
-        rows,
-        {"circuits": rows, "d": 9, "hyperplanes": [[1, 2], [3]], "rank": 3},
-        {"a": [{"circuits": rows}, rows]},
-        {
-            "component_count": 1,
-            "components": [{"matroid": {"circuits": rows, "d": 9, "rank": 3}, "partition": [["R1"]]}],
-        },
-    ]
+def _holed(layout, fill) -> str:
+    """The text of a layout with a hole for each of its lists, each hole
+    written by fill."""
+    obj = layout(_HOLE)
+    return joined_json(obj, *[fill] * json_oracle(obj).count('"\\u0000"'))
+
+
+def _labels(masks) -> list:
+    return [mask_to_labels(m) for m in masks]
 
 
 @pytest.mark.parametrize("d", GROUND_SIZES)
 def test_mask_rows_match_stdlib_on_label_lists(d):
     rng = random.Random(8000 + d)
     for _ in range(60):
-        for value in _layouts(_rows(_random_masks(rng, d))):
-            assert joined_json(value) == json_oracle(_with_labels(value))
+        masks = _random_masks(rng, d)
+        for layout in LAYOUTS:
+            assert _holed(layout, _rows(masks)) == json_oracle(layout(_labels(masks)))
 
 
 @pytest.mark.parametrize(
@@ -181,8 +180,8 @@ def test_mask_rows_match_stdlib_on_label_lists(d):
     ids=repr,
 )
 def test_mask_rows_edge_lists(masks):
-    for value in _layouts(_rows(masks)):
-        assert joined_json(value) == json_oracle(_with_labels(value))
+    for layout in LAYOUTS:
+        assert _holed(layout, _rows(masks)) == json_oracle(layout(_labels(masks)))
 
 
 P = _ROWS_PER_PIECE
@@ -190,6 +189,8 @@ P = _ROWS_PER_PIECE
 
 @pytest.mark.parametrize("length", [0, 1, P - 1, P, P + 1, 2 * P + 1])
 def test_json_pieces_write_mask_rows_in_pieces(length):
+    # rows_list at the boundaries of the row writer's pieces, and on an
+    # empty writer, which it writes as []
     rng = random.Random(89 + length)
     masks = [rng.getrandbits(40) | 1 for _ in range(length)]
     calls = []
@@ -198,38 +199,102 @@ def test_json_pieces_write_mask_rows_in_pieces(length):
         calls.append(1)
         return label_pieces(masks, before, sep, end)
 
-    for eager, made in zip(_layouts(_rows(masks)), _layouts(MaskRows(written))):
-        assert joined_json(made) == json_oracle(_with_labels(eager))
+    for layout in LAYOUTS:
+        assert _holed(layout, partial(rows_list, written)) == json_oracle(layout(_labels(masks)))
     assert len(calls) == 5  # once per list written: one layout holds two
     # "[" and the first rows, the later pieces of rows, "\n]"
-    pieces = list(json_pieces(MaskRows(written)))
+    pieces = list(rows_list(written, "\n"))
     assert len(pieces) == (-(-length // P) + 1 if length else 1)
+    assert length or pieces == ["[]"]
+
+
+def _item(value, newline: str):
+    """The text of a json_list item on lines ending in newline: value, or an
+    (object, masks) pair whose hole _rows of the masks fills."""
+    if isinstance(value, tuple):
+        obj, masks = value
+        return json_pieces(obj, _rows(masks), newline=newline)
+    return json_pieces(value, newline=newline)
+
+
+def _expected(value):
+    """A json_list item as _item writes it, with its hole's list in place."""
+    if isinstance(value, tuple):
+        obj, masks = value
+        return {k: _labels(masks) if v == _HOLE else v for k, v in obj.items()}
+    return value
 
 
 @pytest.mark.parametrize(
     "items",
-    [[], [1], ["a", None, 2.5], [[]], [{}, {"b": [1, []]}], [{"c": _rows([0b101, 0b10])}, [3]]],
+    [[], [1], ["a", None, 2.5], [[]], [{}, {"b": [1, []]}], [({"c": _HOLE}, [0b101, 0b10]), [3]]],
     ids=["empty", "one", "scalars", "empty-list", "dicts", "mask-rows"],
 )
 def test_json_pieces_write_a_generator_as_its_list(items):
+    # json_list writes the generator of items that its argument returns, as
+    # their list, an empty one as []
     for wrap in (lambda v: v, lambda v: {"a": v, "z": 0}, lambda v: [[v], 1]):
         written, drawn = [], []
 
-        def each():
+        def each(newline):
             for item in items:
                 drawn.append(len("".join(written)))
-                yield item
+                yield _item(item, newline)
 
-        for piece in json_pieces(wrap(each())):
+        for piece in json_pieces(wrap(_HOLE), partial(json_list, each)):
             written.append(piece)
-        assert "".join(written) == json_oracle(_with_labels(wrap(list(items))))
+        assert "".join(written) == json_oracle(wrap([_expected(item) for item in items]))
         # each item is drawn only once the items before it are written
         assert drawn == sorted(set(drawn)) and len(drawn) == len(items)
+    assert "".join(json_list(lambda newline: iter([]), "\n    ")) == "[]"
 
 
-def test_stdlib_json_refuses_mask_rows():
-    p = grid_matroid(3, 4)
-    rep = QuasiRep(p.d, p.n, p.hyperplanes)
-    obj = matroid_to_dict(rep, circuit_profile(rep), include_circuits=True)
-    with pytest.raises(TypeError, match="MaskRows"):
-        json.dumps(obj)
+def _with_holes(rng: random.Random, value, fills: list):
+    """value with holes put into its dicts at random, and value with each
+    hole's list in its place. Each hole's fill is appended to fills in the
+    order of the text, the dicts' keys sorted: a list of label lists through
+    rows_list, or a list of random values through json_list."""
+    if isinstance(value, list):
+        pairs = [_with_holes(rng, v, fills) for v in value]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+    if not isinstance(value, dict):
+        return value, value
+    holed = {k: None for k in value if rng.randrange(3) == 0}
+    if rng.randrange(2):
+        holed[rng.choice(["circuits", "components", "steps", "a", ""])] = None
+    obj, filled = {}, {}
+    for k in sorted({*value, *holed}):
+        if k in holed:
+            if rng.randrange(2):
+                masks = _random_masks(rng, rng.choice(GROUND_SIZES))
+                fills.append(_rows(masks))
+                filled[k] = _labels(masks)
+            else:
+                items = [_random_value(rng, 2) for _ in range(rng.randint(0, 3))]
+                fills.append(partial(json_list, lambda newline, items=items: (_item(v, newline) for v in items)))
+                filled[k] = items
+            obj[k] = _HOLE
+        else:
+            obj[k], filled[k] = _with_holes(rng, value[k], fills)
+    return obj, filled
+
+
+def test_holes_at_random_depths_match_stdlib():
+    rng = random.Random(97)
+    planted = 0
+    for _ in range(1500):
+        fills = []
+        obj, filled = _with_holes(rng, _random_value(rng, 0), fills)
+        planted += len(fills)
+        assert joined_json(obj, *fills) == json_oracle(filled)
+    assert planted > 1000
+
+
+def test_json_pieces_refuse_a_hole_count_mismatch():
+    fill = _rows([1, 2])
+    for obj, fills in [({"a": _HOLE}, []), ({"a": 1}, [fill]), ({"a": _HOLE, "b": [_HOLE]}, [fill])]:
+        with pytest.raises(InvariantViolated, match="holes in the JSON text"):
+            next(json_pieces(obj, *fills))
+    # a hole inside a longer string is text, not a hole
+    with pytest.raises(InvariantViolated):
+        next(json_pieces({"a": "x" + _HOLE}, fill))
