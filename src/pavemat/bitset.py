@@ -23,14 +23,6 @@ def as_mask(s: int | Iterable[int]) -> int:
     return s if isinstance(s, int) else mask_of(s)
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Set bit positions, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # Entry b lists the set bits of the byte value b, ascending: the entries from
 # 2**i on are the first 2**i entries with bit i added.
 _BYTE_BITS: list[tuple[int, ...]] = [()]
@@ -84,7 +76,7 @@ def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 def subsets_of_size(mask: int, r: int) -> Iterator[int]:
     """The r-subsets of mask in lexicographic order of their elements."""
-    return map(sum, combinations([1 << e for e in bits(mask)], r))
+    return map(sum, combinations([1 << e for e in bit_list(mask)], r))
 
 
 def capped_subsets(
@@ -160,12 +152,12 @@ def _capped_walk(
             return
         owners = (1 << len(within)) - 1
         blocked |= ground & ~reduce(or_, within, 0)
-    elems = [1 << e for e in bits(ground)]
+    elems = [1 << e for e in bit_list(ground)]
     if text is None:
         start, empty, heads, pick, piece = 0, 0, elems, filterfalse, 0
     else:
         before, sep, end = text
-        labels = [str(e + 1) for e in bits(ground)]
+        labels = list(map(str, bit_list(ground, 1)))
         start, empty, piece = before, before + end, _ROWS_PER_PIECE
         heads = [label + sep for label in labels]
         last = dict(zip(elems, [label + end for label in labels])).__getitem__
@@ -212,7 +204,7 @@ def _capped_walk(
                 if own != owners:
                     shut = outside.get(own)
                     if shut is None:
-                        shut = outside[own] = ground & ~reduce(or_, (within[j] for j in bits(own)), 0)
+                        shut = outside[own] = ground & ~reduce(or_, (within[j] for j in bit_list(own)), 0)
                     inner |= shut
             if need == 2:
                 out.extend(map((row + heads[i]).__add__, pick(inner.__and__, tails[i])))

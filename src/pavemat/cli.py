@@ -112,23 +112,23 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    # counting only walks the codes, as count --method enumerate does, so it
-    # takes that route's budget; listing also classifies each component
+    # without --list only the count's walk of the codes runs, as in count
+    # --method enumerate, so it takes that route's budget; listing also
+    # classifies each component
     if args.family == "grid":
         default = decomposition.GRID_ENUM_BUDGET if args.list else counting.GRID_COUNT_BUDGET
         size = (args.k, args.l)
-        listing, decompose = decomposition.grid_listing, decomposition.decompose_grid
+        decompose = decomposition.decompose_grid
     else:
         default = decomposition.LINE_ENUM_BUDGET if args.list else counting.LINE_COUNT_BUDGET
         size = (args.n,)
-        listing, decompose = decomposition.line_listing, decomposition.decompose_lines
-    budget = _budget(args, default)
+        decompose = decomposition.decompose_lines
+    result = decompose(*size, budget=_budget(args, default))
     if not args.list:
-        print(sum(1 for _ in listing(*size, budget=budget)))
+        print(result.component_count)
         return 0
     # each component is written as it is listed, so an error partway through
     # leaves the components before it on stdout
-    result = decompose(*size, budget=budget)
     if args.format == "text":
         print(f"{result.component_count} components")
         for rep in result.components:

@@ -275,17 +275,6 @@ def admissible_codes(
         j += 1
 
 
-def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:
-    """The block profiles of an RGS code, sorted: (x, y) for each block with
-    x items among the code's first a positions (sort 0) and y among the rest
-    (sort 1), as admissible_codes places them. The shapes of the codes it
-    yields are the leaves of _weighted_partitions' walk, as (a, b) pairs."""
-    profiles = [[0, 0] for _ in range(max(code, default=-1) + 1)]
-    for pos, block in enumerate(code):
-        profiles[block][pos >= a] += 1
-    return tuple(sorted(map(tuple, profiles)))
-
-
 class TruncatedEGF(NamedTuple):
     """Truncated exponential generating function sum c_m x^m / m!, held as
     its integer counts c_m = m! [x^m] within the given componentwise bounds:
@@ -396,8 +385,10 @@ def grid_component_codes(k: int, l: int) -> Iterator[tuple[int, ...]]:
 
 
 def line_component_codes(n: int) -> Iterator[tuple[int, ...]]:
-    """RGS codes of the component partitions of the n lines, in RGS-lex
-    order: no block of size 2, 3 or n-1."""
+    """RGS codes of the component partitions of the n lines (n >= 4), in
+    RGS-lex order: no block of size 2, 3 or n-1."""
+    if n < 4:
+        raise RangeUnsupported("enumeration needs n >= 4")
     return admissible_codes(n, forbidden_sizes({2, 3, n - 1}))
 
 
@@ -430,11 +421,10 @@ def line_component_count(n: int, method: str = "enumerate") -> int:
     if method not in _METHODS:
         raise BadParams(f"method must be one of {_METHODS}")
     if method == "enumerate":
-        if n < 4:
-            raise RangeUnsupported("enumeration needs n >= 4")
+        codes = line_component_codes(n)  # checks n >= 4 before the budget; lazy
         if n > LINE_COUNT_BUDGET:
             raise EnumerationBudgetExceeded("line count", n, LINE_COUNT_BUDGET)
-        return sum(1 for _ in line_component_codes(n))
+        return sum(1 for _ in codes)
     if n < LINE_FORMULA_MIN:
         raise RangeUnsupported(f"method {method!r} needs n >= {LINE_FORMULA_MIN}")
     if method == "formula":

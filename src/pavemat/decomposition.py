@@ -14,33 +14,13 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bitset import sort_key
-from .counting import code_shape, grid_component_codes, line_component_codes
+from .counting import grid_component_codes, line_component_codes
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, TooFewLines
 from .families import GridLayout, LineArrangement
 from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile, count_by_size
 
 GRID_ENUM_BUDGET = 14  # max k+l for full component listings
 LINE_ENUM_BUDGET = 12  # max n for full component listings
-
-
-def rgs_to_blocks(code: Sequence[int]) -> list[list[int]]:
-    """The blocks of the set partition whose restricted growth string is
-    code (code[0] = 0, each entry at most one above the largest before it):
-    the positions holding each value, in order of first appearance."""
-    blocks: list[list[int]] = []
-    for i, c in enumerate(code):
-        if c == len(blocks):
-            blocks.append([])
-        blocks[c].append(i)
-    return blocks
-
-
-def _block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
-    """The union of the hyperplanes with the given indices."""
-    union = 0
-    for i in block:
-        union |= hyperplanes[i]
-    return union
 
 
 class Classification(NamedTuple):
@@ -54,9 +34,9 @@ class Classification(NamedTuple):
 
 class ComponentReport(NamedTuple):
     """One listed component: its partition, as blocks of hyperplane indices
-    in first-element order, its shape (counting.code_shape), the merged
-    representation and what circuit_profile reads off it (circuit counts,
-    key, rank)."""
+    in first-element order, its shape (the sorted (rows, columns) profiles
+    of its blocks), the merged representation and what circuit_profile reads
+    off it (circuit counts, key, rank)."""
 
     blocks: tuple[tuple[int, ...], ...]
     shape: tuple[tuple[int, int], ...]
@@ -78,19 +58,15 @@ class DecompositionResult(NamedTuple):
     components: Iterator[ComponentReport]
 
 
-def _uniform_from_counts(d: int, rank: int, level: int, small: dict[int, int]) -> Optional[tuple[int, int]]:
-    """(rank, d) when the small circuits, counted by size, are all (rank+1)-subsets
-    of the ground set, or none at all when the rank is the level."""
-    want = {} if rank == level else {rank + 1: comb(d, rank + 1)}
-    have = {size: count for size, count in small.items() if count}
-    return (rank, d) if have == {size: count for size, count in want.items() if count} else None
-
-
 def _classify(d: int, level: int, profile: CircuitProfile, base_key: tuple) -> Classification:
-    small = {level - 1: profile.type1, level: profile.type2}
-    uni = _uniform_from_counts(d, profile.rank, level, small)
-    if uni is not None:
-        return Classification("uniform", uniform_params=uni)
+    """uniform(rank, d) when the small circuits, counted by size, are all
+    (rank+1)-subsets of the ground set, or none at all when the rank is the
+    level; else equals-base when the key is the base's; else other."""
+    rank = profile.rank
+    small = {size: count for size, count in ((level - 1, profile.type1), (level, profile.type2)) if count}
+    full = 0 if rank == level else comb(d, rank + 1)
+    if small == ({rank + 1: full} if full else {}):
+        return Classification("uniform", uniform_params=(rank, d))
     if profile.key == base_key:
         return Classification("equals-base")
     hist = count_by_size(level, profile)
@@ -98,31 +74,55 @@ def _classify(d: int, level: int, profile: CircuitProfile, base_key: tuple) -> C
     return Classification("other", histogram=hist)
 
 
+def _read_code(
+    code: Sequence[int], hyp_masks: Sequence[int], rows: int
+) -> tuple[list[list[int]], list[int], tuple[tuple[int, int], ...]]:
+    """In one pass over an RGS code (code[0] = 0, each entry at most one
+    above the largest before it): the blocks of its partition, the positions
+    holding each value in order of first appearance; each block's union of
+    hyperplanes; and the code's shape, the sorted (x, y) profiles of its
+    blocks, x of their positions below rows and y the rest."""
+    blocks: list[list[int]] = []
+    members: list[int] = []
+    below: list[int] = []
+    for i, c in enumerate(code):
+        if c == len(blocks):
+            blocks.append([i])
+            members.append(hyp_masks[i])
+            below.append(1 if i < rows else 0)
+        else:
+            blocks[c].append(i)
+            members[c] |= hyp_masks[i]
+            if i < rows:
+                below[c] += 1
+    return blocks, members, tuple(sorted([(x, len(block) - x) for x, block in zip(below, blocks)]))
+
+
 def _decompose(
-    hyp_masks: tuple[int, ...], rows: int, d: int, level: int, codes: Iterable[Sequence[int]]
+    hyp_masks: tuple[int, ...], rows: int, d: int, codes: Iterable[Sequence[int]]
 ) -> Iterator[ComponentReport]:
     """One report per partition code, in the order given, each built as it
     is read. Components are told apart by their circuit_key, which agrees
     exactly when the small circuits do; a key met twice raises
-    InvariantViolated.
+    InvariantViolated. Both families are paving matroids of rank 3, so every
+    hypergraph is read at level 3.
 
     The first `rows` hyperplanes are the rows (or every line) and the rest
     the columns. Permuting the lines, or the rows and the columns separately,
-    permutes the ground set and fixes the base. Two codes of one shape
-    (counting.code_shape: the sorted (rows, columns) profiles of their
-    blocks) are carried onto each other by such a permutation, and so are
-    their merged representations. So a component's circuit counts, rank and
-    classification depend only on its shape, and circuit_profile runs once
-    per shape; only the key is computed for every component.
+    permutes the ground set and fixes the base. Two codes of one shape (the
+    sorted (rows, columns) profiles of their blocks) are carried onto each
+    other by such a permutation, and so are their merged representations. So
+    a component's circuit counts, rank and classification depend only on its
+    shape, and circuit_profile runs once per shape; only the key is computed
+    for every component.
     """
+    level = 3
     base_key = circuit_key(QuasiRep(d, level, tuple(sorted(hyp_masks, key=sort_key))))
     seen_keys: set[tuple] = set()
     by_shape: dict[tuple, tuple[CircuitProfile, Classification]] = {}
     for code in codes:
-        blocks = rgs_to_blocks(code)
-        members = [_block_union(hyp_masks, block) for block in blocks]
+        blocks, members, shape = _read_code(code, hyp_masks, rows)
         rep = QuasiRep(d, level, tuple(sorted(members, key=sort_key)))
-        shape = code_shape(code, rows)
         first = by_shape.get(shape)
         if first is None:
             profile = circuit_profile(rep)
@@ -137,42 +137,33 @@ def _decompose(
         )
 
 
-def grid_listing(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
-    """The partition codes decompose_grid lists, after its argument checks."""
+def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> DecompositionResult:
+    """Components of the k x l grid (k, l >= 3, k + l within the budget):
+    one merged matroid per partition code grid_component_codes yields, in
+    RGS-lex order. The count comes from a first walk of the codes, the
+    reports from a second."""
     if k < 3 or l < 3:
         raise BadParams(f"grid decomposition needs k, l >= 3, got {k}, {l}")
     if k + l > budget:
         raise EnumerationBudgetExceeded("grid hyperplane count", k + l, budget)
-    return grid_component_codes(k, l)
-
-
-def line_listing(n: int, *, budget: int = LINE_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
-    """The partition codes decompose_lines lists, after its argument checks."""
-    if n < 4:
-        raise TooFewLines(f"need at least 4 lines, got {n}")
-    if n > budget:
-        raise EnumerationBudgetExceeded("line count", n, budget)
-    return line_component_codes(n)
-
-
-def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> DecompositionResult:
-    """Components of the k x l grid: one merged matroid per partition passing
-    the closed-form test, in RGS-lex order. The count comes from a first walk
-    of the codes, the reports from a second."""
-    count = sum(1 for _ in grid_listing(k, l, budget=budget))
+    count = sum(1 for _ in grid_component_codes(k, l))
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
     hyp_masks = layout.row_masks() + layout.col_masks()
-    reports = _decompose(hyp_masks, k, k * l, 3, grid_component_codes(k, l))
+    reports = _decompose(hyp_masks, k, k * l, grid_component_codes(k, l))
     return DecompositionResult("grid", {"k": k, "l": l}, labels, hyp_masks, count, reports)
 
 
 def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionResult:
-    """Components of the n-line arrangement, in RGS-lex order, counted as
-    decompose_grid counts them."""
-    count = sum(1 for _ in line_listing(n, budget=budget))
+    """Components of the n-line arrangement (n >= 4, within the budget), in
+    RGS-lex order, counted as decompose_grid counts them."""
+    if n < 4:
+        raise TooFewLines(f"need at least 4 lines, got {n}")
+    if n > budget:
+        raise EnumerationBudgetExceeded("line count", n, budget)
+    count = sum(1 for _ in line_component_codes(n))
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()
-    reports = _decompose(hyp_masks, n, arr.point_count, 3, line_component_codes(n))
+    reports = _decompose(hyp_masks, n, arr.point_count, line_component_codes(n))
     return DecompositionResult("lines", {"n": n}, labels, hyp_masks, count, reports)

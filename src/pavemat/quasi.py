@@ -28,7 +28,7 @@ from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bitset import as_mask, bits, bits_tuple, capped_rows, capped_subsets, overlaps, remap, sort_key
+from .bitset import as_mask, bit_list, bits_tuple, capped_rows, capped_subsets, overlaps, remap, sort_key
 from .errors import LevelTooSmall, OutOfRange, RankDeficient, TooLarge, TripleIntersection
 from .paving import PavingMatroid, _paving_relaxed
 
@@ -360,7 +360,7 @@ def decompose_to_tame(
         e: (i, j)
         for i, j, inter in _intersections(members)
         if inter.bit_count() >= n - 1
-        for e in bits(inter)
+        for e in bit_list(inter)
     }
     while eligible:
         a = max(eligible) if pick is None else pick(tuple(sorted(eligible)))
@@ -370,7 +370,7 @@ def decompose_to_tame(
         members[j] &= ~bit
         inter = members[i] & members[j]
         if inter.bit_count() < n - 1:
-            for e in bits(inter):
+            for e in bit_list(inter):
                 del eligible[e]
         steps.append(ExtensionStep(a, inter if n >= 3 else overlaps(members)[1], (i, j)))
     deleted = 0

@@ -7,10 +7,11 @@ stdlib's own encoder.
 
 Beside them stand the plain constructions that only the tests use: the
 tameness test (is_tame), every set partition as a restricted growth string
-(iter_rgs), the merged
-representation of a hyperplane partition (merged_rep), the vector
-partitions of the formula route (vector_partitions), and the writer of a
-hypergraph file (quasi_to_dict).
+(iter_rgs), the blocks, block unions and shape of such a code
+(rgs_to_blocks, block_union, code_shape: the oracles of the listing's
+one pass over each code), the merged representation of a hyperplane
+partition (merged_rep), the vector partitions of the formula route
+(vector_partitions), and the writer of a hypergraph file (quasi_to_dict).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, prod
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from pavemat import MatroidError, QuasiRep, quasi_rep, small_circuits
 from pavemat.bitset import _ROWS_PER_PIECE, bit_list, mask_of, overlaps, sort_key
@@ -32,7 +33,7 @@ from pavemat.counting import (
     _boxed_vectors,
     _weighted_partitions,
 )
-from pavemat.decomposition import Classification, _block_union, rgs_to_blocks
+from pavemat.decomposition import Classification
 from pavemat.errors import BadParams
 from pavemat.io import CIRCUIT_LIST_INLINE_LIMIT, json_pieces, mask_to_labels
 from pavemat.paving import PavingMatroid, paving_from_hyperplanes
@@ -139,6 +140,37 @@ def iter_rgs(m: int) -> Iterator[list[int]]:
         for t in range(j + 1, m):
             a[t] = 0
             b[t] = nb
+
+
+def rgs_to_blocks(code: Sequence[int]) -> list[list[int]]:
+    """The blocks of the set partition whose restricted growth string is
+    code (code[0] = 0, each entry at most one above the largest before it):
+    the positions holding each value, in order of first appearance."""
+    blocks: list[list[int]] = []
+    for i, c in enumerate(code):
+        if c == len(blocks):
+            blocks.append([])
+        blocks[c].append(i)
+    return blocks
+
+
+def block_union(hyperplanes: Sequence[int], block: Iterable[int]) -> int:
+    """The union of the hyperplanes with the given indices."""
+    union = 0
+    for i in block:
+        union |= hyperplanes[i]
+    return union
+
+
+def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:
+    """The block profiles of an RGS code, sorted: (x, y) for each block with
+    x items among the code's first a positions (sort 0) and y among the rest
+    (sort 1), as admissible_codes places them. The shapes of the codes it
+    yields are the leaves of _weighted_partitions' walk, as (a, b) pairs."""
+    profiles = [[0, 0] for _ in range(max(code, default=-1) + 1)]
+    for pos, block in enumerate(code):
+        profiles[block][pos >= a] += 1
+    return tuple(sorted(map(tuple, profiles)))
 
 
 def iter_set_partitions(m: int) -> Iterator[list[list[int]]]:
@@ -281,7 +313,7 @@ def merged_rep(p: PavingMatroid, blocks) -> QuasiRep:
     blocks = [list(block) for block in blocks]
     if sorted(i for block in blocks for i in block) != list(range(len(p.hyperplanes))):
         raise BadParams("blocks do not partition the hyperplane indices")
-    members = [_block_union(p.hyperplanes, block) for block in blocks]
+    members = [block_union(p.hyperplanes, block) for block in blocks]
     return QuasiRep(p.d, p.n, tuple(sorted(members, key=sort_key)))
 
 

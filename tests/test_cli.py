@@ -610,6 +610,15 @@ def test_count_only_decompose_takes_the_enumerate_count_budget(capsys):
     assert err == "error: budget 'grid hyperplane count': requested 15 exceeds limit 14\n"
 
 
+def test_count_only_decompose_prints_the_enumerate_count(capsys):
+    sizes = [("grid", "--k", str(k), "--l", str(l)) for k in range(3, 6) for l in range(3, 7)]
+    sizes += [("lines", "--n", str(n)) for n in range(4, 11)]
+    for size in sizes:
+        want = run(capsys, "count", *size, "--method", "enumerate")
+        assert want[0] == 0 and want[2] == ""
+        assert run(capsys, "decompose", *size) == want, size
+
+
 def test_budget_flag_override(capsys):
     code, out, _ = run(capsys, "decompose", "lines", "--n", "4", "--budget", "4")
     assert code == 0 and out.strip() == "2"

@@ -25,7 +25,6 @@ from pavemat.counting import (
     grid_component_codes,
     line_component_codes,
 )
-from pavemat.decomposition import rgs_to_blocks
 from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
 
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     fraction_exp_2d,
     iter_rgs,
     iter_set_partitions,
+    rgs_to_blocks,
     set_partitions,
     vector_partitions,
 )
@@ -252,6 +252,15 @@ def test_line_count_formula_bound():
         line_component_count(4, "formula")
     with pytest.raises(RangeUnsupported):
         line_component_count(4, "egf")
+
+
+def test_line_codes_refuse_fewer_than_four_lines():
+    # as grid_component_codes refuses k or l below 3, before any code
+    for n in range(4):
+        with pytest.raises(RangeUnsupported, match=r"^enumeration needs n >= 4$"):
+            line_component_codes(n)
+        with pytest.raises(RangeUnsupported, match=r"^enumeration needs n >= 4$"):
+            line_component_count(n, "enumerate")
 
 
 def test_line_count_enumerate_matches_plain_filter():

@@ -18,22 +18,25 @@ from pavemat import (
 from pavemat import decomposition
 from pavemat.counting import (
     ForbiddenProfiles,
-    code_shape,
     forbidden_sizes,
+    grid_component_codes,
     grid_forbidden,
     line_component_codes,
 )
-from pavemat.decomposition import _decompose
+from pavemat.decomposition import _decompose, _read_code
 from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, TooFewLines
 from pavemat.quasi import circuit_profile, small_circuits
 
 from helpers import (
     NotTame,
+    block_union,
+    code_shape,
     iter_set_partitions,
     listed_reps,
     listed_signatures,
     merged_rep,
     m1,
+    rgs_to_blocks,
     signature_classification,
     vector_partitions,
 )
@@ -287,17 +290,32 @@ def test_component_counts_match_counting():
         assert [c.blocks for c in res.components] == plain
 
 
+def test_one_pass_over_a_code_matches_the_oracles():
+    # every listed code of lines 4-10 and grids 3x3 to 6x6
+    cases = [(LineArrangement(n).line_masks(), n, line_component_codes(n)) for n in range(4, 11)]
+    for k in range(3, 7):
+        for l in range(k, 7):
+            layout = GridLayout(k, l)
+            cases.append((layout.row_masks() + layout.col_masks(), k, grid_component_codes(k, l)))
+    for hyp_masks, rows, codes in cases:
+        for code in codes:
+            blocks, members, shape = _read_code(code, hyp_masks, rows)
+            assert blocks == rgs_to_blocks(code), code
+            assert members == [block_union(hyp_masks, block) for block in blocks], code
+            assert shape == code_shape(code, rows), code
+
+
 def test_repeated_partition_raises_instead_of_listing_twice():
     layout = GridLayout(3, 4)
     hyp_masks = layout.row_masks() + layout.col_masks()
     code = (0, 1, 2, 3, 4, 5, 6)
     with pytest.raises(InvariantViolated):
-        list(_decompose(hyp_masks, 3, 12, 3, [code, code]))
+        list(_decompose(hyp_masks, 3, 12, [code, code]))
     # a code whose shape is already classified is still checked by its key
     arr = LineArrangement(7)
     shape = ((1, 0),) * 3 + ((4, 0),)
     first, second = [c for c in line_component_codes(7) if code_shape(c, 7) == shape][:2]
-    args = (arr.line_masks(), 7, arr.point_count, 3)
+    args = (arr.line_masks(), 7, arr.point_count)
     assert len(list(_decompose(*args, [first, second]))) == 2
     with pytest.raises(InvariantViolated):
         list(_decompose(*args, [first, second, second]))
