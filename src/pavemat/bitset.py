@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, filterfalse
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -102,8 +102,9 @@ def capped_rows(
 ) -> Iterator[str]:
     """A row of text for each set of capped_subsets(ground, r, caps,
     within), in order: before, the 1-based labels of its elements joined by
-    sep, then end. Written by the walk with no mask list between, in
-    nonempty pieces of about _ROWS_PER_PIECE rows."""
+    sep, then end. Written by the walk with no mask list between, the rows
+    that differ only in their last element by one str.join, in nonempty
+    pieces of _ROWS_PER_PIECE rows or fewer than d more, the last fewer."""
     return map("".join, _capped_walk(ground, r, caps, within, (before, sep, end)))
 
 
@@ -115,9 +116,10 @@ def _capped_walk(
     text: tuple[str, str, str] | None,
 ) -> Iterator[list]:
     """The sets of capped_subsets as rows: with text None their masks, all
-    in one list; with text (before, sep, end) the row of each, before, its
-    1-based labels joined by sep, then end, in lists of _ROWS_PER_PIECE
-    rows or fewer than d more, the last list shorter. No list is empty. The one walk serves both forms.
+    in one list; with text (before, sep, end) the text of each, before, its
+    1-based labels joined by sep, then end, in lists of strings holding
+    _ROWS_PER_PIECE rows or fewer than d more, the last list fewer. No list
+    is empty. The one walk serves both forms.
 
     A depth-first walk over the elements of ground in ascending order, which
     never forms a set that breaks a cap. A cap is full once the set holds
@@ -129,10 +131,13 @@ def _capped_walk(
 
     The walk carries the row of each set it extends, to which each element
     adds its head: its mask, or its label and sep. The rows that end in the
-    unblocked elements above the last one taken are made by one C-level
-    extend: the row so far plus, for each such element, what pick makes of
-    it, the mask itself or its label and end. The walk keeps its own stack
-    of the sets still to extend, so it can stop after any extend to yield.
+    unblocked elements above the last one taken share that row and head, the
+    lead. As masks they are made by one C-level extend, the lead plus each
+    such element. As text each row is the lead and the element's last text,
+    its label and end, so all of them are the lead and the last texts joined
+    by the lead: two strings, made by one str.join over a slice of the last
+    texts when no element above is blocked. The walk keeps its own stack of
+    the sets still to extend, so it can stop after any batch to yield.
     """
     live: list[tuple[int, int]] = []
     blocked = 0
@@ -154,22 +159,23 @@ def _capped_walk(
         blocked |= ground & ~reduce(or_, within, 0)
     elems = [1 << e for e in bit_list(ground)]
     if text is None:
-        start, empty, heads, pick, piece = 0, 0, elems, filterfalse, 0
+        if r <= 1:
+            rows = [0] if r == 0 else list(filterfalse(blocked.__and__, elems))
+            if rows:
+                yield rows
+            return
+        start, heads = 0, elems
     else:
         before, sep, end = text
         labels = list(map(str, bit_list(ground, 1)))
-        start, empty, piece = before, before + end, _ROWS_PER_PIECE
-        heads = [label + sep for label in labels]
-        last = dict(zip(elems, [label + end for label in labels])).__getitem__
-
-        def pick(taken: Callable[[int], int], tail: list[int]) -> Iterator[str]:
-            return map(last, filterfalse(taken, tail))
-
-    if r <= 1:
-        rows = [empty] if r == 0 else list(map(start.__add__, pick(blocked.__and__, elems)))
-        if rows:
-            yield rows
-        return
+        lasts = [label + end for label in labels]
+        last = dict(zip(elems, lasts)).__getitem__
+        if r <= 1:
+            texts = [end] if r == 0 else list(map(last, filterfalse(blocked.__and__, elems)))
+            if texts:
+                yield [before, before.join(texts)]
+            return
+        start, heads = before, [label + sep for label in labels]
     d = len(elems)
     # For each element: the caps holding it, each with the number of its
     # elements a set holds when the element would fill it; the within masks
@@ -181,6 +187,7 @@ def _capped_walk(
     above = [ground & ~((b << 1) - 1) for b in elems]
     outside: dict[int, int] = {}  # index bits -> the elements of ground outside their union
     out: list = []
+    count = 0  # the rows in out, when written as text
     # The sets still to extend, the next one last: each as the index to go
     # on from, its mask and row, how many elements it still needs (two or
     # more), the elements blocked for it and its owners.
@@ -207,10 +214,20 @@ def _capped_walk(
                         shut = outside[own] = ground & ~reduce(or_, (within[j] for j in bit_list(own)), 0)
                     inner |= shut
             if need == 2:
-                out.extend(map((row + heads[i]).__add__, pick(inner.__and__, tails[i])))
-                if piece and len(out) >= piece:
-                    yield out
-                    out = []
+                lead = row + heads[i]
+                if text is None:
+                    out.extend(map(lead.__add__, filterfalse(inner.__and__, tails[i])))
+                    continue
+                if above[i] & inner:
+                    texts = list(map(last, filterfalse(inner.__and__, tails[i])))
+                else:
+                    texts = lasts[i + 1 :]
+                if texts:
+                    out += (lead, lead.join(texts))
+                    count += len(texts)
+                    if count >= _ROWS_PER_PIECE:
+                        yield out
+                        out, count = [], 0
             elif (above[i] & ~inner).bit_count() >= need - 1:
                 todo.append((i + 1, acc | b, row + heads[i], need - 1, inner, own))
     if out:

@@ -375,7 +375,7 @@ def grid_component_codes(k: int, l: int) -> Iterator[tuple[int, ...]]:
     every block has a profile grid_forbidden allows, and no block holds every
     row or every column without holding all k+l hyperplanes."""
     if k < 3 or l < 3:
-        raise RangeUnsupported("enumeration needs k, l >= 3")
+        raise RangeUnsupported(f"grid components need k, l >= 3, got {k}, {l}")
     base = grid_forbidden().forbids
 
     def forbids(v: Vector) -> bool:
@@ -388,7 +388,7 @@ def line_component_codes(n: int) -> Iterator[tuple[int, ...]]:
     """RGS codes of the component partitions of the n lines (n >= 4), in
     RGS-lex order: no block of size 2, 3 or n-1."""
     if n < 4:
-        raise RangeUnsupported("enumeration needs n >= 4")
+        raise RangeUnsupported(f"line components need n >= 4, got {n}")
     return admissible_codes(n, forbidden_sizes({2, 3, n - 1}))
 
 

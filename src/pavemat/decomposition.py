@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bitset import sort_key
 from .counting import grid_component_codes, line_component_codes
-from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, TooFewLines
+from .errors import EnumerationBudgetExceeded, InvariantViolated
 from .families import GridLayout, LineArrangement
 from .quasi import CircuitProfile, QuasiRep, circuit_key, circuit_profile, count_by_size
 
@@ -142,11 +142,10 @@ def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> Decompo
     one merged matroid per partition code grid_component_codes yields, in
     RGS-lex order. The count comes from a first walk of the codes, the
     reports from a second."""
-    if k < 3 or l < 3:
-        raise BadParams(f"grid decomposition needs k, l >= 3, got {k}, {l}")
+    codes = grid_component_codes(k, l)  # checks k, l >= 3 before the budget; lazy
     if k + l > budget:
         raise EnumerationBudgetExceeded("grid hyperplane count", k + l, budget)
-    count = sum(1 for _ in grid_component_codes(k, l))
+    count = sum(1 for _ in codes)
     layout = GridLayout(k, l)
     labels = tuple(f"R{i + 1}" for i in range(k)) + tuple(f"C{j + 1}" for j in range(l))
     hyp_masks = layout.row_masks() + layout.col_masks()
@@ -157,11 +156,10 @@ def decompose_grid(k: int, l: int, *, budget: int = GRID_ENUM_BUDGET) -> Decompo
 def decompose_lines(n: int, *, budget: int = LINE_ENUM_BUDGET) -> DecompositionResult:
     """Components of the n-line arrangement (n >= 4, within the budget), in
     RGS-lex order, counted as decompose_grid counts them."""
-    if n < 4:
-        raise TooFewLines(f"need at least 4 lines, got {n}")
+    codes = line_component_codes(n)  # checks n >= 4 before the budget; lazy
     if n > budget:
         raise EnumerationBudgetExceeded("line count", n, budget)
-    count = sum(1 for _ in line_component_codes(n))
+    count = sum(1 for _ in codes)
     arr = LineArrangement(n)
     labels = tuple(f"L{i + 1}" for i in range(n))
     hyp_masks = arr.line_masks()

@@ -8,7 +8,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitset import bit_list, mask_of, remap
+from .bitset import bit_list, remap
 from .core import check_circuit_list
 from .decomposition import ComponentReport, DecompositionResult
 from .errors import BadParams, InvariantViolated, OutOfRange
@@ -103,16 +103,25 @@ def mask_to_labels(mask: int) -> list[int]:
 
 
 def labels_to_mask(labels: Iterable[int], d: int) -> int:
+    """The mask of a list of 1-based labels from 1 to d. A bool is refused
+    with BadParams, any other label that is not an int in range with
+    OutOfRange; an int subclass in range is accepted."""
     if not isinstance(labels, (list, tuple)):
         raise BadParams(f"expected a list of labels, got {labels!r}")
-    out = []
+    mask = 0
     for x in labels:
-        if isinstance(x, bool):
-            raise BadParams(f"label {x!r} is not an integer")
-        if not isinstance(x, int) or x < 1 or x > d:
-            raise OutOfRange(f"label {x!r} outside 1..{d}")
-        out.append(x - 1)
-    return mask_of(out)
+        if type(x) is not int or not 0 < x <= d:
+            _check_label(x, d)
+        mask |= 1 << (x - 1)
+    return mask
+
+
+def _check_label(x, d: int) -> None:
+    """Raise for a label labels_to_mask refuses."""
+    if isinstance(x, bool):
+        raise BadParams(f"label {x!r} is not an integer")
+    if not isinstance(x, int) or x < 1 or x > d:
+        raise OutOfRange(f"label {x!r} outside 1..{d}")
 
 
 def _integer(value, name: str) -> int:
@@ -245,11 +254,20 @@ def tame_pieces(dec: TameDecomposition) -> Iterator[str]:
 
 
 def _steps(dec: TameDecomposition, newline: str) -> Iterator[Iterator[str]]:
-    """The text of each peel of dec on lines ending in newline."""
+    """The text of each peel of dec on lines ending in newline, its flat
+    written into a hole."""
     for s in dec.steps:
         pair = [s.source_pair[0] + 1, s.source_pair[1] + 1]
-        obj = {"element": s.element + 1, "flat": mask_to_labels(s.flat), "member_pair": pair}
-        yield json_pieces(obj, newline=newline)
+        obj = {"element": s.element + 1, "flat": _HOLE, "member_pair": pair}
+        yield json_pieces(obj, partial(_label_list, s.flat), newline=newline)
+
+
+def _label_list(mask: int, newline: str) -> tuple[str]:
+    """The 1-based labels of mask as a list on a line ending in newline."""
+    if not mask:
+        return ("[]",)
+    inner = newline + "  "
+    return ("[" + inner + ("," + inner).join(map(str, bit_list(mask, 1))) + newline + "]",)
 
 
 def generators_to_csv(gens: Iterable[MinorGenerator]) -> str:

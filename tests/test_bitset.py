@@ -148,6 +148,33 @@ def test_capped_rows_at_byte_boundaries(d):
     assert assert_rows_match((1 << 65) - 1, 3, caps) > 3
 
 
+@pytest.mark.parametrize("d", [2, 3, 9, 10, 24, 33, 40])
+def test_capped_rows_with_tails_unblocked_blocked_and_mixed(d):
+    # the rows ending in a set's last element are written as one batch per
+    # set: from the slice of the last texts when no element above it is
+    # blocked, else from the unblocked elements alone
+    rng = random.Random(400 + d)
+    full = (1 << d) - 1
+    top = 1 << (d - 1)
+    small = min(d, 12)
+    for r in range(4):
+        # no caps and no within masks: every tail is unblocked
+        assert_rows_match(full, r, [])
+        # the top element blocked from the start: no tail is unblocked
+        assert_rows_match(full, r, [(top, 1)])
+        assert_rows_match(full, r, [(top | 1, 1), (full, 3)])
+        assert_rows_match(full, r, [], [full ^ top, full ^ top ^ 1])
+    for _ in range(30):
+        # caps and within masks that block some tails and leave others
+        ground = full if rng.random() < 0.5 else rng.getrandbits(d) | top
+        r = rng.randint(2, 4)
+        caps = [(rng.getrandbits(d), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        within = None
+        if r == 4 or rng.random() < 0.5:
+            within = [sum(1 << rng.randrange(d) for _ in range(small)) for _ in range(rng.randint(1, 3))]
+        assert_rows_match(ground, r, caps, within)
+
+
 def test_capped_rows_on_a_sparse_ground_with_labels_above_256():
     elems = [0, 5, 9, 255, 256, 257, 300, 511, 512, 1000, 4094, 4095]
     ground = sum(1 << e for e in elems)

@@ -825,7 +825,7 @@ def test_egf_budget_exit_1(capsys):
             ("grid", "--k", "3", "--l", "10000000"),
             "budget 'grid hyperplane count': requested 10000003 exceeds limit 16",
         ),
-        (("grid", "--k", "2", "--l", "20"), "enumeration needs k, l >= 3"),
+        (("grid", "--k", "2", "--l", "20"), "grid components need k, l >= 3, got 2, 20"),
         (("lines", "--n", "100000"), "budget 'line count': requested 100000 exceeds limit 12"),
     ],
 )
@@ -833,6 +833,22 @@ def test_enumerate_refuses_huge_input_before_any_work(capsys, command, message):
     code, out, err = run(capsys, "count", *command)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (("grid", "--k", "2", "--l", "20"), "grid components need k, l >= 3, got 2, 20"),
+        (("grid", "--k", "3", "--l", "2"), "grid components need k, l >= 3, got 3, 2"),
+        (("lines", "--n", "3"), "line components need n >= 4, got 3"),
+        (("lines", "--n", "0"), "line components need n >= 4, got 0"),
+    ],
+)
+def test_decompose_and_count_refuse_small_sizes_with_one_message(capsys, family, message):
+    # both walk the family's component codes, whose generator makes the check
+    for command in (("count",), ("decompose",), ("decompose", "--list"), ("decompose", "--list", "--format", "json")):
+        code, out, err = run(capsys, *command[:1], *family, *command[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
 
 
 TAME_INPUT = quasi_to_dict(quasi_rep(7, 3, [m1(1, 4, 5, 6, 7), m1(1, 2, 3, 6, 7)]))

@@ -257,9 +257,9 @@ def test_line_count_formula_bound():
 def test_line_codes_refuse_fewer_than_four_lines():
     # as grid_component_codes refuses k or l below 3, before any code
     for n in range(4):
-        with pytest.raises(RangeUnsupported, match=r"^enumeration needs n >= 4$"):
+        with pytest.raises(RangeUnsupported, match=rf"^line components need n >= 4, got {n}$"):
             line_component_codes(n)
-        with pytest.raises(RangeUnsupported, match=r"^enumeration needs n >= 4$"):
+        with pytest.raises(RangeUnsupported, match=rf"^line components need n >= 4, got {n}$"):
             line_component_count(n, "enumerate")
 
 

@@ -24,7 +24,7 @@ from pavemat.counting import (
     line_component_codes,
 )
 from pavemat.decomposition import _decompose, _read_code
-from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, TooFewLines
+from pavemat.errors import EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 from pavemat.quasi import circuit_profile, small_circuits
 
 from helpers import (
@@ -240,8 +240,11 @@ def test_decompose_budget_guard():
         decompose_grid(8, 8)
     with pytest.raises(EnumerationBudgetExceeded):
         decompose_lines(13)
-    with pytest.raises(TooFewLines):
+    # the size checks are those of the component codes, before the budget
+    with pytest.raises(RangeUnsupported, match=r"^line components need n >= 4, got 3$"):
         decompose_lines(3)
+    with pytest.raises(RangeUnsupported, match=r"^grid components need k, l >= 3, got 2, 20$"):
+        decompose_grid(2, 20)
 
 
 def test_signatures_pairwise_distinct():

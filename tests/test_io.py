@@ -6,8 +6,10 @@ from functools import partial
 import pytest
 
 from pavemat.bitset import _ROWS_PER_PIECE, bit_list, bits_tuple, sort_key
-from pavemat.errors import InvariantViolated
-from pavemat.io import _HOLE, json_list, json_pieces, mask_to_labels, rows_list
+from pavemat.errors import BadParams, InvariantViolated, OutOfRange
+from pavemat.io import _HOLE, json_list, json_pieces, labels_to_mask, mask_to_labels, rows_list, tame_pieces
+from pavemat.paving import PavingMatroid
+from pavemat.quasi import ExtensionStep, TameDecomposition
 
 from helpers import joined_json, json_oracle, label_pieces
 
@@ -298,3 +300,65 @@ def test_json_pieces_refuse_a_hole_count_mismatch():
     # a hole inside a longer string is text, not a hole
     with pytest.raises(InvariantViolated):
         next(json_pieces({"a": "x" + _HOLE}, fill))
+
+
+def _tame_dict(dec):
+    """The object tame_pieces writes for dec, built whole."""
+    core = {
+        "elements": [e + 1 for e in dec.core_elements],
+        "d": dec.core.d,
+        "n": dec.core.n,
+        "hyperplanes": [[dec.core_elements[e] + 1 for e in bit_list(h)] for h in dec.core.hyperplanes],
+    }
+    steps = [
+        {"element": s.element + 1, "flat": mask_to_labels(s.flat), "member_pair": [i + 1 for i in s.source_pair]}
+        for s in dec.steps
+    ]
+    return {"core": core, "steps": steps}
+
+
+def test_tame_pieces_match_stdlib_on_random_decompositions():
+    rng = random.Random(29)
+    empty_flats = 0
+    for _ in range(300):
+        d = rng.randint(0, 40)
+        kept = sorted(rng.sample(range(d), rng.randint(0, d)))
+        hyperplanes = tuple(rng.getrandbits(len(kept)) for _ in range(rng.randint(0, 4)))
+        core = PavingMatroid(len(kept), rng.randint(1, 5), hyperplanes)
+        steps = tuple(
+            ExtensionStep(rng.randrange(max(d, 1)), rng.getrandbits(d) if rng.random() < 0.8 else 0, (i, i + 1))
+            for i in range(rng.randint(0, 6))
+        )
+        empty_flats += sum(not s.flat for s in steps)
+        dec = TameDecomposition(core, tuple(kept), steps)
+        assert "".join(tame_pieces(dec)) == json_oracle(_tame_dict(dec)), dec
+    assert empty_flats > 20
+    # a flat past the first byte of its mask, and one step with no flat
+    steps = (ExtensionStep(299, 1 << 299 | 1, (0, 1)), ExtensionStep(0, 0, (1, 2)))
+    dec = TameDecomposition(PavingMatroid(0, 2, ()), (), steps)
+    assert "".join(tame_pieces(dec)) == json_oracle(_tame_dict(dec))
+
+
+def test_labels_to_mask_messages():
+    assert labels_to_mask([3, 1, 3], 3) == 0b101
+    assert labels_to_mask((), 0) == 0
+    # an int subclass in range is a label; bools are refused first
+    assert labels_to_mask([_Level.THREE], 3) == 0b100
+    for labels, error, message in [
+        ([1, True], BadParams, "label True is not an integer"),
+        ([False], BadParams, "label False is not an integer"),
+        (["3"], OutOfRange, "label '3' outside 1..4"),
+        ([2.0], OutOfRange, "label 2.0 outside 1..4"),
+        ([None], OutOfRange, "label None outside 1..4"),
+        ([1, 0], OutOfRange, "label 0 outside 1..4"),
+        ([5], OutOfRange, "label 5 outside 1..4"),
+        ([2**70], OutOfRange, f"label {2**70} outside 1..4"),
+        ([_Level.THREE, _Level(3) + 2], OutOfRange, "label 5 outside 1..4"),
+        ("12", BadParams, "expected a list of labels, got '12'"),
+        ({1, 2}, BadParams, "expected a list of labels, got {1, 2}"),
+    ]:
+        with pytest.raises(error) as info:
+            labels_to_mask(labels, 4)
+        assert type(info.value) is error and str(info.value) == message, labels
+    with pytest.raises(OutOfRange, match=r"^label <_Level.THREE: 3> outside 1..2$"):
+        labels_to_mask([_Level.THREE], 2)
