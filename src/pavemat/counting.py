@@ -19,8 +19,9 @@ built on any route.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from math import factorial, prod
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
@@ -42,10 +43,12 @@ LINE_COUNT_BUDGET = 12  # max n for the enumerate route and decompose without --
 GRID_FORMULA_BUDGET = 40  # max k+l for the formula route
 LINE_FORMULA_BUDGET = 60  # max n for the formula route
 
-# The egf route is polynomial: about (k*l)^2 big-int products on the grid,
-# most for k = l at a given k+l, and n^2 on the lines. At either limit a
-# run takes 0.3-0.6 s (lines 800) or 0.5-0.75 s (grid 60x60) on a 2-core
-# Xeon VM with Python 3.11, whose speed swings by up to 2x.
+# The egf route is polynomial: about k*l*(k+l) big-int products on the grid,
+# whose j-sums are shared by every block size with the same weight row (see
+# _exp_2d), most for k = l at a given k+l, and n^2 on the lines. At either
+# limit a run takes 0.3-0.6 s (lines 800) or 0.04-0.06 s (grid 60x60) on a
+# 2-core Xeon VM with Python 3.11, whose speed swings by up to 2x. The grid
+# limit stays where it was until the budgets are derived from measured cost.
 GRID_EGF_BUDGET = 120  # max k+l for the egf route
 LINE_EGF_BUDGET = 800  # max n for the egf route
 
@@ -118,12 +121,21 @@ def _weighted_partitions(
     parts with a above what remains form a prefix, which bisect skips, and
     the parts past the last one that can fill a remaining coordinate are
     never tried. At that last part the multiplicity is forced, the one that
-    empties the coordinate, and is taken in one step with denom * v!^m * m!.
-    A leaf is yielded from its parent's frame, with no generator of its own.
+    empties the coordinate, and is taken in one step. v!^m * m! comes from a
+    table built once per part, for m up to the most the target has room
+    for, so each child costs one product, denom * v!^m * m!. A leaf is
+    yielded from its parent's frame, with no generator of its own.
     """
     vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
     pairs = [(v[0], v[1] if forbidden.dim == 2 else 0) for v in vecs]
-    facts = [factorial(a) * factorial(b) for a, b in pairs]
+    ra, rb = tgt[0], tgt[1] if forbidden.dim == 2 else 0
+    tables = []  # per part, v!^m * m! at index m
+    for a, b in pairs:
+        f = factorial(a) * factorial(b)
+        row = [1]
+        for m in range(1, min(ra // a if a else rb, rb // b if b else ra) + 1):
+            row.append(row[-1] * f * m)
+        tables.append(row)
     neg_a = [-a for a, _ in pairs]  # ascending, for bisect
     n = len(pairs)
     last_a = sum(1 for a, _ in pairs if a) - 1  # the parts with a > 0 come first
@@ -135,30 +147,27 @@ def _weighted_partitions(
             a, b = pairs[idx]
             if b > rb:
                 continue
-            v, f = vecs[idx], facts[idx]
+            v, row = vecs[idx], tables[idx]
             if idx == last_a or idx == last_b:
                 m = ra // a if idx == last_a else rb // b
                 ma, mb = ra - m * a, rb - m * b
                 if ma < 0 or mb < 0 or idx == last_a and ma or idx == last_b and mb:
                     continue
-                d = denom * f**m * factorial(m)
                 if ma or mb:
-                    yield from rec(ma, mb, idx + 1, (v, m, path), d)
+                    yield from rec(ma, mb, idx + 1, (v, m, path), denom * row[m])
                 else:
-                    yield (v, m, path), d
+                    yield (v, m, path), denom * row[m]
                 continue
-            m, d, ma, mb = 1, denom * f, ra - a, rb - b
+            m, ma, mb = 1, ra - a, rb - b
             while ma >= 0 and mb >= 0:
                 if ma or mb:
-                    yield from rec(ma, mb, idx + 1, (v, m, path), d)
+                    yield from rec(ma, mb, idx + 1, (v, m, path), denom * row[m])
                 else:
-                    yield (v, m, path), d
+                    yield (v, m, path), denom * row[m]
                 m += 1
-                d *= f * m
                 ma -= a
                 mb -= b
 
-    ra, rb = tgt[0], tgt[1] if forbidden.dim == 2 else 0
     return rec(ra, rb, 0, None, 1) if ra or rb else iter([(None, 1)])
 
 
@@ -327,21 +336,49 @@ def _exp_2d(weights: Mapping[Vector, int], bounds: Vector) -> list[list[int]]:
     """c(a, b) = a! b! [x^a y^b] exp(sum w_(i,j) x^i y^j / (i! j!)) within the
     bounds. The a = 0 line is the 1-D exp in y. For a >= 1 the block that
     holds the first x-element takes i-1 of the other a-1 and j of the b
-    y-elements: c(a, b) = sum C(a-1, i-1) C(b, j) w_(i,j) c(a-i, b-j)."""
+    y-elements: c(a, b) = sum C(a-1, i-1) C(b, j) w_(i,j) c(a-i, b-j).
+
+    The sum is taken in two steps. The sizes i are grouped by their weight
+    row, the (j, w_(i,j)) with w nonzero; on the grid every i >= 4 has the
+    same one. Once row a' of c is finished, T_r(a', b) = sum_j C(b, j) w_j
+    c(a', b-j) is computed for each distinct row r that some size i with
+    a' + i <= b1 has, and then c(a, b) = sum_i C(a-1, i-1) T_(row of i)(a-i, b).
+    So each j-sum is done once per finished row and weight row, not once
+    per size and later row as well."""
     b1, b2 = bounds
-    binom = _binomials(max(b1, b2))
     c = [_exp_1d([weights.get((0, j), 0) for j in range(b2 + 1)], b2)]
-    terms = sorted((j, i, w) for (i, j), w in weights.items() if 1 <= i <= b1 and j <= b2 and w)
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), w in weights.items():
+        if 1 <= i <= b1 and j <= b2 and w:
+            rows.setdefault(i, []).append((j, w))
+    sizes = sorted(rows)
+    # column j of Pascal's triangle from b = j on: the prefix sums of column j-1
+    cols = [[1] * (b2 + 1)]
+    for j in range(1, b2 + 1):
+        cols.append(list(accumulate(cols[-1][: b2 + 1 - j])))
+    # per distinct weight row: its smallest size, each j with the C(b, j) w_j
+    # for b >= j, and the T rows computed so far; per size, its row's T rows
+    plans: dict[tuple, tuple[int, list, list]] = {}
+    reads = []
+    for i in sizes:
+        r = tuple(sorted(rows[i]))
+        if r not in plans:
+            plans[r] = (i, [(j, cols[j] if w == 1 else [w * x for x in cols[j]]) for j, w in r], [])
+        reads.append(plans[r][2])
+    binom = _binomials(b1)
     for a in range(1, b1 + 1):
-        # the parts with at most a x-elements, by y-count, with their x-binomial
+        done = c[a - 1]
+        for first, terms, out in plans.values():
+            if a - 1 + first <= b1:  # some later row reads it
+                t = [0] * (b2 + 1)
+                for j, cw in terms:
+                    t[j:] = map(add, t[j:], map(mul, cw, done))
+                out.append(t)
+        n = bisect_right(sizes, a)
         choose = binom[a - 1]
-        fit = [(j, choose[i - 1] * w, c[a - i]) for j, i, w in terms if i <= a]
-        cols = [j for j, _, _ in fit]
-        row = []
-        for b in range(b2 + 1):
-            cb = binom[b]
-            row.append(sum(t * cb[j] * prev[b - j] for j, t, prev in fit[: bisect_right(cols, b)]))
-        c.append(row)
+        scale = [choose[i - 1] for i in sizes[:n]]
+        parts = [read[a - i] for i, read in zip(sizes[:n], reads)]
+        c.append([sum(map(mul, scale, col)) for col in zip(*parts)] if n else [0] * (b2 + 1))
     return c
 
 

@@ -11,13 +11,15 @@ tameness test (is_tame), every set partition as a restricted growth string
 (rgs_to_blocks, block_union, code_shape: the oracles of the listing's
 one pass over each code), the merged representation of a hyperplane
 partition (merged_rep), the vector partitions of the formula route
-(vector_partitions), and the writer of a hypergraph file (quasi_to_dict).
+(vector_partitions), the egf route's 2-D kernel summed cell by cell
+(cellwise_exp_2d), and the writer of a hypergraph file (quasi_to_dict).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, prod
@@ -30,7 +32,9 @@ from pavemat.counting import (
     TruncatedEGF,
     Vector,
     _as_vector,
+    _binomials,
     _boxed_vectors,
+    _exp_1d,
     _weighted_partitions,
 )
 from pavemat.decomposition import Classification
@@ -501,6 +505,28 @@ def fraction_exp_1d(alpha: list[Fraction], bound: int) -> list[Fraction]:
                 acc += i * alpha[i] * e[j - i]
         e[j] = acc / j
     return e
+
+
+def cellwise_exp_2d(weights: dict[Vector, int], bounds: Vector) -> list[list[int]]:
+    """counting._exp_2d's counts, each cell its own sum: the a = 0 line is
+    the 1-D exp in y, and for a >= 1
+    c(a, b) = sum C(a-1, i-1) C(b, j) w_(i,j) c(a-i, b-j) over every
+    allowed (i, j) <= (a, b)."""
+    b1, b2 = bounds
+    binom = _binomials(max(b1, b2))
+    c = [_exp_1d([weights.get((0, j), 0) for j in range(b2 + 1)], b2)]
+    terms = sorted((j, i, w) for (i, j), w in weights.items() if 1 <= i <= b1 and j <= b2 and w)
+    for a in range(1, b1 + 1):
+        # the parts with at most a x-elements, by y-count, with their x-binomial
+        choose = binom[a - 1]
+        fit = [(j, choose[i - 1] * w, c[a - i]) for j, i, w in terms if i <= a]
+        cols = [j for j, _, _ in fit]
+        row = []
+        for b in range(b2 + 1):
+            cb = binom[b]
+            row.append(sum(t * cb[j] * prev[b - j] for j, t, prev in fit[: bisect_right(cols, b)]))
+        c.append(row)
+    return c
 
 
 def fraction_exp_2d(alpha: dict[Vector, Fraction], bounds: Vector) -> list[list[Fraction]]:

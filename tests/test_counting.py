@@ -30,6 +30,7 @@ from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupporte
 from helpers import (
     brute_admissible_count,
     brute_vector_partitions,
+    cellwise_exp_2d,
     coefficient,
     fraction_exp_1d,
     fraction_exp_2d,
@@ -213,6 +214,9 @@ def test_grid_counts_symmetry():
     for k, l in ((4, 5), (4, 6), (5, 6)):
         for method in ("enumerate", "formula", "egf"):
             assert grid_component_count(k, l, method) == grid_component_count(l, k, method)
+    # egf sums the columns of a row and the rows of a column differently
+    for k, l in ((4, 9), (5, 17), (8, 32), (13, 40), (4, 116)):
+        assert grid_component_count(k, l, "egf") == grid_component_count(l, k, "egf")
 
 
 def test_grid_count_enumerate_matches_plain_filter():
@@ -389,6 +393,47 @@ def test_exp_kernels_match_fraction_recurrence_on_integer_weights():
         for a in range(bounds[0] + 1):
             for b in range(bounds[1] + 1):
                 assert Fraction(counts[a][b], factorial(a) * factorial(b)) == oracle2[a][b]
+
+
+def _grid_weights(bounds: tuple[int, int]) -> dict[tuple[int, int], int]:
+    allowed = grid_forbidden().allows
+    return {v: 1 for v in _boxed_vectors(bounds) if allowed(v)}
+
+
+def test_exp_2d_matches_cellwise_sums_on_grid_weights():
+    shapes = [(k, k) for k in range(13)] + [(18, 18), (30, 30), (4, 40), (40, 4), (3, 17), (17, 3)]
+    for bounds in shapes:
+        weights = _grid_weights(bounds)
+        assert _exp_2d(weights, bounds) == cellwise_exp_2d(weights, bounds)
+
+
+def test_exp_2d_matches_cellwise_sums_on_repeated_weight_rows():
+    rng = random.Random(4104)
+    for _ in range(40):
+        b1, b2 = rng.randint(1, 14), rng.randint(1, 14)
+        # 2 or 3 rows, each size i taking one; some weights fall outside the bounds
+        rows = [
+            {j: rng.choice((1, 2, 3)) for j in range(b2 + 3) if rng.random() < 0.6}
+            for _ in range(rng.randint(2, 3))
+        ]
+        weights = {(i, j): w for i in range(b1 + 3) for j, w in rng.choice(rows).items()}
+        assert _exp_2d(weights, (b1, b2)) == cellwise_exp_2d(weights, (b1, b2))
+
+
+def test_exp_2d_on_a_single_line_and_on_zero_weights():
+    rng = random.Random(4105)
+    for n in (0, 1, 5, 12):
+        for bounds in ((0, n), (n, 0)):
+            for weights in (
+                _grid_weights(bounds),
+                {v: rng.choice((0, 1, 2, 3)) for v in _boxed_vectors(bounds)},
+            ):
+                assert _exp_2d(weights, bounds) == cellwise_exp_2d(weights, bounds)
+    for bounds in ((0, 0), (3, 5), (6, 2)):
+        zero = {v: 0 for v in _boxed_vectors(bounds)}
+        counts = _exp_2d(zero, bounds)
+        assert counts == cellwise_exp_2d(zero, bounds)
+        assert counts == [[int(a == b == 0) for b in range(bounds[1] + 1)] for a in range(bounds[0] + 1)]
 
 
 # The edge targets that both random-profile walk tests take before their random ones.
