@@ -11,7 +11,8 @@ tameness test (is_tame), every set partition as a restricted growth string
 (rgs_to_blocks, block_union, code_shape: the oracles of the listing's
 one pass over each code), the merged representation of a hyperplane
 partition (merged_rep), the vector partitions of the formula route
-(vector_partitions), the egf route's 2-D kernel summed cell by cell
+(vector_partitions, read off the paths that oracles.weighted_partitions
+yields), the egf route's 2-D kernel summed cell by cell
 (cellwise_exp_2d), and the writer of a hypergraph file (quasi_to_dict).
 """
 
@@ -35,7 +36,6 @@ from pavemat.counting import (
     _binomials,
     _boxed_vectors,
     _exp_1d,
-    _weighted_partitions,
 )
 from pavemat.decomposition import Classification
 from pavemat.errors import BadParams
@@ -170,7 +170,7 @@ def code_shape(code: Sequence[int], a: int) -> tuple[tuple[int, int], ...]:
     """The block profiles of an RGS code, sorted: (x, y) for each block with
     x items among the code's first a positions (sort 0) and y among the rest
     (sort 1), as admissible_codes places them. The shapes of the codes it
-    yields are the leaves of _weighted_partitions' walk, as (a, b) pairs."""
+    yields are the leaves of the formula route's walk, as (a, b) pairs."""
     profiles = [[0, 0] for _ in range(max(code, default=-1) + 1)]
     for pos, block in enumerate(code):
         profiles[block][pos >= a] += 1
@@ -452,7 +452,9 @@ def brute_vector_partitions(tgt: Vector, forbidden: ForbiddenProfiles) -> Iterat
 def vector_partitions(target: int | Vector, forbidden: ForbiddenProfiles) -> Iterator[tuple[Vector, ...]]:
     """Multisets of allowed nonzero vectors summing to the target, each yielded
     once with parts in decreasing lexicographic order: the leaves of the
-    formula route's walk (counting._weighted_partitions)."""
+    formula route's walk (counting._partition_sum), read off the paths of
+    its oracle, oracles.weighted_partitions."""
+    from oracles import weighted_partitions
 
     def parts(path) -> tuple[Vector, ...]:
         out: list[Vector] = []
@@ -461,7 +463,7 @@ def vector_partitions(target: int | Vector, forbidden: ForbiddenProfiles) -> Ite
             out += [v] * m
         return tuple(reversed(out))
 
-    walk = _weighted_partitions(_as_vector(target, forbidden.dim), forbidden)
+    walk = weighted_partitions(_as_vector(target, forbidden.dim), forbidden)
     return (parts(path) for path, _ in walk)
 
 

@@ -14,7 +14,8 @@ Each check stands beside a closed form that the library runs:
 * the closed-form grid and line tests on one partition, and the unpruned
   filters over all partitions, against the pruned partition search;
 * the recursive partition walks, one generator frame per node, against the
-  single-frame walks of the enumerate and formula routes;
+  single-frame enumerate walk and the formula walk's leaves, which
+  weighted_partitions yields with their paths (the library only sums them);
 * the replay of decompose_to_tame's peeling by principal extensions, against
   the construction's independence predicate;
 * the dependency order and uniformity, read off circuits and independence;
@@ -714,10 +715,66 @@ def recursive_admissible_codes(
     yield from place(0, 0)
 
 
+def weighted_partitions(
+    tgt: Vector, forbidden: ForbiddenProfiles
+) -> Iterator[tuple[tuple | None, int]]:
+    """The leaves of counting._partition_sum's walk, in its order, the parts
+    tried and the multiplicities forced as there: each multiset of allowed
+    nonzero vectors summing to tgt, once, as (path, denom). path links the
+    (vector, multiplicity) choices from the smallest part back to the
+    largest, (v, m, rest) down to None; denom is the product of v!^m * m!
+    over them, v! being the product of the factorials of v's coordinates.
+    The library walk sums tgt!/denom over these leaves, with no path built.
+    """
+    vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
+    pairs = [(v[0], v[1] if forbidden.dim == 2 else 0) for v in vecs]
+    ra, rb = tgt[0], tgt[1] if forbidden.dim == 2 else 0
+    tables = []  # per part, v!^m * m! at index m
+    for a, b in pairs:
+        f = factorial(a) * factorial(b)
+        row = [1]
+        for m in range(1, min(ra // a if a else rb, rb // b if b else ra) + 1):
+            row.append(row[-1] * f * m)
+        tables.append(row)
+    neg_a = [-a for a, _ in pairs]  # ascending, for bisect
+    n = len(pairs)
+    last_a = sum(1 for a, _ in pairs if a) - 1  # the parts with a > 0 come first
+    last_b = max((i for i, (_, b) in enumerate(pairs) if b), default=-1)
+
+    def rec(ra: int, rb: int, start: int, path, denom: int) -> Iterator[tuple[tuple | None, int]]:
+        stop = min(last_a + 1 if ra else n, last_b + 1 if rb else n)
+        for idx in range(max(start, bisect_left(neg_a, -ra)), stop):
+            a, b = pairs[idx]
+            if b > rb:
+                continue
+            v, row = vecs[idx], tables[idx]
+            if idx == last_a or idx == last_b:
+                m = ra // a if idx == last_a else rb // b
+                ma, mb = ra - m * a, rb - m * b
+                if ma < 0 or mb < 0 or idx == last_a and ma or idx == last_b and mb:
+                    continue
+                if ma or mb:
+                    yield from rec(ma, mb, idx + 1, (v, m, path), denom * row[m])
+                else:
+                    yield (v, m, path), denom * row[m]
+                continue
+            m, ma, mb = 1, ra - a, rb - b
+            while ma >= 0 and mb >= 0:
+                if ma or mb:
+                    yield from rec(ma, mb, idx + 1, (v, m, path), denom * row[m])
+                else:
+                    yield (v, m, path), denom * row[m]
+                m += 1
+                ma -= a
+                mb -= b
+
+    return rec(ra, rb, 0, None, 1) if ra or rb else iter([(None, 1)])
+
+
 def recursive_weighted_partitions(
     tgt: Vector, forbidden: ForbiddenProfiles
 ) -> Iterator[tuple[tuple | None, int]]:
-    """counting._weighted_partitions stepping every multiplicity m = 1, 2, ...
+    """weighted_partitions stepping every multiplicity m = 1, 2, ...
     with one multiply each, testing at each step whether later parts can fill
     what is left, and recursing into every leaf."""
     vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)

@@ -18,6 +18,7 @@ from pavemat import (
     bitset,
     cli,
     core,
+    counting,
     decompose_grid,
     decompose_lines,
     decomposition,
@@ -60,6 +61,16 @@ def test_count_grid_formula(capsys):
     code, out, _ = run(capsys, "count", "grid", "--k", "5", "--l", "5", "--method", "formula")
     assert code == 0
     assert out.strip() == "127"
+
+
+def test_count_at_the_line_egf_budget_prints_below_the_int_str_ceiling(capsys):
+    """CPython refuses str() of an int past its digit limit (4,300 by default
+    from 3.10.7 on), so a budget raised past it fails here, not in print."""
+    code, out, _ = run(capsys, "count", "lines", "--n", str(counting.LINE_EGF_BUDGET), "--method", "egf")
+    assert code == 0
+    # 0 means the ceiling is lifted here, but not for a default interpreter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+    assert out.strip().isdigit() and len(out.strip()) < limit
 
 
 def test_count_lines_default(capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -20,12 +20,12 @@ from pavemat.counting import (
     _boxed_vectors,
     _exp_1d,
     _exp_2d,
-    _weighted_partitions,
+    _partition_sum,
     admissible_codes,
     grid_component_codes,
     line_component_codes,
 )
-from pavemat.errors import BadParams, EnumerationBudgetExceeded, RangeUnsupported
+from pavemat.errors import BadParams, EnumerationBudgetExceeded, InvariantViolated, RangeUnsupported
 
 from helpers import (
     brute_admissible_count,
@@ -45,6 +45,7 @@ from oracles import (
     line_component_partitions,
     recursive_admissible_codes,
     recursive_weighted_partitions,
+    weighted_partitions,
 )
 
 TABLE_GRID = {(4, 4): 2, (4, 5): 22, (5, 5): 127, (4, 6): 86, (5, 6): 417}
@@ -455,7 +456,38 @@ def test_vector_partitions_match_brute_walk_on_random_profiles():
         assert sorted(parts) == sorted(brute_vector_partitions(tgt, forb))
         assert admissible_partition_count(target, forb) == brute_admissible_count(tgt, forb)
         # in order, each leaf's parts and multiplicities (smallest part first) and denom
-        assert list(_weighted_partitions(tgt, forb)) == list(recursive_weighted_partitions(tgt, forb))
+        assert list(weighted_partitions(tgt, forb)) == list(recursive_weighted_partitions(tgt, forb))
+
+
+def test_partition_sum_matches_the_oracle_walk_and_brute_count():
+    """The carried quotients sum to tgt!/denom over the oracle walk's leaves,
+    on random profiles, with the singletons (1, 0) and (0, 1) forbidden too."""
+    rng = random.Random(4105)
+    targets = [(n,) for n in range(15)] + [(0, 0), (0, 6), (7, 0)]
+    targets += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(24)]
+    for tgt in targets:
+        forb = _random_forbidden(rng, tgt)
+        profiles = [forb]
+        if len(tgt) == 2:
+            for singles in ({(1, 0)}, {(0, 1)}, {(1, 0), (0, 1)}):
+                profiles.append(ForbiddenProfiles(2, lambda v, s=singles, f=forb.forbids: v in s or f(v)))
+        numer = prod(map(factorial, tgt))
+        for f in profiles:
+            walk = [divmod(numer, denom) for _, denom in weighted_partitions(tgt, f)]
+            assert all(r == 0 for _, r in walk)
+            assert _partition_sum(tgt, f) == sum(q for q, _ in walk) == brute_admissible_count(tgt, f)
+
+
+def test_partition_sum_raises_on_an_inexact_quotient(monkeypatch):
+    """A quotient with a remainder raises, under python -O too, and no count
+    comes back: with 2! read as 3, the (1,) part taken twice divides 3 by 2;
+    with 3! read as 7, the (4, 3) block divides 4! 4! by 4! 7."""
+    monkeypatch.setattr(counting, "factorial", lambda x: 3 if x == 2 else factorial(x))
+    with pytest.raises(InvariantViolated):
+        admissible_partition_count(2, forbidden_sizes(()))
+    monkeypatch.setattr(counting, "factorial", lambda x: 7 if x == 3 else factorial(x))
+    with pytest.raises(InvariantViolated):
+        grid_component_count(4, 4, method="formula")
 
 
 def test_admissible_codes_match_filtered_rgs_on_random_profiles():
@@ -487,7 +519,7 @@ def test_weighted_partitions_force_the_multiplicity_of_the_last_column_filler():
     # forced by the columns left: a multiple of 3, or no partition
     forb = ForbiddenProfiles(2, lambda v: v[1] and v != (0, 3))
     for tgt in [(4, 6), (4, 7), (0, 9), (3, 0), (2, 3)]:
-        walk = list(_weighted_partitions(tgt, forb))
+        walk = list(weighted_partitions(tgt, forb))
         assert walk == list(recursive_weighted_partitions(tgt, forb))
         assert bool(walk) == (tgt[1] % 3 == 0)
         if tgt[1]:  # the smallest part, (0, 3), with its forced multiplicity
@@ -502,7 +534,7 @@ def test_walks_match_recursive_walks_on_family_targets(monkeypatch):
     grids = [(k, l) for k in range(3, 8) for l in range(k, 8)]
     lines = range(4, 12)
     for tgt, forb in [(g, grid_forbidden()) for g in grids] + [((n,), forbidden_sizes({2, 3})) for n in lines]:
-        assert list(_weighted_partitions(tgt, forb)) == list(recursive_weighted_partitions(tgt, forb))
+        assert list(weighted_partitions(tgt, forb)) == list(recursive_weighted_partitions(tgt, forb))
     monkeypatch.setattr(counting, "admissible_codes", lambda target, forb: (target, forb))
     handed = [grid_component_codes(k, l) for k, l in grids] + [line_component_codes(n) for n in lines]
     monkeypatch.undo()
