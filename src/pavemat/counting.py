@@ -6,9 +6,9 @@
   walk backtracks in one generator frame;
 * formula: multinomial-weighted sums over vector partitions avoiding the
   forbidden block profiles, minus the closed-form count of partitions whose
-  one big block swallows all rows or all columns; the walk takes a forced
-  multiplicity in one step and sums the exact quotients it carries down,
-  with no generator and no path built;
+  one big block swallows all rows or all columns; the walk takes only the
+  parts with more than one item, fills each node's remainder with
+  singletons, and sums the exact quotients it carries down;
 * egf: truncated exponential generating functions, held as the integer
   counts m! [x^m] that the labelled-exp recurrence computes, minus the
   counts of the excluded partitions.
@@ -40,8 +40,8 @@ GRID_COUNT_BUDGET = 16  # max k+l for the enumerate route and decompose without 
 LINE_COUNT_BUDGET = 12  # max n for the enumerate route and decompose without --list
 
 # The formula route walks vector partitions, whose number grows like the
-# partition numbers. At either limit a run takes about 0.09 s (lines 60) or
-# 0.06 s (grid 20x20) in-process on a 2-core Xeon VM with Python 3.11, best
+# partition numbers. At either limit a run takes about 0.04-0.05 s (lines 60)
+# or 0.02 s (grid 20x20) in-process on a 2-core Xeon VM with Python 3.11, best
 # of 5. The limits stay where they were until the budgets are derived from
 # measured cost.
 GRID_FORMULA_BUDGET = 40  # max k+l for the formula route
@@ -116,71 +116,71 @@ def _partition_sum(tgt: Vector, forbidden: ForbiddenProfiles) -> int:
     allowed nonzero vectors summing to tgt, v! being the product of the
     factorials of v's coordinates.
 
-    Vectors are taken as (a, b) pairs, b = 0 in dimension 1, in decreasing
-    lexicographic order, each with its whole multiplicity at once. So the
-    parts with a above what remains form a prefix, which a table per
-    remaining a skips, and the parts past the last one that can fill a
-    remaining coordinate are never tried. At that last part the multiplicity
-    is forced, the one that empties the coordinate, and is taken in one step.
+    Vectors are taken as (a, b) pairs, b = 0 in dimension 1. The walk takes
+    the parts with more than one item in decreasing lexicographic order,
+    each with its whole multiplicity at once, and fills what a node leaves,
+    (ra, rb), with the singletons (1, 0) and (0, 1): every node is one
+    multiset. A table per remaining a skips the parts with a above it, and
+    last[x][y], the index of the last part that fits in (x, y), ends each
+    loop; a child that no later part fits is not called.
 
-    The walk carries the quotient q down, starting from tgt!: a child taking
-    m copies of v gets q // (v!^m * m!), from a table built once per part for
-    m up to the most the target has room for, and a leaf adds its q to the
-    sum. At a node q is the number of ways to choose the blocks taken so far,
-    unordered, times the factorials of what remains, so each division is
-    exact; a remainder raises InvariantViolated.
+    The quotient q is carried down from tgt!: a child taking m copies of v
+    gets q // (v!^m * m!), from a table built once per part, and adds its
+    own multiset's q // (ra! rb!) (singletons of multiplicity m divide by
+    m!), or 0 where a singleton it needs is forbidden. q counts the ways to
+    choose the blocks taken so far, unordered, times ra! rb!, so each
+    division is exact; a remainder raises InvariantViolated.
     """
     dim2 = forbidden.dim == 2
     ra, rb = tgt[0], tgt[1] if dim2 else 0
-    if not ra and not rb:
-        return 1
     pairs = sorted(
-        ((v[0], v[1] if dim2 else 0) for v in _boxed_vectors(tgt) if forbidden.allows(v)),
+        ((v[0], v[1] if dim2 else 0) for v in _boxed_vectors(tgt) if sum(v) > 1 and forbidden.allows(v)),
         reverse=True,
     )
-    n = len(pairs)
-    stop_a = sum(1 for a, _ in pairs if a)  # the parts with a > 0 come first
-    stop_b = max((i for i, (_, b) in enumerate(pairs) if b), default=-1) + 1
-    # per part: its index, a, b, v!^m * m! at index m, and 1 where its
-    # multiplicity is forced by the rows left, 2 by the columns, 3 by both
+    # per part: its index, a, b and v!^m * m! at index m
     parts = []
+    last = [[-1] * (rb + 2) for _ in range(ra + 2)]  # row and column -1 stay -1
     for idx, (a, b) in enumerate(pairs):
         f = factorial(a) * factorial(b)
         row = [1]
         for m in range(1, min(ra // a if a else rb, rb // b if b else ra) + 1):
             row.append(row[-1] * f * m)
-        parts.append((idx, a, b, row, (idx + 1 == stop_a) | (idx + 1 == stop_b) << 1))
+        parts.append((idx, a, b, row))
+        last[a][b] = idx
+    for x in range(ra + 1):
+        for y in range(rb + 1):
+            last[x][y] = max(last[x][y], last[x - 1][y], last[x][y - 1])
     # per rows left r, the first part with a <= r: the larger a come first
     starts = [sum(1 for a, _ in pairs if a > r) for r in range(ra + 1)]
+    # ra! rb!, or 0 where the singletons that fill (ra, rb) are forbidden
+    sa, sb = forbidden.allows((1, 0)[: forbidden.dim]), not dim2 or forbidden.allows((0, 1))
+    fb = [factorial(y) * (sb or not y) for y in range(rb + 1)]
+    den = [[factorial(x) * (sa or not x) * y for y in fb] for x in range(ra + 1)]
 
     def walk(ra: int, rb: int, start: int, q: int) -> int:
         total = 0
-        stop = min(stop_a if ra else n, stop_b if rb else n)
-        for idx, a, b, row, forced in parts[max(start, starts[ra]) : stop]:
+        for idx, a, b, row in parts[max(start, starts[ra]) : last[ra][rb] + 1]:
             if b > rb:
-                continue
-            if forced:
-                m = ra // a if forced & 1 else rb // b
-                ma, mb = ra - m * a, rb - m * b
-                if ma < 0 or mb < 0 or forced & 1 and ma or forced & 2 and mb:
-                    continue
-                q2, r = divmod(q, row[m])
-                if r:
-                    raise InvariantViolated(f"quotient {q}/{row[m]} is not an integer")
-                total += walk(ma, mb, idx + 1, q2) if ma or mb else q2
                 continue
             m, ma, mb = 1, ra - a, rb - b
             while ma >= 0 and mb >= 0:
                 q2, r = divmod(q, row[m])
                 if r:
                     raise InvariantViolated(f"quotient {q}/{row[m]} is not an integer")
-                total += walk(ma, mb, idx + 1, q2) if ma or mb else q2
+                if d := den[ma][mb]:  # the child's own multiset
+                    q3, r = divmod(q2, d)
+                    if r:
+                        raise InvariantViolated(f"quotient {q2}/{d} is not an integer")
+                    total += q3
+                if last[ma][mb] > idx:
+                    total += walk(ma, mb, idx + 1, q2)
                 m += 1
                 ma -= a
                 mb -= b
         return total
 
-    return walk(ra, rb, 0, factorial(ra) * factorial(rb))
+    # the root's own multiset, all singletons, has the quotient 1
+    return walk(ra, rb, 0, factorial(ra) * factorial(rb)) + (den[ra][rb] > 0)
 
 
 def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfiles) -> int:
@@ -189,7 +189,7 @@ def admissible_partition_count(target: int | Vector, forbidden: ForbiddenProfile
 
     Each vector partition of the target contributes target!/(prod part! *
     prod multiplicity!) labeled set partitions; _partition_sum walks them
-    once, carrying the exact quotient down and summing it at the leaves.
+    once, carrying the exact quotient down and summing it at each node.
     """
     return _partition_sum(_as_vector(target, forbidden.dim), forbidden)
 

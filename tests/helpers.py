@@ -11,9 +11,10 @@ tameness test (is_tame), every set partition as a restricted growth string
 (rgs_to_blocks, block_union, code_shape: the oracles of the listing's
 one pass over each code), the merged representation of a hyperplane
 partition (merged_rep), the vector partitions of the formula route
-(vector_partitions, read off the paths that oracles.weighted_partitions
-yields), the egf route's 2-D kernel summed cell by cell
-(cellwise_exp_2d), and the writer of a hypergraph file (quasi_to_dict).
+(vector_partitions, read off the paths that the forced-multiplicity walk
+oracles.weighted_partitions yields), the egf route's 2-D kernel summed
+cell by cell (cellwise_exp_2d), and the writer of a hypergraph file
+(quasi_to_dict).
 """
 
 from __future__ import annotations
@@ -451,9 +452,9 @@ def brute_vector_partitions(tgt: Vector, forbidden: ForbiddenProfiles) -> Iterat
 
 def vector_partitions(target: int | Vector, forbidden: ForbiddenProfiles) -> Iterator[tuple[Vector, ...]]:
     """Multisets of allowed nonzero vectors summing to the target, each yielded
-    once with parts in decreasing lexicographic order: the leaves of the
-    formula route's walk (counting._partition_sum), read off the paths of
-    its oracle, oracles.weighted_partitions."""
+    once with parts in decreasing lexicographic order: the multisets that
+    the formula route (counting._partition_sum) sums over, read off the
+    paths of its independent oracle, oracles.weighted_partitions."""
     from oracles import weighted_partitions
 
     def parts(path) -> tuple[Vector, ...]:

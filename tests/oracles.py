@@ -14,8 +14,9 @@ Each check stands beside a closed form that the library runs:
 * the closed-form grid and line tests on one partition, and the unpruned
   filters over all partitions, against the pruned partition search;
 * the recursive partition walks, one generator frame per node, against the
-  single-frame enumerate walk and the formula walk's leaves, which
-  weighted_partitions yields with their paths (the library only sums them);
+  single-frame enumerate walk and the formula walk's sum: weighted_partitions
+  yields the multisets the library sums, with their paths, by another walk
+  in another order;
 * the replay of decompose_to_tame's peeling by principal extensions, against
   the construction's independence predicate;
 * the dependency order and uniformity, read off circuits and independence;
@@ -718,13 +719,18 @@ def recursive_admissible_codes(
 def weighted_partitions(
     tgt: Vector, forbidden: ForbiddenProfiles
 ) -> Iterator[tuple[tuple | None, int]]:
-    """The leaves of counting._partition_sum's walk, in its order, the parts
-    tried and the multiplicities forced as there: each multiset of allowed
-    nonzero vectors summing to tgt, once, as (path, denom). path links the
-    (vector, multiplicity) choices from the smallest part back to the
-    largest, (v, m, rest) down to None; denom is the product of v!^m * m!
-    over them, v! being the product of the factorials of v's coordinates.
-    The library walk sums tgt!/denom over these leaves, with no path built.
+    """Each multiset of allowed nonzero vectors summing to tgt, once, as
+    (path, denom). path links the (vector, multiplicity) choices from the
+    smallest part back to the largest, (v, m, rest) down to None; denom is
+    the product of v!^m * m! over them, v! being the product of the
+    factorials of v's coordinates.
+
+    The walk takes every allowed part, singletons included, in decreasing
+    lexicographic order, and at the last part that can fill a coordinate
+    takes the multiplicity that empties it, forced, in one step. Its leaves
+    are the multisets that counting._partition_sum sums tgt!/denom over,
+    there one per node of a walk over the non-singleton parts, so it checks
+    that walk without mirroring it.
     """
     vecs = sorted((v for v in _boxed_vectors(tgt) if forbidden.allows(v)), reverse=True)
     pairs = [(v[0], v[1] if forbidden.dim == 2 else 0) for v in vecs]

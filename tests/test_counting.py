@@ -461,31 +461,40 @@ def test_vector_partitions_match_brute_walk_on_random_profiles():
 
 def test_partition_sum_matches_the_oracle_walk_and_brute_count():
     """The carried quotients sum to tgt!/denom over the oracle walk's leaves,
-    on random profiles, with the singletons (1, 0) and (0, 1) forbidden too."""
+    on random profiles, with the singletons (1,), (1, 0) and (0, 1) and the
+    pair (1, 1) forbidden too, and on targets that no multiset reaches."""
     rng = random.Random(4105)
     targets = [(n,) for n in range(15)] + [(0, 0), (0, 6), (7, 0)]
     targets += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(24)]
+    cases = []
     for tgt in targets:
         forb = _random_forbidden(rng, tgt)
-        profiles = [forb]
-        if len(tgt) == 2:
-            for singles in ({(1, 0)}, {(0, 1)}, {(1, 0), (0, 1)}):
-                profiles.append(ForbiddenProfiles(2, lambda v, s=singles, f=forb.forbids: v in s or f(v)))
+        cases.append((tgt, forb))
+        extra = [{(1,)}] if len(tgt) == 1 else [{(1, 0)}, {(0, 1)}, {(1, 0), (0, 1)}, {(1, 1)}]
+        for banned in extra:
+            forbids = lambda v, s=banned, f=forb.forbids: v in s or f(v)
+            cases.append((tgt, ForbiddenProfiles(len(tgt), forbids)))
+    # only even sizes, or only even rows with even columns: odd targets have no multiset
+    even = ForbiddenProfiles(1, lambda v: v[0] % 2)
+    even2 = ForbiddenProfiles(2, lambda v: v[0] % 2 or v[1] % 2)
+    cases += [((7,), even), ((13,), even), ((8,), even), ((3, 4), even2), ((4, 5), even2), ((4, 6), even2)]
+    for tgt, f in cases:
         numer = prod(map(factorial, tgt))
-        for f in profiles:
-            walk = [divmod(numer, denom) for _, denom in weighted_partitions(tgt, f)]
-            assert all(r == 0 for _, r in walk)
-            assert _partition_sum(tgt, f) == sum(q for q, _ in walk) == brute_admissible_count(tgt, f)
+        walk = [divmod(numer, denom) for _, denom in weighted_partitions(tgt, f)]
+        assert all(r == 0 for _, r in walk)
+        count = _partition_sum(tgt, f)
+        assert count == sum(q for q, _ in walk) == brute_admissible_count(tgt, f)
+        if f in (even, even2):
+            assert (count == 0) == any(x % 2 for x in tgt)
 
 
 def test_partition_sum_raises_on_an_inexact_quotient(monkeypatch):
     """A quotient with a remainder raises, under python -O too, and no count
-    comes back: with 2! read as 3, the (1,) part taken twice divides 3 by 2;
-    with 3! read as 7, the (4, 3) block divides 4! 4! by 4! 7."""
-    monkeypatch.setattr(counting, "factorial", lambda x: 3 if x == 2 else factorial(x))
-    with pytest.raises(InvariantViolated):
-        admissible_partition_count(2, forbidden_sizes(()))
+    comes back: with 3! read as 7, the (3,) part divides 4! by 7 and the
+    (4, 3) block divides 4! 4! by 4! 7."""
     monkeypatch.setattr(counting, "factorial", lambda x: 7 if x == 3 else factorial(x))
+    with pytest.raises(InvariantViolated):
+        admissible_partition_count(4, forbidden_sizes(()))
     with pytest.raises(InvariantViolated):
         grid_component_count(4, 4, method="formula")
 
